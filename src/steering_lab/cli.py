@@ -21,14 +21,14 @@ import numpy as np
 from . import analysis
 from .errors import (IndeterminateFeasibilityError, ParseError,
                      SteeringLabError, ValidationError)
-from .fock_ops import TWO_PI, DisplacementSetting
+from .fock_ops import TWO_PI
 from .inequality import (InequalityFamily, build_probability_inequality,
                          comparison_report, export_inequality)
-from .lhs_certification import (canonical_phases, critical_eta, lhs_feasible,
-                                optimize_phases)
-from .quantum_model import (ModelConfig, compute_assemblage, format_sweep,
-                            format_table, joint_probabilities, make_state,
-                            oracle_probabilities, phase_sweep)
+from .lhs_certification import (canonical_phases, experiment_critical_eta,
+                                optimize_phases, verify_hidden_states)
+from .quantum_model import (ModelConfig, format_sweep, format_table,
+                            joint_probabilities, oracle_probabilities,
+                            phase_sweep)
 
 DEFAULTS = {
     "r_a": 0.233,
@@ -115,11 +115,9 @@ class RunConfig:
         return DEFAULTS.get(key)
 
     def threads(self):
-        flag = getattr(self.args, "threads", None)
-        if flag is not None:
-            return flag
-        if "threads" in self.file_entries:
-            return int(self.file_entries["threads"])
+        value = self.get("threads", int)
+        if value is not None:
+            return value
         env = os.environ.get("STEERING_LAB_THREADS")
         if env is not None:
             try:
@@ -232,43 +230,40 @@ def cmd_sweep(res):
 
 
 def cmd_certify(res):
-    r_a = res.get("r_a")
+    m = res.get("m", int)
     phases = res.get("phases", tuple, default=()) or tuple(
-        x * TWO_PI / res.get("m", int) for x in range(res.get("m", int)))
-    eta = res.args.eta if res.args.eta is not None else (
-        float(res.file_entries["eta"]) if "eta" in res.file_entries else None)
-    if eta is not None:
-        visibility = res.get("visibility")
-        settings = [DisplacementSetting(r_a, th) for th in phases]
-        assemblage = compute_assemblage(make_state(eta, visibility), settings)
-        report = lhs_feasible(assemblage,
-                              tol=res.get("tol", float, default=1e-9))
-        if report.verdict == "feasible":
-            print("feasible (unsteerable)")
-            print("certificate_residual=%.3e" % report.certificate.residual)
-        elif report.verdict == "infeasible":
-            print("infeasible (steerable)")
-            print("residual=%.3e" % report.residual)
-        else:
-            print("indeterminate")
-        print("iterations=%d" % report.iterations)
+        x * TWO_PI / m for x in range(m))
+    fixed = res.args.eta is not None or "eta" in res.file_entries
+    eta = res.get("eta") if fixed else None
+    result = experiment_critical_eta(res.get("r_a"), phases, space="qubit",
+                                     visibility=res.get("visibility"))
+    if eta is None:
+        print("eta_star=%.17g" % result.eta_star)
+        print("bracket_width=%.17g" % (result.eta_upper - result.eta_star))
+        print("feasible_at=%.17g" % result.eta_star)
+        print("infeasible_at=%.17g" % result.eta_upper)
         return 0
-    result = critical_eta(r_a, phases,
-                          precision=res.get("precision", float, default=1e-3),
-                          tol=res.get("tol", float, default=1e-9))
-    print("eta_star=%.17g" % result.eta_star)
-    print("bracket_width=%.17g" % result.bracket_width)
-    print("feasible_at=%.17g" % result.lo)
-    print("infeasible_at=%.17g" % result.hi)
+    verdict, certificate = result.verdict_at(eta)
+    if verdict == "feasible":
+        print("feasible (unsteerable)")
+        detail = "certificate_residual=%.3e" % verify_hidden_states(
+            certificate, result.problem, eta)
+    elif verdict == "infeasible":
+        print("infeasible (steerable)")
+        detail = "functional_margin=%.3e" % (certificate.value(
+            result.problem.table_at(eta)) - certificate.bound)
+    else:
+        print("indeterminate")
+        detail = "certified_gap=%.3e" % (result.eta_upper - result.eta_star)
+    print("iterations=%d" % result.newton_steps)
+    print(detail)
     return 0
 
 
 def cmd_optimize(res):
     result = optimize_phases(res.get("r_a"), res.get("m", int),
                              restarts=res.get("restarts", int, default=10),
-                             seed=res.get("seed", int, default=0),
-                             precision=res.get("precision", float,
-                                               default=1e-3))
+                             seed=res.get("seed", int, default=0))
     canon = canonical_phases(result.phases)
     print("phases=" + ",".join("%.17g" % p for p in canon))
     print("eta_star=%.17g" % result.eta_star)
@@ -341,8 +336,6 @@ def _add_common(parser, *names):
         "x_phases": dict(type=_parse_phases,
                          help="comma-separated setting phases (rad)"),
         "seed": dict(type=int, help="random seed"),
-        "precision": dict(type=float, help="bisection bracket target"),
-        "tol": dict(type=float, help="feasibility residual tolerance"),
     }
     for name in names:
         parser.add_argument("--" + name.replace("_", "-"), dest=name,
@@ -388,17 +381,18 @@ def build_parser():
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("certify", help="LHS feasibility / critical "
-                                       "efficiency")
-    _add_common(p, "r_a", "m", "phases", "visibility", "precision", "tol")
+    p = sub.add_parser("certify", help="certified critical efficiency of the "
+                                       "assemblage (LHS model up to it, "
+                                       "violated functional above it)")
+    _add_common(p, "r_a", "m", "phases", "visibility")
     p.add_argument("--eta", type=float, default=None,
-                   help="test feasibility at this efficiency instead of "
-                        "bisecting")
+                   help="print the certified verdict at this efficiency "
+                        "instead")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("optimize", help="phase optimization by "
                                         "random-restart simplex")
-    _add_common(p, "r_a", "m", "seed", "precision")
+    _add_common(p, "r_a", "m", "seed")
     p.add_argument("--restarts", type=int, default=None)
     p.set_defaults(func=cmd_optimize)
 

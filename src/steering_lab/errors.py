@@ -55,4 +55,4 @@ class ExtractionError(SteeringLabError):
 
 
 class IndeterminateFeasibilityError(SteeringLabError):
-    """A feasibility solve hit its iteration budget without a verdict."""
+    """The LHS barrier method stalled before certifying a narrow interval."""

@@ -35,14 +35,18 @@ RESOLUTION_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 @dataclass(frozen=True)
 class DisplacementSetting:
-    """An amplitude r >= 0 and a phase, stored reduced to [0, 2*pi)."""
+    """A finite amplitude r >= 0 and a finite phase, stored reduced to [0, 2*pi)."""
 
     r: float
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (self.r >= 0.0):
-            raise ValidationError(f"displacement amplitude must be >= 0, got {self.r}")
+        if not (self.r >= 0.0 and math.isfinite(self.r)):
+            raise ValidationError(
+                f"displacement amplitude must be finite and >= 0, got {self.r}")
+        if not math.isfinite(self.theta):
+            raise ValidationError(
+                f"displacement phase must be finite, got {self.theta}")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
         object.__setattr__(self, "r", float(self.r))
 

@@ -1,347 +1,50 @@
-"""Unsteerability certification via convex feasibility, and phase optimization.
+"""Local-hidden-state certification of the click table, and phase optimization.
 
-An assemblage admits a local-hidden-state model iff there are PSD operators
-sigma_lambda, one per deterministic outcome assignment lambda, satisfying
+A joint click table p(ab|xy) admits a local-hidden-state (LHS) model iff
+there are trusted-side states sigma_lambda >= 0, one per deterministic
+outcome assignment lambda of the untrusted side, with
 
-    sum_lambda D_lambda(+|x) sigma_lambda = sigma_{+|x}   for every setting x
-    sum_lambda sigma_lambda               = sigma_R
+    sum_lambda D_lambda(a|x) tr(Pi_{b|y} sigma_lambda) = p(ab|xy).
 
-The decision problem is solved by reflecting between the affine set (linear
-constraints above; closed-form projection through the pseudoinverse of the
-small strategy matrix) and the product of 2x2 PSD cones (closed-form
-eigenprojection per block). Two feasibility exits exist: the PSD-projected
-candidate satisfying the linear constraints within tol, or the affine-exact
-iterate becoming PSD up to -1e-9, in which case that iterate itself is the
-certificate. Infeasibility is declared either through a separating-
-functional (Farkas) witness built from the iterate's negative part, proven
-by direct arithmetic, or when the candidate residual plateaus above
-10*tol; hitting the iteration cap is reported as indeterminate.
+The trusted side is seen only through the no-click projectors
+|alpha_y><alpha_y| of its four displacement detectors. With space='fock'
+the hidden states live anywhere in photon-number space and enter through
+their compression onto the span of the |alpha_y> (coordinates from the
+closed-form Gram matrix, no cutoff) plus a weight outside it. With
+space='qubit' they are confined to the 0-1 subspace, where the table fixes
+the conditional states sigma_{+|x} and sigma_R completely: that is the
+assemblage problem.
 
-The critical efficiency eta* is the largest eta at which the lossy-state
-assemblage stays feasible, found by bisection (the assemblage is exactly
-linear in eta, so endpoint interpolation is exact). Measurement phases are
-optimized by a hand-rolled Nelder-Mead; the simplex objective is the
-closed-form qubit bound of the family adapted to the candidate phases (a
-smooth surrogate sharing its minimizer, the equally spaced ladder, with the
-critical efficiency - ranking vertices through a bisected eta* would need
-resolution far below the bisection quantization). The reported eta* is
-always the bisected critical efficiency of the actual candidate phases.
+The table is exactly linear in the efficiency eta, so the critical
+efficiency eta* (the largest eta with an LHS model) is one conic program,
+maximized directly by a barrier method with no bisection. The solve
+returns both certificates: hidden states that reproduce the table at
+eta_star, checked by verify_hidden_states, and a probability-level
+steering functional, whose exact LHS bound is a maximum of small
+eigenvalue problems, violated above eta_upper. A verdict at a fixed eta
+follows from the same solve (ExperimentEfficiency.verdict_at): feasible up
+to eta_star, infeasible above eta_upper, indeterminate in between.
 
-The assemblage problem lets the trusted side read its 2x2 conditional
-states exactly, so its eta* only bounds from below the critical efficiency
-of the experiment as run, in which the trusted side records the no-click
-probabilities of four coherent-state projectors |alpha_y><alpha_y| on
-photon-number space. experiment_critical_eta poses that problem on the
-joint click table p(ab|xy): hidden states enter only through their
-compression onto the span of the |alpha_y> (coordinates from the closed-form
-Gram matrix, no cutoff) plus a weight outside it. It maximizes eta directly
-with a barrier method and returns both certificates: hidden states that
-reproduce the table at eta_star and a probability-level steering functional,
-whose exact LHS bound is a maximum of small eigenvalue problems, violated
-above eta_upper.
+Measurement phases are optimized by a hand-rolled Nelder-Mead; the simplex
+objective is the closed-form qubit bound of the family adapted to the
+candidate phases (a smooth surrogate sharing its minimizer, the equally
+spaced ladder, with the critical efficiency, at no conic solve per
+vertex). The reported eta* is always the critical efficiency of the actual
+candidate phases.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
 
 from .errors import IndeterminateFeasibilityError, ValidationError
-from .fock_ops import RESOLUTION_PHASES, TWO_PI, DisplacementSetting
+from .fock_ops import RESOLUTION_PHASES, TWO_PI
 from .inequality import InequalityFamily, deterministic_strategies, qubit_bound
-from .quantum_model import (DEFAULT_R_B, Assemblage, ModelConfig,
-                            compute_assemblage, joint_probabilities,
-                            make_state)
-
-PSD_SLACK = 1e-9          # certificate blocks may dip this far below PSD
-ITERATION_CAP = 200000
-PLATEAU_WINDOW = 1000
-PLATEAU_REL_CHANGE = 1e-12
-
-
-@dataclass(frozen=True)
-class LhsProblem:
-    """Assemblage family linear in eta, held as its two endpoints.
-
-    sig_steered / r_steered are the no-click conditional states and reduced
-    state at eta = 1; sig_vacuum / r_vacuum at eta = 0. Intermediate eta is
-    exact linear interpolation.
-    """
-
-    sig_steered: np.ndarray = field(repr=False)
-    r_steered: np.ndarray = field(repr=False)
-    sig_vacuum: np.ndarray = field(repr=False)
-    r_vacuum: np.ndarray = field(repr=False)
-
-    @property
-    def m(self):
-        return self.sig_steered.shape[0]
-
-    def assemblage_at(self, eta):
-        sig = eta * self.sig_steered + (1.0 - eta) * self.sig_vacuum
-        sr = eta * self.r_steered + (1.0 - eta) * self.r_vacuum
-        return sig, sr
-
-    @classmethod
-    def from_model(cls, r_a, alice_phases):
-        settings = [DisplacementSetting(r_a, th) for th in alice_phases]
-        hi = compute_assemblage(make_state(1.0), settings)
-        lo = compute_assemblage(make_state(0.0), settings)
-        return cls(sig_steered=hi.sigma[0], r_steered=hi.sigma_r,
-                   sig_vacuum=lo.sigma[0], r_vacuum=lo.sigma_r)
-
-
-@dataclass(frozen=True)
-class LhsCertificate:
-    """Hidden states sigma_lambda witnessing feasibility.
-
-    residual bounds both the worst linear-constraint violation and the worst
-    PSD deficit of the blocks.
-    """
-
-    hidden_states: np.ndarray = field(repr=False)
-    residual: float
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    verdict: str                    # 'feasible' | 'infeasible' | 'indeterminate'
-    iterations: int
-    residual: float
-    min_eig: float
-    certificate: LhsCertificate = None
-    final_iterate: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def feasible(self):
-        return self.verdict == "feasible"
-
-
-def _min_eigs_2x2(blocks):
-    a = blocks[:, 0, 0].real
-    d = blocks[:, 1, 1].real
-    mean = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(blocks[:, 0, 1]) ** 2)
-    return mean - rad
-
-
-def _max_eigs_2x2(blocks):
-    a = blocks[:, 0, 0].real
-    d = blocks[:, 1, 1].real
-    mean = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(blocks[:, 0, 1]) ** 2)
-    return mean + rad
-
-
-def _psd_project_2x2(blocks):
-    """Nearest-PSD projection of a stack of Hermitian 2x2 blocks, in place-free form."""
-    a = blocks[:, 0, 0].real
-    d = blocks[:, 1, 1].real
-    mean = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(blocks[:, 0, 1]) ** 2)
-    lp = mean + rad
-    lm = mean - rad
-    out = blocks.copy()
-    dead = lp <= 0.0
-    mixed = (lm < 0.0) & ~dead
-    if np.any(dead):
-        out[dead] = 0.0
-    if np.any(mixed):
-        w = lp[mixed] / (lp[mixed] - lm[mixed])
-        out[mixed] = w[:, None, None] * (
-            blocks[mixed] - lm[mixed, None, None] * np.eye(2))
-    return out
-
-
-def _constraint_operator(m):
-    """Rows: one per setting (strategy indicators) plus the all-ones sum row."""
-    strat = deterministic_strategies(m).astype(float)
-    mmat = np.vstack([strat.T, np.ones((1, strat.shape[0]))])
-    gram_inv = np.linalg.inv(mmat @ mmat.T)
-    kt = mmat.T @ gram_inv
-    return mmat, kt, gram_inv
-
-
-def _hermitize_stack(blocks):
-    return 0.5 * (blocks + np.conj(np.transpose(blocks, (0, 2, 1))))
-
-
-def _farkas_certified_infeasible(affine, candidate, mmat, gram_inv, targets):
-    """Dual (separating-functional) proof of infeasibility.
-
-    u = affine - candidate is the blockwise negative part of the
-    affine-exact iterate; its row-space projection w = M*(MM*)^-1 M u acts
-    identically on every point of the affine set, with value
-    beta = <(MM*)^-1 M u, B>. Any feasible point x would be PSD with block
-    traces summing to 1, so <w, x> <= max_lambda eig_max(w_lambda). A beta
-    strictly above that bound therefore certifies infeasibility by direct
-    arithmetic, independent of how the iterate was produced. As the
-    reflections converge, u approaches the gap vector between the two sets
-    (which is PSD-polar and lies in the row space), making beta -> |u|^2 > 0
-    and the bound -> 0 for genuinely infeasible problems.
-    """
-    u = affine - candidate
-    mu = np.einsum('rk,kij->rij', mmat, u)
-    y = np.einsum('rs,sij->rij', gram_inv, mu)
-    beta = float(np.real(np.einsum('rij,rij->', np.conj(y), targets)))
-    w = np.einsum('rk,rij->kij', mmat, y)
-    bound = float(_max_eigs_2x2(w).max())
-    return beta > bound + 1e-10 * max(1.0, abs(beta), abs(bound))
-
-
-def lhs_feasible(assemblage, tol=1e-9, iteration_cap=ITERATION_CAP,
-                 warm_start=None):
-    """Decide whether an assemblage admits a local-hidden-state model.
-
-    assemblage is either an Assemblage or a (sig_plus, sigma_r) pair with
-    sig_plus of shape (m, 2, 2). Returns a FeasibilityReport; a feasible
-    verdict carries an LhsCertificate whose residual is at most tol.
-    """
-    if isinstance(assemblage, Assemblage):
-        sig_plus, sigma_r = assemblage.sigma[0], assemblage.sigma_r
-    else:
-        sig_plus, sigma_r = assemblage
-    sig_plus = np.asarray(sig_plus, dtype=complex)
-    sigma_r = np.asarray(sigma_r, dtype=complex)
-    m = sig_plus.shape[0]
-    mmat, kt, gram_inv = _constraint_operator(m)
-    n_strat = mmat.shape[1]
-    targets = np.concatenate([sig_plus, sigma_r[None]], axis=0)
-
-    def project_affine(blocks):
-        gap = np.einsum('rk,kij->rij', mmat, blocks) - targets
-        return blocks - np.einsum('kr,rij->kij', kt, gap)
-
-    def linear_residual(blocks):
-        return float(np.abs(
-            np.einsum('rk,kij->rij', mmat, blocks) - targets).max())
-
-    z = (np.zeros((n_strat, 2, 2), dtype=complex) if warm_start is None
-         else np.array(warm_start, dtype=complex))
-    res_hist = np.empty(iteration_cap)
-    res = math.inf
-    best_res = math.inf
-    min_eig = -math.inf
-    for it in range(iteration_cap):
-        affine = project_affine(z)
-        min_eig = float(_min_eigs_2x2(affine).min())
-        if min_eig >= -PSD_SLACK:
-            cert = LhsCertificate(
-                hidden_states=_hermitize_stack(affine),
-                residual=max(0.0, -min_eig))
-            return FeasibilityReport(verdict="feasible", iterations=it,
-                                     residual=cert.residual, min_eig=min_eig,
-                                     certificate=cert, final_iterate=z)
-        candidate = _psd_project_2x2(affine)
-        res = linear_residual(candidate)
-        best_res = min(best_res, res)
-        res_hist[it] = res
-        if res <= tol:
-            cert = LhsCertificate(hidden_states=_hermitize_stack(candidate),
-                                  residual=res)
-            return FeasibilityReport(verdict="feasible", iterations=it,
-                                     residual=res, min_eig=min_eig,
-                                     certificate=cert, final_iterate=z)
-        if res > 10.0 * tol:
-            if _farkas_certified_infeasible(affine, candidate, mmat,
-                                            gram_inv, targets):
-                return FeasibilityReport(verdict="infeasible", iterations=it,
-                                         residual=best_res, min_eig=min_eig,
-                                         final_iterate=z)
-            if it >= PLATEAU_WINDOW:
-                prev = res_hist[it - PLATEAU_WINDOW]
-                if abs(prev - res) < PLATEAU_REL_CHANGE * prev:
-                    return FeasibilityReport(verdict="infeasible",
-                                             iterations=it, residual=best_res,
-                                             min_eig=min_eig, final_iterate=z)
-        reflected = _psd_project_2x2(2.0 * affine - z)
-        z = z + reflected - affine
-    return FeasibilityReport(verdict="indeterminate", iterations=iteration_cap,
-                             residual=res, min_eig=min_eig, final_iterate=z)
-
-
-def verify_certificate(cert: LhsCertificate, assemblage):
-    """Re-check a certificate by direct arithmetic.
-
-    Returns the worst violation over: linear constraint residual, PSD deficit
-    of the blocks, and the trace-sum deviation from 1.
-    """
-    if isinstance(assemblage, Assemblage):
-        sig_plus, sigma_r = assemblage.sigma[0], assemblage.sigma_r
-    else:
-        sig_plus, sigma_r = assemblage
-    blocks = cert.hidden_states
-    m = np.asarray(sig_plus).shape[0]
-    strat = deterministic_strategies(m).astype(float)
-    lin = 0.0
-    for x in range(m):
-        rebuilt = np.einsum('k,kij->ij', strat[:, x], blocks)
-        lin = max(lin, float(np.abs(rebuilt - sig_plus[x]).max()))
-    lin = max(lin, float(np.abs(blocks.sum(axis=0) - sigma_r).max()))
-    psd_deficit = max(0.0, -float(_min_eigs_2x2(blocks).min()))
-    trace_dev = abs(float(np.trace(blocks.sum(axis=0)).real) - 1.0)
-    return max(lin, psd_deficit, trace_dev)
-
-
-@dataclass(frozen=True)
-class CriticalEfficiency:
-    """Bisection result: eta_star with its final bracket and evidence."""
-
-    eta_star: float
-    bracket_width: float
-    lo: float
-    hi: float
-    evidence_lo: FeasibilityReport
-    evidence_hi: FeasibilityReport
-
-
-def critical_eta(r_a, alice_phases, precision=1e-3, tol=1e-9,
-                 iteration_cap=ITERATION_CAP):
-    """Largest efficiency at which the lossy assemblage stays unsteerable.
-
-    Bisects lhs_feasible over eta in [0, 1]. When even eta = 1 is feasible
-    (e.g. all phases equal: a single effective setting is never steerable)
-    eta_star is 1 with zero bracket. An indeterminate probe aborts with a
-    diagnostic since the bisection invariant would be lost.
-    """
-    if precision < 1e-4:
-        raise ValidationError(f"precision must be >= 1e-4, got {precision}")
-    problem = LhsProblem.from_model(r_a, alice_phases)
-
-    def probe(eta, warm):
-        rep = lhs_feasible(problem.assemblage_at(eta), tol=tol,
-                           iteration_cap=iteration_cap, warm_start=warm)
-        if rep.verdict == "indeterminate":
-            raise IndeterminateFeasibilityError(
-                f"feasibility undecided at eta={eta:.6f} after "
-                f"{rep.iterations} iterations (residual {rep.residual:.3e}); "
-                "tighten tol or raise the iteration cap")
-        return rep
-
-    top = probe(1.0, None)
-    if top.feasible:
-        return CriticalEfficiency(eta_star=1.0, bracket_width=0.0,
-                                  lo=1.0, hi=1.0,
-                                  evidence_lo=top, evidence_hi=top)
-    bottom = probe(0.0, None)
-    lo, hi = 0.0, 1.0
-    ev_lo, ev_hi = bottom, top
-    warm = None
-    while hi - lo > precision:
-        mid = 0.5 * (lo + hi)
-        rep = probe(mid, warm)
-        warm = rep.final_iterate
-        if rep.feasible:
-            lo, ev_lo = mid, rep
-        else:
-            hi, ev_hi = mid, rep
-    return CriticalEfficiency(eta_star=0.5 * (lo + hi), bracket_width=hi - lo,
-                              lo=lo, hi=hi, evidence_lo=ev_lo, evidence_hi=ev_hi)
-
-
-# --- critical efficiency of the experiment as run ---------------------------
+from .quantum_model import DEFAULT_R_B, ModelConfig, joint_probabilities
 
 GAP_TOL = 1e-8            # width of the certified eta interval
+FALLBACK_GAP = 1e-6       # widest interval returned when the barrier stalls
 CENTERING_TOL = 1e-2      # Newton decrement that ends a centering
 BARRIER_GROWTH = 10.0
 NEWTON_CAP = 2000
@@ -415,11 +118,13 @@ class TableProblem:
         return eta * self.table_steered + (1.0 - eta) * self.table_vacuum
 
     @classmethod
-    def from_model(cls, r_a, alice_phases, r_b=DEFAULT_R_B, space="fock"):
+    def from_model(cls, r_a, alice_phases, r_b=DEFAULT_R_B, space="fock",
+                   visibility=1.0):
         basis, outside = trusted_basis(r_b, space)
         tables = [joint_probabilities(ModelConfig(
             eta=eta, r_a=r_a, r_b=r_b, alice_phases=tuple(alice_phases),
-            bob_phases=RESOLUTION_PHASES)).probs for eta in (0.0, 1.0)]
+            bob_phases=RESOLUTION_PHASES, visibility=visibility)).probs
+            for eta in (0.0, 1.0)]
         return cls(table_vacuum=tables[0], table_steered=tables[1],
                    basis=basis, outside=outside)
 
@@ -500,6 +205,30 @@ def lhs_bound(coefficients, problem: TableProblem):
     return float((top + g[:, n]).max())
 
 
+def _product_model(problem: TableProblem):
+    """Hidden states of the eta = 0 table, which is a product table.
+
+    At eta = 0 both modes hold vacuum: the untrusted side answers every
+    setting x independently, + with probability p_A(+|x), and the trusted
+    side holds |0>, whose overlap with each no-click vector |alpha_y> is the
+    real sqrt(p_B(+|y)). Strategy k carries prod_x p_A(D_k(x)|x) times
+    |0><0|, held as its compression onto the basis plus its weight outside.
+    """
+    summary = _marginals(problem.table_vacuum)
+    m, n = problem.m, problem.basis.shape[1]
+    p_a = summary[:m, n]
+    weights = np.prod(np.where(deterministic_strategies(m), p_a, 1.0 - p_a),
+                      axis=1)
+    vacuum = np.linalg.lstsq(problem.basis.conj().T,
+                             np.sqrt(summary[m, :n]).astype(complex),
+                             rcond=None)[0]
+    outside = (max(0.0, 1.0 - float(np.vdot(vacuum, vacuum).real))
+               if problem.outside else 0.0)
+    return HiddenStateModel(
+        blocks=weights[:, None, None] * np.outer(vacuum, vacuum.conj()),
+        weights=weights * outside)
+
+
 @dataclass(frozen=True)
 class ExperimentEfficiency:
     """Critical efficiency of the joint table, decided from both sides.
@@ -516,6 +245,31 @@ class ExperimentEfficiency:
     problem: TableProblem
     newton_steps: int
 
+    def verdict_at(self, eta):
+        """Verdict on problem.table_at(eta), with its certificate.
+
+        'feasible' (eta <= eta_star) carries a HiddenStateModel of the table
+        at eta: the eta_star model mixed with the product model of the
+        eta = 0 table. 'infeasible' (eta above eta_upper) carries the
+        functional, whose value on that table beats its bound in direct
+        arithmetic. In between, including the few rounding units above
+        eta_upper where that arithmetic cannot tell, the verdict is
+        'indeterminate', with no certificate.
+        """
+        if not 0.0 <= eta <= 1.0:
+            raise ValidationError(f"eta must be in [0, 1], got {eta}")
+        if eta > self.eta_star:
+            func = self.functional
+            if func.value(self.problem.table_at(eta)) > func.bound:
+                return "infeasible", func
+            return "indeterminate", None
+        share = eta / self.eta_star if eta < self.eta_star else 1.0
+        vacuum = _product_model(self.problem)
+        return "feasible", HiddenStateModel(
+            blocks=share * self.model.blocks + (1.0 - share) * vacuum.blocks,
+            weights=share * self.model.weights
+            + (1.0 - share) * vacuum.weights)
+
 
 def _max_eta(problem: TableProblem):
     """Barrier method for max eta s.t. sum_k c_k phi(X_k, w_k)^T = M(eta).
@@ -524,7 +278,11 @@ def _max_eta(problem: TableProblem):
     tr X + w) the trusted-side functionals, reduced to an orthonormal basis
     of their span. Infeasible-start Newton on -t eta - sum log det X_k -
     sum log w_k; every centering ends with a certified interval, and t
-    grows until the interval is narrower than GAP_TOL.
+    grows until the interval is narrower than GAP_TOL. The last growth is
+    capped to land the gap near GAP_TOL / 2, short of the large t at which
+    Newton steps stall. Should a centering still fail (step cap, eta past a
+    proven upper bound, or hidden states off the table), the last certified
+    interval is returned if it is at most FALLBACK_GAP wide.
     """
     basis, outside = problem.basis, problem.outside
     dim, n = basis.shape
@@ -566,12 +324,13 @@ def _max_eta(problem: TableProblem):
     w = np.full(n_strat, share if outside else 0.0)
     coords = n_strat * 2 * dim * dim
     eta, t, steps, feasible = 0.0, 1.0, 0, False
+    certified = None
     while True:
+        stall = None
         while True:
             if steps >= NEWTON_CAP:
-                raise IndeterminateFeasibilityError(
-                    f"barrier method took more than {NEWTON_CAP} Newton steps "
-                    f"(t={t:.3e}, eta={eta:.6f})")
+                stall = f"more than {NEWTON_CAP} Newton steps"
+                break
             steps += 1
             # Newton step in scaled coordinates X + F D F^dag, w (1 + d_w):
             # it is the minimum-norm solution of the linearized constraints
@@ -608,41 +367,54 @@ def _max_eta(problem: TableProblem):
                 w = w * (1.0 + step * (1.0 + move[coords:]))
             eta += step * d_eta
             feasible = feasible or step == 1.0
+            if certified is not None and eta > certified.eta_upper:
+                stall = f"eta={eta:.9f} passed its proven upper bound"
+                break
             if feasible and decrement <= CENTERING_TOL:
                 break
-        nu = np.linalg.lstsq(jac.T, -move, rcond=None)[0].reshape(-1, rank)
-        coefficients = -(nu / t) @ red.T
-        bound = lhs_bound(coefficients, problem)
-        func = SteeringFunctional(coefficients=coefficients, bound=bound)
-        slope_d = float((coefficients * td).sum())
-        eta_upper = (eta + (bound - func.value(problem.table_at(eta))) / slope_d
-                     if slope_d > 0.0 else math.inf)
-        if eta_upper - eta <= GAP_TOL:
-            break
-        t *= BARRIER_GROWTH
-    model = HiddenStateModel(blocks=hidden(factor), weights=w)
-    error = verify_hidden_states(model, problem, eta)
-    if error > 1e-9:
-        raise IndeterminateFeasibilityError(
-            f"hidden states miss the table at eta={eta:.9f} by {error:.2e}")
-    return ExperimentEfficiency(eta_star=eta, eta_upper=eta_upper,
-                                model=model, functional=func, problem=problem,
-                                newton_steps=steps)
+        if stall is None:
+            nu = np.linalg.lstsq(jac.T, -move, rcond=None)[0].reshape(-1, rank)
+            coefficients = -(nu / t) @ red.T
+            func = SteeringFunctional(coefficients=coefficients,
+                                      bound=lhs_bound(coefficients, problem))
+            slope_d = float((coefficients * td).sum())
+            eta_upper = (eta + (func.bound - func.value(problem.table_at(eta)))
+                         / slope_d if slope_d > 0.0 else math.inf)
+            model = HiddenStateModel(blocks=hidden(factor), weights=w)
+            error = verify_hidden_states(model, problem, eta)
+            if error > 1e-9:
+                stall = (f"hidden states miss the table at eta={eta:.9f} "
+                         f"by {error:.2e}")
+        if stall is not None:
+            if (certified is not None
+                    and certified.eta_upper - certified.eta_star
+                    <= FALLBACK_GAP):
+                return replace(certified, newton_steps=steps)
+            raise IndeterminateFeasibilityError(
+                f"barrier method stalled at t={t:.3e}: {stall}")
+        certified = ExperimentEfficiency(
+            eta_star=eta, eta_upper=eta_upper, model=model, functional=func,
+            problem=problem, newton_steps=steps)
+        gap = eta_upper - eta
+        if gap <= GAP_TOL:
+            return certified
+        t *= min(BARRIER_GROWTH, 2.0 * gap / GAP_TOL)
 
 
 def experiment_critical_eta(r_a, alice_phases, r_b=DEFAULT_R_B,
-                            space="fock"):
+                            space="fock", visibility=1.0):
     """Largest efficiency at which the joint click table admits an LHS model.
 
-    Unlike critical_eta, the trusted side is seen only through its four
-    displacement detectors, acting on photon-number space (space='fock',
-    exact through the Gram matrix of the coherent states) or on the 0-1
-    subspace (space='qubit', which reproduces the assemblage problem).
-    Solved directly by a barrier method, no bisection; the answer carries
-    hidden states at eta_star and a steering functional violated above
-    eta_upper <= eta_star + GAP_TOL.
+    The trusted side is seen only through its four displacement detectors,
+    acting on photon-number space (space='fock', exact through the Gram
+    matrix of the coherent states) or on the 0-1 subspace (space='qubit',
+    the assemblage problem). Solved directly by a barrier method, no
+    bisection; the answer carries hidden states at eta_star and a steering
+    functional violated above eta_upper, normally within GAP_TOL of
+    eta_star and never more than FALLBACK_GAP above it.
     """
-    return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space))
+    return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space,
+                                            visibility))
 
 
 # --- phase optimization ------------------------------------------------------
@@ -734,15 +506,16 @@ class PhaseOptimum:
     restarts: tuple
 
 
-def optimize_phases(r_a, m, restarts=10, seed=0, precision=1e-3):
+def optimize_phases(r_a, m, restarts=10, seed=0):
     """Search measurement phases minimizing the critical efficiency.
 
     Random-restart Nelder-Mead over the m phases. The simplex ranks
     candidates by the closed-form qubit bound of the family adapted to them
-    (same minimizer as eta*, see module docstring); the critical efficiency
-    is then bisected for every restart's start and end phases, and the best
-    candidate by actual eta* is returned, so the result never loses to its
-    own starting point. Fully reproducible from the seed.
+    (same minimizer as eta*, see module docstring); the assemblage critical
+    efficiency (experiment_critical_eta with space='qubit') is then solved
+    for every restart's start and end phases, and the best candidate by
+    actual eta* is returned, so the result never loses to its own starting
+    point. Fully reproducible from the seed.
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
@@ -751,13 +524,16 @@ def optimize_phases(r_a, m, restarts=10, seed=0, precision=1e-3):
     def surrogate(phases):
         return qubit_bound(InequalityFamily(m=m, alice_phases=phases))
 
+    def critical(phases):
+        return experiment_critical_eta(r_a, phases, space="qubit").eta_star
+
     records = []
     best = None
     for _ in range(restarts):
         start = rng.uniform(0.0, TWO_PI, size=m)
         end, _, _ = nelder_mead(surrogate, start)
-        eta_start = critical_eta(r_a, tuple(start), precision).eta_star
-        eta_end = critical_eta(r_a, tuple(end % TWO_PI), precision).eta_star
+        eta_start = critical(tuple(start))
+        eta_end = critical(tuple(end % TWO_PI))
         rec = RestartRecord(start_phases=tuple(start),
                             end_phases=tuple(end % TWO_PI),
                             eta_star_start=eta_start, eta_star_end=eta_end)

@@ -51,12 +51,18 @@ class ModelConfig:
         if not 0.0 <= self.visibility <= 1.0:
             raise ValidationError(
                 f"visibility must be in [0, 1], got {self.visibility}")
-        if self.r_a < 0 or self.r_b < 0:
-            raise ValidationError("amplitudes must be >= 0")
-        alice = tuple(float(p) % TWO_PI for p in self.alice_phases)
+        if not all(r >= 0 and math.isfinite(r) for r in (self.r_a, self.r_b)):
+            raise ValidationError(
+                f"amplitudes must be finite and >= 0, got r_a={self.r_a}, "
+                f"r_b={self.r_b}")
+        alice = tuple(float(p) for p in self.alice_phases)
+        bob = tuple(float(p) for p in self.bob_phases)
+        if not all(map(math.isfinite, alice + bob)):
+            raise ValidationError("phases must be finite")
+        alice = tuple(p % TWO_PI for p in alice)
         if len(alice) < 1:
             raise ValidationError("need at least one untrusted-side phase")
-        bob = tuple(float(p) % TWO_PI for p in self.bob_phases)
+        bob = tuple(p % TWO_PI for p in bob)
         if len(bob) != 4:
             raise ValidationError(
                 f"bob_phases needs exactly 4 entries, got {len(bob)}")

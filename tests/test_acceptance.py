@@ -27,12 +27,11 @@ from steering_lab.inequality import (InequalityFamily,
                                      evaluate_steering, family_matrices,
                                      fullspace_g, identity_residual,
                                      qubit_bound)
-from steering_lab.lhs_certification import (LhsProblem, critical_eta,
-                                            experiment_critical_eta,
-                                            ladder_distance, lhs_feasible,
-                                            optimize_phases,
+from steering_lab.lhs_certification import (experiment_critical_eta,
+                                            ladder_distance, optimize_phases,
                                             verify_hidden_states)
-from steering_lab.quantum_model import (default_config, joint_probabilities,
+from steering_lab.quantum_model import (compute_assemblage, default_config,
+                                        joint_probabilities, make_state,
                                         oracle_probabilities, phase_sweep,
                                         theoretical_delta_S)
 
@@ -47,7 +46,7 @@ def _report(capsys, line):
 @pytest.fixture(scope="module")
 def optimum():
     """Ten seeded simplex restarts at r_A = 0.2, shared by criteria 1 and 9."""
-    return optimize_phases(0.2, 4, restarts=10, seed=7, precision=1e-3)
+    return optimize_phases(0.2, 4, restarts=10, seed=7)
 
 
 def test_criterion_1_critical_efficiency(optimum, capsys):
@@ -60,18 +59,20 @@ def test_criterion_1_critical_efficiency(optimum, capsys):
     functional = result.functional
     violation = (functional.value(problem.table_at(result.eta_star + 1e-4))
                  - functional.bound)
-    assemblage = critical_eta(0.2, optimum.phases, precision=1e-3)
-    table = {r_a: (critical_eta(r_a, LADDER4).eta_star,
+    assemblage = experiment_critical_eta(0.2, optimum.phases, space="qubit")
+    table = {r_a: (experiment_critical_eta(r_a, LADDER4,
+                                           space="qubit").eta_star,
                    experiment_critical_eta(r_a, LADDER4).eta_star)
              for r_a in (0.15, 0.2, 0.233, 0.25, 0.3)}
     certified = hidden_error <= 1e-8 and violation > 0.0
     ok = abs(result.eta_star - 0.43) <= 0.01 and elapsed < 300.0 and certified
     _report(capsys, "CRITERION 1: %s - optimized-phase experiment eta* at "
             "r_A=0.2 is %.6f (window 0.43 +/- 0.01, certified gap %.1e, "
-            "%.2f s); assemblage eta* %.6f (bracket %.2e)" %
+            "%.2f s); assemblage eta* %.6f (certified gap %.1e)" %
             ("PASS" if ok else "FAIL", result.eta_star,
              result.eta_upper - result.eta_star, elapsed,
-             assemblage.eta_star, assemblage.bracket_width))
+             assemblage.eta_star,
+             assemblage.eta_upper - assemblage.eta_star))
     _report(capsys, "  assemblage / experiment eta* vs r_A (ladder phases): "
             + "  ".join("r_A=%.3f -> %.4f / %.4f" % (r, a, e)
                         for r, (a, e) in sorted(table.items())))
@@ -192,30 +193,35 @@ def test_criterion_7_lhs_soundness_and_transition(capsys):
     sound = worst <= 1e-9
 
     r_a = 0.233
-    eta_star = critical_eta(r_a, LADDER4).eta_star
-    problem = LhsProblem.from_model(r_a, LADDER4)
-    below = lhs_feasible(problem.assemblage_at(eta_star - 0.02))
-    above = lhs_feasible(problem.assemblage_at(eta_star + 0.02))
+    result = experiment_critical_eta(r_a, LADDER4, space="qubit")
+    eta_star = result.eta_star
+    table = result.problem.table_at
+    below, model = result.verdict_at(eta_star - 0.02)
+    above, functional = result.verdict_at(eta_star + 0.02)
+    settings = [DisplacementSetting(r_a, th) for th in LADDER4]
     g_r, g_x = family_matrices(family)
     bound = qubit_bound(family)
 
     def matrix_functional(eta):
-        sig, sigma_r = problem.assemblage_at(eta)
-        value = np.trace(g_r @ sigma_r)
+        assemblage = compute_assemblage(make_state(eta), settings)
+        value = np.trace(g_r @ assemblage.sigma_r)
         for x in range(4):
-            value += np.trace(g_x[x] @ sig[x])
+            value += np.trace(g_x[x] @ assemblage.sigma[0, x])
         return float(np.real(value))
 
     margin_lo = matrix_functional(eta_star - 0.02) - bound
     margin_hi = matrix_functional(eta_star + 0.02) - bound
-    bracket = (below.feasible and not above.feasible
-               and margin_lo < 0.0 < margin_hi)
+    verified = (below == "feasible" and verify_hidden_states(
+        model, result.problem, eta_star - 0.02) <= 1e-9)
+    violated = (above == "infeasible" and functional.value(
+        table(eta_star + 0.02)) > functional.bound)
+    bracket = verified and violated and margin_lo < 0.0 < margin_hi
     ok = sound and bracket
     _report(capsys, "CRITERION 7: %s - worst LHS margin %.3e (<= 1e-9) over 16 "
-            "strategies x 50 states; at eta*=%.4f -0.02: feasible, "
+            "strategies x 50 states; at eta*=%.4f -0.02: %s, "
             "S'-S'_max=%.3e; +0.02: %s, S'-S'_max=%.3e" %
-            ("PASS" if ok else "FAIL", worst, eta_star,
-             margin_lo, above.verdict, margin_hi))
+            ("PASS" if ok else "FAIL", worst, eta_star, below,
+             margin_lo, above, margin_hi))
     assert sound
     assert bracket
 

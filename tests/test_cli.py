@@ -115,20 +115,37 @@ def test_certify_fixed_eta(capsys):
     assert main(["certify", "--eta", "0.3", "--r-a", "0.2"]) == 0
     out, _ = _lines(capsys)
     assert out[0] == "feasible (unsteerable)"
-    assert any(line.startswith("certificate_residual=") for line in out)
+    assert float(_kv(out)["certificate_residual"]) <= 1e-9
     assert any(line.startswith("iterations=") for line in out)
     assert main(["certify", "--eta", "1", "--r-a", "0.2"]) == 0
     out, _ = _lines(capsys)
     assert out[0] == "infeasible (steerable)"
+    assert float(_kv(out)["functional_margin"]) > 0.0
 
 
-def test_certify_bisection(capsys):
+def test_certify_critical_efficiency(capsys):
     assert main(["certify", "--r-a", "0.2"]) == 0
     out, _ = _lines(capsys)
     kv = _kv(out)
-    assert float(kv["eta_star"]) == pytest.approx(0.41943359375, abs=1e-12)
-    assert float(kv["bracket_width"]) <= 1e-3
-    assert float(kv["feasible_at"]) < float(kv["infeasible_at"])
+    eta_star = float(kv["eta_star"])
+    assert eta_star == pytest.approx(0.4195681, abs=1e-6)
+    # inside the bracket the earlier bisection solver reported
+    assert 0.4189453125 <= eta_star <= 0.419921875
+    assert float(kv["feasible_at"]) == eta_star
+    gap = float(kv["infeasible_at"]) - eta_star
+    assert 0.0 < gap <= 1e-8
+    assert float(kv["bracket_width"]) == pytest.approx(gap, rel=1e-6)
+
+
+def test_certify_visibility_raises_the_critical_efficiency(capsys):
+    stars = []
+    for visibility in ("1", "0.9", "0.5"):
+        assert main(["certify", "--r-a", "0.2",
+                     "--visibility", visibility]) == 0
+        out, _ = _lines(capsys)
+        stars.append(float(_kv(out)["eta_star"]))
+    assert stars[0] == pytest.approx(0.4195681, abs=1e-6)
+    assert stars[0] < stars[1] < stars[2]
 
 
 def test_optimize_is_reproducible(capsys):
@@ -228,5 +245,38 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
 def test_unknown_flags_exit_2(capsys):
     assert main(["bound", "--frobnicate"]) == 2
     _, err = _lines(capsys)
+    assert len(err) == 1
+    assert err[0].startswith("ValidationError:")
+
+
+@pytest.mark.parametrize("command, entry", [
+    (["certify", "--r-a", "0.2"], "eta=abc"),
+    (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
+     "threads=x"),
+])
+def test_config_values_are_read_typed(tmp_path, capsys, command, entry):
+    counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    argv = [str(counts) if a == "COUNTS" else str(tmp_path / "mc.txt")
+            if a == "OUT" else a for a in command]
+    assert main(["--config", str(cfg), *argv]) == 2
+    out, err = _lines(capsys)
+    assert not out
+    assert len(err) == 1
+    assert err[0].startswith("ValidationError:")
+    assert entry.split("=")[0] in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--r-a", "inf"],
+    ["simulate", "--r-b", "nan"],
+    ["simulate", "--phases", "0,inf,1,2"],
+    ["certify", "--r-a", "inf"],
+])
+def test_non_finite_input_is_rejected(capsys, argv):
+    assert main(argv) == 2
+    out, err = _lines(capsys)
+    assert not out
     assert len(err) == 1
     assert err[0].startswith("ValidationError:")

@@ -14,8 +14,10 @@ from steering_lab.fock_ops import (DisplacementSetting, PAULI_X, PAULI_Y,
 
 
 def test_setting_validation_and_normalization():
-    with pytest.raises(ValidationError):
-        DisplacementSetting(-0.1, 0.0)
+    for r, theta in ((-0.1, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+                     (0.2, math.inf), (0.2, math.nan)):
+        with pytest.raises(ValidationError):
+            DisplacementSetting(r, theta)
     s = DisplacementSetting(0.2, 2.0 * math.pi + 0.3)
     assert abs(s.theta - 0.3) < 1e-12
     assert abs(s.alpha - 0.2 * np.exp(0.3j)) < 1e-12

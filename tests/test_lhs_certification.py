@@ -1,8 +1,11 @@
-"""Tests for LHS feasibility, critical efficiency, and phase optimization."""
+"""Tests for LHS certification, critical efficiency, and phase optimization."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from steering_lab import lhs_certification
 from steering_lab.errors import (IndeterminateFeasibilityError,
                                  ValidationError)
 from steering_lab.fock_ops import DisplacementSetting, coherent_amplitudes
@@ -10,27 +13,29 @@ from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      deterministic_strategies,
                                      evaluate_steering)
-from steering_lab.lhs_certification import (CriticalEfficiency,
-                                            HiddenStateModel, LhsProblem,
-                                            TableProblem, canonical_phases,
-                                            critical_eta,
+from steering_lab.lhs_certification import (HiddenStateModel, TableProblem,
+                                            _max_eta, canonical_phases,
                                             experiment_critical_eta,
                                             ladder_distance, lhs_bound,
-                                            lhs_feasible, nelder_mead,
-                                            optimize_phases, trusted_basis,
-                                            verify_certificate,
+                                            nelder_mead, optimize_phases,
+                                            trusted_basis,
                                             verify_hidden_states)
-from steering_lab.quantum_model import default_config, joint_probabilities
+from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
+                                        default_config, joint_probabilities,
+                                        make_state)
 
 LADDER4 = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 LADDER5 = tuple(i * 2.0 * np.pi / 5.0 for i in range(5))
 
-# Bisected critical efficiencies at precision 1e-3, frozen from the solver
-# (deterministic: exact interpolation in eta plus deterministic probes).
-ETA_STAR_R20 = 0.41943359375
-ETA_STAR_R233 = 0.42626953125
-ETA_STAR_R20_M5 = 0.37255859375
+# Assemblage critical efficiencies on the ladder (experiment_critical_eta
+# with space="qubit"), certified to a gap below 1e-8. Each lies inside the
+# bracket an earlier bisection solver reported at precision 1e-3.
+ETA_STAR_R20 = 0.4195681
+ETA_STAR_R233 = 0.4267374
+ETA_STAR_R20_M5 = 0.3725280
 ASSEMBLAGE_BRACKET_R20 = (0.4189453125, 0.419921875)
+ASSEMBLAGE_BRACKET_R233 = (0.42578125, 0.4267578125)
+ASSEMBLAGE_BRACKET_R20_M5 = (0.3720703125, 0.373046875)
 
 # Critical efficiency of the joint click table at r_A = 0.2, r_B = 0.217 on
 # the ladder, with the trusted side's hidden states anywhere in photon-number
@@ -39,111 +44,170 @@ ASSEMBLAGE_BRACKET_R20 = (0.4189453125, 0.419921875)
 ETA_EXPERIMENT_R20 = 0.4232583
 
 
-def test_vacuum_assemblage_is_feasible_with_verifiable_certificate():
-    problem = LhsProblem.from_model(0.233, LADDER4)
-    asm = problem.assemblage_at(0.0)
-    report = lhs_feasible(asm)
-    assert report.feasible
-    assert report.verdict == "feasible"
-    assert report.residual <= 1e-9
-    assert verify_certificate(report.certificate, asm) <= 1e-8
+def _ladder(m):
+    return tuple(k * 2.0 * np.pi / m for k in range(m))
+
+
+def _assert_certified(res, eta_star, bracket):
+    """eta* to 1e-6 inside its old bracket, with both certificates."""
+    assert res.eta_star == pytest.approx(eta_star, abs=1e-6)
+    assert bracket[0] <= res.eta_star <= res.eta_upper <= bracket[1]
+    assert 0.0 < res.eta_upper - res.eta_star <= 1e-8
+    assert verify_hidden_states(res.model, res.problem, res.eta_star) <= 1e-9
+    func = res.functional
+    assert func.value(res.problem.table_at(res.eta_upper + 1e-9)) > func.bound
+
+
+@pytest.fixture(scope="module")
+def assemblage_r233():
+    return experiment_critical_eta(0.233, LADDER4, space="qubit")
+
+
+def test_vacuum_assemblage_is_feasible_with_verifiable_certificate(
+        assemblage_r233, experiment_r20):
+    for res in (assemblage_r233, experiment_r20):
+        verdict, model = res.verdict_at(0.0)
+        assert verdict == "feasible"
+        assert verify_hidden_states(model, res.problem, 0.0) <= 1e-12
+
+
+def _qubit_table(blocks, problem):
+    """p[a, b, x, y] of hidden 0-1 subspace states, by explicit traces."""
+    strat = deterministic_strategies(problem.m).astype(float)
+    projs = np.einsum('ay,by->yab', problem.basis, problem.basis.conj())
+    q = np.einsum('yab,kba->ky', projs, blocks).real
+    tr = np.trace(blocks, axis1=1, axis2=2).real
+    probs = np.empty((2, 2, problem.m, 4))
+    for a, d in enumerate((strat, 1.0 - strat)):
+        probs[a, 0] = d.T @ q
+        probs[a, 1] = d.T @ (tr[:, None] - q)
+    return probs
 
 
 def test_constructed_lhs_mixture_is_recognized_and_certified():
     rng = np.random.Generator(np.random.Philox(11))
-    strat = deterministic_strategies(4)
-    picks = (2, 7, 13)
-    hidden = []
-    for _ in picks:
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        hidden.append(a @ a.conj().T)
-    total = sum(np.trace(h).real for h in hidden)
-    hidden = [h / total for h in hidden]
-    sig_plus = np.zeros((4, 2, 2), dtype=complex)
-    for k, h in zip(picks, hidden):
-        for x in range(4):
-            if strat[k, x]:
-                sig_plus[x] += h
-    sigma_r = sum(hidden)
-    report = lhs_feasible((sig_plus, sigma_r))
-    assert report.feasible
-    assert verify_certificate(report.certificate,
-                              (sig_plus, sigma_r)) <= 1e-8
+    a = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+    hidden = a @ np.conj(np.swapaxes(a, 1, 2))
+    hidden /= np.trace(hidden, axis1=1, axis2=2).real.sum()
+    base = TableProblem.from_model(0.233, LADDER4, space="qubit")
+    problem = replace(base, table_steered=_qubit_table(hidden, base))
+    res = _max_eta(problem)
+    # both ends of the segment are LHS tables, so the whole of it is
+    assert res.eta_star > 1.0
+    verdict, model = res.verdict_at(1.0)
+    assert verdict == "feasible"
+    assert verify_hidden_states(model, problem, 1.0) <= 1e-9
 
 
-def test_verify_certificate_flags_corruption():
-    problem = LhsProblem.from_model(0.233, LADDER4)
-    asm = problem.assemblage_at(0.2)
-    report = lhs_feasible(asm)
-    cert = report.certificate
-    bad = cert.hidden_states.copy()
-    bad[0, 0, 0] += 0.01
-    from steering_lab.lhs_certification import LhsCertificate
-    assert verify_certificate(LhsCertificate(bad, cert.residual), asm) > 1e-3
+def test_verify_certificate_flags_corruption(assemblage_r233):
+    res = assemblage_r233
+    verdict, model = res.verdict_at(0.2)
+    assert verdict == "feasible"
+    assert verify_hidden_states(model, res.problem, 0.2) <= 1e-9
+    blocks = model.blocks.copy()
+    blocks[0, 0, 0] += 0.01
+    bad = HiddenStateModel(blocks=blocks, weights=model.weights)
+    assert verify_hidden_states(bad, res.problem, 0.2) > 1e-3
 
 
-def test_lossless_ladder_assemblage_is_infeasible():
-    problem = LhsProblem.from_model(0.233, LADDER4)
-    report = lhs_feasible(problem.assemblage_at(1.0))
-    assert report.verdict == "infeasible"
-    assert report.certificate is None
-    assert report.final_iterate is not None
+def test_lossless_ladder_assemblage_is_infeasible(assemblage_r233):
+    res = assemblage_r233
+    verdict, func = res.verdict_at(1.0)
+    assert verdict == "infeasible"
+    # the bound is re-derived from the coefficients alone
+    assert func.bound == lhs_bound(func.coefficients, res.problem)
+    assert func.value(res.problem.table_at(1.0)) > func.bound + 0.1
 
 
 def test_interpolation_endpoints_match_direct_construction():
-    problem = LhsProblem.from_model(0.15, LADDER4)
-    sig, sr = problem.assemblage_at(1.0)
-    np.testing.assert_allclose(sig, problem.sig_steered, atol=1e-15)
-    np.testing.assert_allclose(sr, problem.r_steered, atol=1e-15)
-    sig, sr = problem.assemblage_at(0.25)
-    np.testing.assert_allclose(
-        sig, 0.25 * problem.sig_steered + 0.75 * problem.sig_vacuum,
-        atol=1e-15)
+    problem = TableProblem.from_model(0.15, LADDER4, space="qubit",
+                                      visibility=0.9)
     assert problem.m == 4
+    for eta in (0.0, 0.25, 1.0):
+        direct = joint_probabilities(ModelConfig(
+            eta=eta, r_a=0.15, alice_phases=LADDER4, visibility=0.9)).probs
+        np.testing.assert_allclose(problem.table_at(eta), direct,
+                                   atol=1e-15)
 
 
-def test_critical_eta_frozen_values_and_bracket():
-    res = critical_eta(0.2, LADDER4)
-    assert res.eta_star == pytest.approx(ETA_STAR_R20, abs=1e-12)
-    assert res.bracket_width <= 1e-3
-    assert res.hi - res.lo == pytest.approx(res.bracket_width)
-    assert res.evidence_lo.feasible
-    assert res.evidence_hi.verdict == "infeasible"
-    res233 = critical_eta(0.233, LADDER4)
-    assert res233.eta_star == pytest.approx(ETA_STAR_R233, abs=1e-12)
+def test_critical_eta_frozen_values_and_bracket(assemblage_r233):
+    res = experiment_critical_eta(0.2, LADDER4, space="qubit")
+    _assert_certified(res, ETA_STAR_R20, ASSEMBLAGE_BRACKET_R20)
+    _assert_certified(assemblage_r233, ETA_STAR_R233, ASSEMBLAGE_BRACKET_R233)
 
 
 def test_critical_eta_is_invariant_under_global_phase_shift():
-    base = critical_eta(0.2, LADDER4)
-    shifted = critical_eta(0.2, tuple(p + 0.7 for p in LADDER4))
-    assert shifted.eta_star == pytest.approx(base.eta_star, abs=1e-12)
+    base = experiment_critical_eta(0.2, LADDER4, space="qubit")
+    shifted = experiment_critical_eta(0.2, tuple(p + 0.7 for p in LADDER4),
+                                      space="qubit")
+    # the two certified intervals overlap
+    assert max(base.eta_star, shifted.eta_star) <= min(base.eta_upper,
+                                                       shifted.eta_upper)
 
 
 def test_all_equal_phases_are_never_steerable():
-    res = critical_eta(0.2, (1.3, 1.3, 1.3, 1.3))
-    assert res.eta_star == 1.0
-    assert res.bracket_width == 0.0
-    assert res.evidence_lo.feasible and res.evidence_hi.feasible
+    res = experiment_critical_eta(0.2, (1.3, 1.3, 1.3, 1.3), space="qubit")
+    assert res.eta_star == pytest.approx(1.0, abs=1e-8)
+    assert res.eta_upper >= 1.0
+    for eta in np.linspace(0.0, 1.0, 11):
+        assert res.verdict_at(eta)[0] != "infeasible"
 
 
 def test_more_settings_lower_the_critical_efficiency():
-    res5 = critical_eta(0.2, LADDER5)
-    assert res5.eta_star == pytest.approx(ETA_STAR_R20_M5, abs=1e-12)
+    res5 = experiment_critical_eta(0.2, LADDER5, space="qubit")
+    _assert_certified(res5, ETA_STAR_R20_M5, ASSEMBLAGE_BRACKET_R20_M5)
     assert res5.eta_star < ETA_STAR_R20
 
 
-def test_precision_floor_is_enforced():
-    with pytest.raises(ValidationError):
-        critical_eta(0.2, LADDER4, precision=1e-5)
-
-
-def test_iteration_cap_yields_indeterminate_and_aborts_bisection():
-    problem = LhsProblem.from_model(0.2, LADDER4)
-    report = lhs_feasible(problem.assemblage_at(0.4), iteration_cap=2)
-    assert report.verdict == "indeterminate"
-    assert not report.feasible
+def test_barrier_stall_falls_back_to_the_last_certified_interval(
+        monkeypatch):
+    problem = TableProblem.from_model(0.2, LADDER4, space="qubit")
+    # no centering finished: nothing is certified
+    monkeypatch.setattr(lhs_certification, "NEWTON_CAP", 5)
     with pytest.raises(IndeterminateFeasibilityError):
-        critical_eta(0.2, LADDER4, iteration_cap=5)
+        _max_eta(problem)
+    # a gap target out of reach: the barrier stalls, and the last
+    # certified interval comes back with both certificates
+    monkeypatch.setattr(lhs_certification, "NEWTON_CAP", 2000)
+    monkeypatch.setattr(lhs_certification, "GAP_TOL", 1e-14)
+    res = _max_eta(problem)
+    assert res.eta_upper - res.eta_star <= lhs_certification.FALLBACK_GAP
+    assert (ASSEMBLAGE_BRACKET_R20[0] <= res.eta_star <= res.eta_upper
+            <= ASSEMBLAGE_BRACKET_R20[1])
+    assert verify_hidden_states(res.model, problem, res.eta_star) <= 1e-9
+    func = res.functional
+    assert func.value(problem.table_at(res.eta_upper + 1e-9)) > func.bound
+
+
+@pytest.mark.parametrize("phases", [
+    *(tuple(np.random.Generator(np.random.Philox(seed)).uniform(
+        0.0, 2.0 * np.pi, 4)) for seed in range(3)),
+    *(_ladder(m) for m in (1, 2, 3, 5, 6)),
+    (0.4,) * 3,
+], ids=lambda p: "m%d_%.3f" % (len(p), sum(p)))
+def test_every_verdict_carries_a_certificate_that_checks(phases):
+    res = experiment_critical_eta(0.2, phases, space="qubit")
+    probes = {*np.linspace(0.0, 1.0, 21), res.eta_star, res.eta_upper,
+              np.nextafter(res.eta_upper, 2.0), res.eta_star - 1e-3,
+              res.eta_upper + 1e-7}
+    seen = set()
+    for eta in sorted(e for e in probes if 0.0 <= e <= 1.0):
+        verdict, certificate = res.verdict_at(eta)
+        seen.add(verdict)
+        if verdict == "feasible":
+            assert eta <= res.eta_star
+            assert verify_hidden_states(certificate, res.problem, eta) <= 1e-9
+        elif verdict == "infeasible":
+            assert eta > res.eta_star
+            assert (certificate.value(res.problem.table_at(eta))
+                    > certificate.bound)
+        else:
+            # the certified gap, and rounding units just above it
+            assert res.eta_star < eta <= res.eta_upper + 1e-12
+            assert certificate is None
+    assert "feasible" in seen
+    with pytest.raises(ValidationError):
+        res.verdict_at(1.5)
 
 
 def test_nelder_mead_minimizes_a_shifted_quadratic():
@@ -215,6 +279,18 @@ def test_experiment_program_on_the_qubit_subspace_is_the_assemblage_problem():
     assert lo <= res.eta_star <= res.eta_upper <= hi
     assert not res.problem.outside
     assert verify_hidden_states(res.model, res.problem, res.eta_star) <= 1e-8
+    # summed per strategy, the hidden states rebuild the assemblage of the
+    # state itself: sigma_{+|x} = sum_k D_k(+|x) X_k and sigma_R = sum_k X_k
+    settings = [DisplacementSetting(0.2, th) for th in LADDER4]
+    strat = deterministic_strategies(4).astype(float)
+    for eta in (res.eta_star, 0.3):
+        _, model = res.verdict_at(eta)
+        assemblage = compute_assemblage(make_state(eta), settings)
+        np.testing.assert_allclose(
+            np.einsum('kx,kab->xab', strat, model.blocks),
+            assemblage.sigma[0], atol=1e-8)
+        np.testing.assert_allclose(model.blocks.sum(axis=0),
+                                   assemblage.sigma_r, atol=1e-8)
 
 
 def test_trusted_basis_reproduces_coherent_state_overlaps():

@@ -60,6 +60,11 @@ def test_model_config_validation():
         ModelConfig(r_a=-0.2)
     with pytest.raises(ValidationError):
         ModelConfig(bob_phases=(0.0, 1.0))
+    for bad in (dict(r_a=np.inf), dict(r_b=np.nan),
+                dict(alice_phases=(0.0, np.inf)),
+                dict(bob_phases=(0.0, 1.0, np.nan, 2.0))):
+        with pytest.raises(ValidationError):
+            ModelConfig(**bad)
     assert ModelConfig(alice_phases=(0.0, 1.0, 2.0)).m == 3
 
 
