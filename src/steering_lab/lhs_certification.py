@@ -22,8 +22,10 @@ returns both certificates: hidden states that reproduce the table at
 eta_star, checked by verify_hidden_states, and a probability-level
 steering functional, whose exact LHS bound is a maximum of small
 eigenvalue problems, violated above eta_upper. A verdict at a fixed eta
-follows from the same solve (ExperimentEfficiency.verdict_at): feasible up
-to eta_star, infeasible above eta_upper, indeterminate in between.
+follows from the same solve (ExperimentEfficiency.verdict_at): feasible
+wherever the eta_star model extends to a checked model at eta (always up
+to eta_star), infeasible above eta_upper by a margin, indeterminate
+otherwise.
 
 Measurement phases are optimized by a hand-rolled Nelder-Mead; the simplex
 objective is the closed-form qubit bound of the family adapted to the
@@ -44,6 +46,8 @@ from .inequality import InequalityFamily, deterministic_strategies, qubit_bound
 from .quantum_model import DEFAULT_R_B, ModelConfig, joint_probabilities
 
 GAP_TOL = 1e-8            # width of the certified eta interval
+MODEL_TOL = 1e-9          # largest verify_hidden_states error of a model
+FUNCTIONAL_MARGIN = 1e-10  # relative margin a functional must win by
 FALLBACK_GAP = 1e-6       # widest interval returned when the barrier stalls
 CENTERING_TOL = 1e-2      # Newton decrement that ends a centering
 BARRIER_GROWTH = 10.0
@@ -244,31 +248,46 @@ class ExperimentEfficiency:
     functional: SteeringFunctional
     problem: TableProblem
     newton_steps: int
+    tangent: HiddenStateModel = field(repr=False)
 
     def verdict_at(self, eta):
         """Verdict on problem.table_at(eta), with its certificate.
 
-        'feasible' (eta <= eta_star) carries a HiddenStateModel of the table
-        at eta: the eta_star model mixed with the product model of the
-        eta = 0 table. 'infeasible' (eta above eta_upper) carries the
-        functional, whose value on that table beats its bound in direct
-        arithmetic. In between, including the few rounding units above
-        eta_upper where that arithmetic cannot tell, the verdict is
-        'indeterminate', with no certificate.
+        'feasible' carries a HiddenStateModel of the table at eta. Up to
+        eta_star it is the eta_star model mixed with the product model of
+        the eta = 0 table, PSD by construction. Inside the certified gap it
+        is the eta_star model moved along tangent, which reproduces the
+        table exactly and is kept if verify_hidden_states passes it to
+        MODEL_TOL (a table on the cone's boundary, such as eta = 1 with one
+        effective setting, is decided this way). 'infeasible' (eta above
+        eta_upper) carries the functional, whose value on that table beats
+        its bound in direct arithmetic by a relative FUNCTIONAL_MARGIN.
+        Otherwise the verdict is 'indeterminate', with no certificate.
         """
         if not 0.0 <= eta <= 1.0:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
-        if eta > self.eta_star:
-            func = self.functional
-            if func.value(self.problem.table_at(eta)) > func.bound:
-                return "infeasible", func
+        if eta <= self.eta_star:
+            share = eta / self.eta_star if eta < self.eta_star else 1.0
+            vacuum = _product_model(self.problem)
+            return "feasible", HiddenStateModel(
+                blocks=share * self.model.blocks
+                + (1.0 - share) * vacuum.blocks,
+                weights=share * self.model.weights
+                + (1.0 - share) * vacuum.weights)
+        if eta <= self.eta_upper:
+            step = eta - self.eta_star
+            model = HiddenStateModel(
+                blocks=self.model.blocks + step * self.tangent.blocks,
+                weights=self.model.weights + step * self.tangent.weights)
+            if verify_hidden_states(model, self.problem, eta) <= MODEL_TOL:
+                return "feasible", model
             return "indeterminate", None
-        share = eta / self.eta_star if eta < self.eta_star else 1.0
-        vacuum = _product_model(self.problem)
-        return "feasible", HiddenStateModel(
-            blocks=share * self.model.blocks + (1.0 - share) * vacuum.blocks,
-            weights=share * self.model.weights
-            + (1.0 - share) * vacuum.weights)
+        func = self.functional
+        value = func.value(self.problem.table_at(eta))
+        if value > func.bound + FUNCTIONAL_MARGIN * max(1.0, abs(value),
+                                                        abs(func.bound)):
+            return "infeasible", func
+        return "indeterminate", None
 
 
 def _max_eta(problem: TableProblem):
@@ -282,7 +301,11 @@ def _max_eta(problem: TableProblem):
     capped to land the gap near GAP_TOL / 2, short of the large t at which
     Newton steps stall. Should a centering still fail (step cap, eta past a
     proven upper bound, or hidden states off the table), the last certified
-    interval is returned if it is at most FALLBACK_GAP wide.
+    interval is returned if it is at most FALLBACK_GAP wide. Each certified
+    iterate carries a tangent: the change per unit eta of its hidden states
+    that follows the table with the least relative change, F_k D_k F_k^dag,
+    so X_k + s F_k D_k F_k^dag stays PSD for small s even where X_k is
+    nearly singular.
     """
     basis, outside = problem.basis, problem.outside
     dim, n = basis.shape
@@ -316,13 +339,31 @@ def _max_eta(problem: TableProblem):
     def hidden(factor):
         return factor @ np.conj(np.swapaxes(factor, 1, 2))
 
+    def jacobian(factor, w):
+        """Constraints' derivative in scaled coordinates F D F^dag, w d_w."""
+        scaled = np.einsum('lba,kbc,lcd->lkad', factor.conj(), mats, factor)
+        jac = np.einsum('li,lkp->iklp', rows, np.concatenate(
+            [scaled.real, scaled.imag], axis=2).reshape(
+                n_strat, rank, -1)).reshape(size, -1)
+        if outside:
+            jac = np.hstack([jac, np.einsum(
+                'li,k,l->ikl', rows, outs, w).reshape(size, -1)])
+        return jac
+
+    coords = n_strat * 2 * dim * dim
+
+    def scaled_change(move):
+        """Hermitian D_k and d_w of a move in scaled coordinates."""
+        parts = move[:coords].reshape(n_strat, 2, dim, dim)
+        d = parts[:, 0] + 1j * parts[:, 1]
+        return 0.5 * (d + np.conj(np.swapaxes(d, 1, 2))), move[coords:]
+
     # X_k = F_k F_k^dag; each step multiplies F_k by a Cholesky factor of
     # a definite matrix, so rounding can never make a hidden state indefinite
     share = 1.0 / (n_strat * (dim + outside))
     factor = np.broadcast_to(math.sqrt(share) * np.eye(dim, dtype=complex),
                              (n_strat, dim, dim)).copy()
     w = np.full(n_strat, share if outside else 0.0)
-    coords = n_strat * 2 * dim * dim
     eta, t, steps, feasible = 0.0, 1.0, 0, False
     certified = None
     while True:
@@ -336,25 +377,17 @@ def _max_eta(problem: TableProblem):
             # it is the minimum-norm solution of the linearized constraints
             # plus a multiple of the eta direction, so one least-squares
             # solve of the constraint Jacobian gives it
-            scaled = np.einsum('lba,kbc,lcd->lkad', factor.conj(), mats,
-                               factor)
-            jac = np.einsum('li,lkp->iklp', rows, np.concatenate(
-                [scaled.real, scaled.imag], axis=2).reshape(
-                    n_strat, rank, -1)).reshape(size, -1)
-            if outside:
-                jac = np.hstack([jac, np.einsum(
-                    'li,k,l->ikl', rows, outs, w).reshape(size, -1)])
+            jac = jacobian(factor, w)
             rhs = target0 + eta * target_d - 2.0 * amap(hidden(factor), w)
             p, q = np.linalg.lstsq(jac, np.column_stack([rhs, target_d]),
                                    rcond=None)[0].T
             d_eta = (t - p @ q) / (q @ q)
             move = p + d_eta * q
-            parts = move[:coords].reshape(n_strat, 2, dim, dim)
-            delta = np.eye(dim) + parts[:, 0] + 1j * parts[:, 1]
-            delta = 0.5 * (delta + np.conj(np.swapaxes(delta, 1, 2)))
+            change, d_w = scaled_change(move)
+            delta = np.eye(dim) + change
             rel = np.linalg.eigvalsh(delta).ravel()
             if outside:
-                rel = np.append(rel, 1.0 + move[coords:])
+                rel = np.append(rel, 1.0 + d_w)
             decrement = math.sqrt(float(rel @ rel))
             if feasible:
                 # damped Newton on a self-concordant function: stays inside
@@ -364,7 +397,7 @@ def _max_eta(problem: TableProblem):
                 step = min(1.0, 0.99 / max(-float(rel.min()), 1e-300))
             factor = factor @ np.linalg.cholesky(np.eye(dim) + step * delta)
             if outside:
-                w = w * (1.0 + step * (1.0 + move[coords:]))
+                w = w * (1.0 + step * (1.0 + d_w))
             eta += step * d_eta
             feasible = feasible or step == 1.0
             if certified is not None and eta > certified.eta_upper:
@@ -382,7 +415,7 @@ def _max_eta(problem: TableProblem):
                          / slope_d if slope_d > 0.0 else math.inf)
             model = HiddenStateModel(blocks=hidden(factor), weights=w)
             error = verify_hidden_states(model, problem, eta)
-            if error > 1e-9:
+            if error > MODEL_TOL:
                 stall = (f"hidden states miss the table at eta={eta:.9f} "
                          f"by {error:.2e}")
         if stall is not None:
@@ -392,9 +425,14 @@ def _max_eta(problem: TableProblem):
                 return replace(certified, newton_steps=steps)
             raise IndeterminateFeasibilityError(
                 f"barrier method stalled at t={t:.3e}: {stall}")
+        d_x, d_w = scaled_change(np.linalg.lstsq(
+            jacobian(factor, w), target_d, rcond=None)[0])
+        tangent = HiddenStateModel(
+            blocks=factor @ d_x @ np.conj(np.swapaxes(factor, 1, 2)),
+            weights=w * d_w if outside else np.zeros_like(w))
         certified = ExperimentEfficiency(
             eta_star=eta, eta_upper=eta_upper, model=model, functional=func,
-            problem=problem, newton_steps=steps)
+            problem=problem, newton_steps=steps, tangent=tangent)
         gap = eta_upper - eta
         if gap <= GAP_TOL:
             return certified

@@ -121,6 +121,11 @@ def test_certify_fixed_eta(capsys):
     out, _ = _lines(capsys)
     assert out[0] == "infeasible (steerable)"
     assert float(_kv(out)["functional_margin"]) > 0.0
+    # one setting: every table has an LHS model, eta = 1 on its boundary
+    assert main(["certify", "--m", "1", "--eta", "1", "--r-a", "0.2"]) == 0
+    out, _ = _lines(capsys)
+    assert out[0] == "feasible (unsteerable)"
+    assert float(_kv(out)["certificate_residual"]) <= 1e-9
 
 
 def test_certify_critical_efficiency(capsys):

@@ -149,8 +149,12 @@ def test_all_equal_phases_are_never_steerable():
     res = experiment_critical_eta(0.2, (1.3, 1.3, 1.3, 1.3), space="qubit")
     assert res.eta_star == pytest.approx(1.0, abs=1e-8)
     assert res.eta_upper >= 1.0
+    # eta = 1 lies on the boundary of the LHS set (the conditional states
+    # of a pure state are singular), reached by the tangent from eta_star
     for eta in np.linspace(0.0, 1.0, 11):
-        assert res.verdict_at(eta)[0] != "infeasible"
+        verdict, model = res.verdict_at(eta)
+        assert verdict == "feasible"
+        assert verify_hidden_states(model, res.problem, eta) <= 1e-9
 
 
 def test_more_settings_lower_the_critical_efficiency():
@@ -188,6 +192,7 @@ def test_barrier_stall_falls_back_to_the_last_certified_interval(
 def test_every_verdict_carries_a_certificate_that_checks(phases):
     res = experiment_critical_eta(0.2, phases, space="qubit")
     probes = {*np.linspace(0.0, 1.0, 21), res.eta_star, res.eta_upper,
+              0.5 * (res.eta_star + res.eta_upper),
               np.nextafter(res.eta_upper, 2.0), res.eta_star - 1e-3,
               res.eta_upper + 1e-7}
     seen = set()
@@ -195,17 +200,20 @@ def test_every_verdict_carries_a_certificate_that_checks(phases):
         verdict, certificate = res.verdict_at(eta)
         seen.add(verdict)
         if verdict == "feasible":
-            assert eta <= res.eta_star
+            assert eta <= res.eta_upper
             assert verify_hidden_states(certificate, res.problem, eta) <= 1e-9
         elif verdict == "infeasible":
-            assert eta > res.eta_star
-            assert (certificate.value(res.problem.table_at(eta))
-                    > certificate.bound)
+            assert eta > res.eta_upper
+            value = certificate.value(res.problem.table_at(eta))
+            assert value > certificate.bound + 1e-10 * max(
+                1.0, abs(value), abs(certificate.bound))
         else:
             # the certified gap, and rounding units just above it
-            assert res.eta_star < eta <= res.eta_upper + 1e-12
+            assert res.eta_star < eta < res.eta_upper + 1e-7
             assert certificate is None
     assert "feasible" in seen
+    if res.eta_upper + 1e-7 <= 1.0:
+        assert "infeasible" in seen
     with pytest.raises(ValidationError):
         res.verdict_at(1.5)
 
