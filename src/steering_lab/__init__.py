@@ -38,9 +38,8 @@ from .lhs_certification import (ExperimentEfficiency, HiddenStateModel,
                                 PhaseOptimum, RestartRecord,
                                 SteeringFunctional, TableProblem,
                                 canonical_phases, experiment_critical_eta,
-                                ladder_distance, lhs_bound, nelder_mead,
-                                optimize_phases, trusted_basis,
-                                verify_hidden_states)
+                                ladder_distance, lhs_bound, optimize_phases,
+                                trusted_basis, verify_hidden_states)
 from .quantum_model import (Assemblage, ModelConfig, ProbabilityTable,
                             SweepTable, compute_assemblage, default_config,
                             format_sweep, format_table, joint_probabilities,
@@ -73,7 +72,7 @@ __all__ = [
     "fullspace_g", "hermitize", "identity_residual", "joint_probabilities",
     "ladder_distance", "lhs_bound", "load_counts",
     "make_state",
-    "monte_carlo", "nelder_mead", "observable", "optimize_phases",
+    "monte_carlo", "observable", "optimize_phases",
     "oracle_probabilities", "pauli_resolution", "phase_sweep",
     "probabilities_from_counts", "probability_coefficients",
     "projector_full", "projector_qubit", "qubit_bound",

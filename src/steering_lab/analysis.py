@@ -4,7 +4,8 @@ Ingests phase-sweep click counts, estimates probabilities, fits each outcome
 pair to a cosine, extracts the 4x4 setting table through the relative-phase
 permutation construction, evaluates the inequality margin S - S_max, and
 propagates counting and local-oscillator-amplitude uncertainty by Monte
-Carlo resampling.
+Carlo resampling, drawn as whole arrays in fixed chunks of runs with one
+seeded random stream per chunk.
 
 Counts file format: UTF-8, line oriented; full-line comments start with '#';
 data lines are `phase_radians N_pp N_pm N_mp N_mm` whitespace separated with
@@ -12,8 +13,7 @@ phases strictly ascending. Results file: key=value lines followed by a
 histogram block of `bin_lo bin_hi count` rows.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -28,7 +28,7 @@ from .quantum_model import ProbabilityTable
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
 GRID_SPACING = 1e-4           # r_B spacing of the cached bound grid
-MC_CHUNK = 2048               # runs per worker task, independent of threads
+MC_CHUNK = 2048               # runs per seeded random stream; fixed
 
 
 # --- counts ingestion --------------------------------------------------------
@@ -226,6 +226,18 @@ def _circular_distance(a, b):
     return np.abs((a - b + np.pi) % TWO_PI - np.pi)
 
 
+def _nearest_rows(phases, x_phases):
+    """Index of the sweep row closest to each setting phase (circular
+    distance); ExtractionError if one lies beyond NEAREST_POINT_TOL."""
+    dist = _circular_distance(phases[None, :], x_phases[:, None])
+    for target, gap in zip(x_phases, dist.min(axis=1)):
+        if gap > NEAREST_POINT_TOL:
+            raise ExtractionError(
+                f"no sweep sample within {NEAREST_POINT_TOL} rad of phase "
+                f"{target:.6f} (closest is {gap:.4f} rad away)")
+    return dist.argmin(axis=1)
+
+
 def extract_setting_table(source, x_phases, mode="from_fit"):
     """Build the 4x4 setting table from sweep data.
 
@@ -245,17 +257,8 @@ def extract_setting_table(source, x_phases, mode="from_fit"):
         if not isinstance(source, CountsRecord):
             raise ValidationError(
                 "mode 'nearest_point' needs a CountsRecord source")
-        probs = probabilities_from_counts(source)
-        dists = np.empty((4, 4))
-        for j, target in enumerate(x_phases):
-            dist = _circular_distance(source.phases, target)
-            idx = int(np.argmin(dist))
-            if dist[idx] > NEAREST_POINT_TOL:
-                raise ExtractionError(
-                    f"no sweep sample within {NEAREST_POINT_TOL} rad of "
-                    f"phase {target:.6f} (closest is {dist[idx]:.4f} rad "
-                    "away)")
-            dists[j] = probs[idx]
+        dists = probabilities_from_counts(source)[
+            _nearest_rows(source.phases, x_phases)]
     else:
         raise ValidationError(
             f"mode must be 'from_fit' or 'nearest_point', got {mode!r}")
@@ -301,31 +304,28 @@ def evaluate_record(record: CountsRecord, family: InequalityFamily,
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Resampling controls.
-
-    r_a_sigma/resample_r_a mirror the trusted-side option for the untrusted
-    amplitude: when enabled, r_A is redrawn per run, but it enters neither
-    the functional nor the bound (both live on the trusted side), so it
-    changes only the random stream. Off by default.
-    """
+    """Resampling controls: run count, the Gaussian spread of the trusted
+    amplitude r_B about its mean (0 holds r_B fixed), and the seed."""
 
     runs: int = 200000
     r_b_mean: float = 0.217
     r_b_sigma: float = 0.005
     seed: int = 0
-    resample_r_a: bool = False
-    r_a_mean: float = 0.233
-    r_a_sigma: float = 0.013
 
     def __post_init__(self):
         if not isinstance(self.runs, int) or self.runs < 1:
             raise ValidationError(f"runs must be a positive integer, got "
                                   f"{self.runs}")
+        for name in ("r_b_mean", "r_b_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got "
+                                      f"{getattr(self, name)}")
         if self.r_b_mean <= 0.0:
             raise ValidationError(f"r_b_mean must be positive, got "
                                   f"{self.r_b_mean}")
-        if self.r_b_sigma < 0.0 or self.r_a_sigma < 0.0:
-            raise ValidationError("amplitude sigmas must be non-negative")
+        if self.r_b_sigma < 0.0:
+            raise ValidationError(f"r_b_sigma must be non-negative, got "
+                                  f"{self.r_b_sigma}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, "
                                   f"got {self.seed}")
@@ -362,16 +362,7 @@ def setting_counts_from_record(record: CountsRecord, x_phases=None):
         _validate_x_phases(record.phases)
         return record.counts.copy()
     x_phases = _validate_x_phases(x_phases)
-    rows = np.empty((4, 4), dtype=np.int64)
-    for j, target in enumerate(x_phases):
-        dist = _circular_distance(record.phases, target)
-        idx = int(np.argmin(dist))
-        if dist[idx] > NEAREST_POINT_TOL:
-            raise ExtractionError(
-                f"no sweep sample within {NEAREST_POINT_TOL} rad of phase "
-                f"{target:.6f}")
-        rows[j] = record.counts[idx]
-    return rows
+    return record.counts[_nearest_rows(record.phases, x_phases)]
 
 
 def _aggregate_coefficients(ineq):
@@ -389,104 +380,91 @@ def _aggregate_coefficients(ineq):
     return agg
 
 
+def _coefficient_row(family: InequalityFamily, r_b):
+    """Exact coefficient row at one r_B: the 16 aggregated coefficients
+    (relative-phase index major), c0 and s_max."""
+    ineq = build_probability_inequality(
+        replace(family, bob_amplitude=float(r_b)))
+    return np.concatenate([_aggregate_coefficients(ineq).ravel(),
+                           [ineq.c0, ineq.s_max]])
+
+
+def _margin(rows, dists):
+    """S - S_max from coefficient rows (..., 18) and relative-phase
+    distributions (..., 4, 4)."""
+    flat = dists.reshape(dists.shape[:-2] + (16,))
+    return (rows[..., :16] * flat).sum(axis=-1) + rows[..., 16] \
+        - rows[..., 17]
+
+
 class _BoundGrid:
-    """Inequality coefficients and full-space bound on an r_B grid.
+    """Coefficient rows (see _coefficient_row) on an r_B grid.
 
     build_probability_inequality is evaluated on a GRID_SPACING-spaced grid
     spanning +/- 8 sigma around the mean; per-run values are linear
-    interpolations. Draws outside the grid (or a zero-width grid) fall back
-    to exact evaluation. The interpolation error is probed at off-grid
-    points and reported.
+    interpolations. Draws outside the grid fall back to exact evaluation.
+    The interpolation error is probed at off-grid points and reported.
     """
 
     def __init__(self, family: InequalityFamily, r_b_mean, r_b_sigma):
         self.family = family
-        if r_b_sigma > 0.0:
-            lo = max(GRID_SPACING, r_b_mean - 8.0 * r_b_sigma)
-            hi = min(0.999, r_b_mean + 8.0 * r_b_sigma)
-            n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
-            self.r_grid = lo + GRID_SPACING * np.arange(n)
-            tables = [self._exact(r) for r in self.r_grid]
-            self.agg_grid = np.array([t[0] for t in tables])
-            self.smax_grid = np.array([t[1] for t in tables])
-            self.c0_grid = np.array([t[2] for t in tables])
-        else:
-            self.r_grid = None
-        self._exact_cache = {}
-
-    def _exact(self, r_b):
-        ineq = build_probability_inequality(
-            InequalityFamily(s=self.family.s, t=self.family.t,
-                             m=self.family.m,
-                             alice_phases=self.family.alice_phases,
-                             bob_amplitude=float(r_b),
-                             bob_phases=self.family.bob_phases))
-        return _aggregate_coefficients(ineq), ineq.s_max, ineq.c0
+        lo = max(GRID_SPACING, r_b_mean - 8.0 * r_b_sigma)
+        hi = max(lo, min(0.999, r_b_mean + 8.0 * r_b_sigma))
+        n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
+        self.r_grid = lo + GRID_SPACING * np.arange(n)
+        self.rows = np.array([_coefficient_row(family, r)
+                              for r in self.r_grid])
 
     def lookup(self, r_b):
-        """(aggregated coefficients, s_max, c0) at r_b."""
-        if self.r_grid is not None:
-            i = int((r_b - self.r_grid[0]) / GRID_SPACING)
-            if 0 <= i < self.r_grid.size - 1:
-                w = (r_b - self.r_grid[i]) / GRID_SPACING
-                agg = (1.0 - w) * self.agg_grid[i] + w * self.agg_grid[i + 1]
-                smax = (1.0 - w) * self.smax_grid[i] + w * self.smax_grid[i + 1]
-                c0 = (1.0 - w) * self.c0_grid[i] + w * self.c0_grid[i + 1]
-                return agg, smax, c0
-        key = round(float(r_b), 12)
-        if key not in self._exact_cache:
-            self._exact_cache[key] = self._exact(r_b)
-        return self._exact_cache[key]
+        """Coefficient rows (n, 18) at the r_B values of a 1-D array: linear
+        interpolation between grid points, one exact evaluation per distinct
+        value off the grid."""
+        rows = np.empty((r_b.size, 18))
+        i = np.floor((r_b - self.r_grid[0]) / GRID_SPACING)
+        inside = (i >= 0) & (i < self.r_grid.size - 1)
+        k = i[inside].astype(np.intp)
+        w = ((r_b[inside] - self.r_grid[k]) / GRID_SPACING)[:, None]
+        rows[inside] = (1.0 - w) * self.rows[k] + w * self.rows[k + 1]
+        off = np.flatnonzero(~inside)
+        values, which = np.unique(r_b[off], return_inverse=True)
+        for j, r in enumerate(values):
+            rows[off[which == j]] = _coefficient_row(self.family, r)
+        return rows
 
     def probe_error(self):
         """Max interpolation error of s_max and coefficients at off-grid
         points straddling the mean."""
-        if self.r_grid is None or self.r_grid.size < 2:
-            return 0.0
-        worst = 0.0
         n = self.r_grid.size
-        for frac in (0.25, 0.5, 0.75):
-            for base in (n // 2 - 1, n // 2, n // 2 + 1):
-                if not 0 <= base < n - 1:
-                    continue
-                r = self.r_grid[base] + frac * GRID_SPACING
-                agg_i, smax_i, c0_i = self.lookup(r)
-                agg_e, smax_e, c0_e = self._exact(r)
-                worst = max(worst, abs(smax_i - smax_e), abs(c0_i - c0_e),
-                            float(np.abs(agg_i - agg_e).max()))
-        return worst
+        base = [b for b in (n // 2 - 1, n // 2, n // 2 + 1) if 0 <= b < n - 1]
+        r = (self.r_grid[base][:, None]
+             + np.array([0.25, 0.5, 0.75]) * GRID_SPACING).ravel()
+        if r.size == 0:
+            return 0.0
+        exact = np.array([_coefficient_row(self.family, x) for x in r])
+        return float(np.abs(self.lookup(r) - exact).max())
 
 
-def _run_chunk(start, stop, base_counts, grid, mc):
-    samples = np.empty(stop - start)
-    redraws = 0
+def _resample_chunk(rng, n, base_counts, mc):
+    """n runs of Poisson-resampled count rows (n, 4, 4) and Gaussian r_B
+    draws, redrawing zero-total rows and non-positive r_B; returns both with
+    the two redraw counts."""
+    counts = rng.poisson(base_counts, size=(n, 4, 4))
     zero_redraws = 0
-    for i in range(start, stop):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((mc.seed, i))))
-        resampled = rng.poisson(base_counts)
-        totals = resampled.sum(axis=1)
-        while totals.min() < 1:
-            j = int(np.argmin(totals))
-            resampled[j] = rng.poisson(base_counts[j])
-            totals[j] = resampled[j].sum()
-            zero_redraws += 1
-        if mc.r_b_sigma > 0.0:
-            r_b = rng.normal(mc.r_b_mean, mc.r_b_sigma)
-            while r_b <= 0.0:
-                redraws += 1
-                r_b = rng.normal(mc.r_b_mean, mc.r_b_sigma)
-        else:
-            r_b = mc.r_b_mean
-        if mc.resample_r_a and mc.r_a_sigma > 0.0:
-            r_a = rng.normal(mc.r_a_mean, mc.r_a_sigma)
-            while r_a <= 0.0:
-                redraws += 1
-                r_a = rng.normal(mc.r_a_mean, mc.r_a_sigma)
-        agg, smax, c0 = grid.lookup(r_b)
-        dists = resampled / totals[:, None]
-        samples[i - start] = float((agg * dists).sum()) + c0 - smax
-    return samples, redraws, zero_redraws
+    while True:
+        run, row = np.nonzero(counts.sum(axis=2) == 0)
+        if run.size == 0:
+            break
+        zero_redraws += run.size
+        counts[run, row] = rng.poisson(base_counts[row])
+    r_b = rng.normal(mc.r_b_mean, mc.r_b_sigma, size=n)
+    redraws = 0
+    while True:
+        bad = np.flatnonzero(r_b <= 0.0)
+        if bad.size == 0:
+            break
+        redraws += bad.size
+        r_b[bad] = rng.normal(mc.r_b_mean, mc.r_b_sigma, size=bad.size)
+    return counts, r_b, redraws, zero_redraws
 
 
 def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
@@ -497,9 +475,11 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
     (4, 4) array of relative-phase rows. Per run every count is
     Poisson-resampled, r_B is Gaussian-resampled (non-positive draws
     redrawn and counted), the inequality coefficients and the full-space
-    bound are re-evaluated at the drawn r_B through the grid cache, and
-    S - S_max is recorded. Each run owns a seed-derived stream, so results
-    are bit-identical for a given config regardless of thread count.
+    bound are re-evaluated at the drawn r_B through the bound grid (exactly,
+    once, when r_b_sigma = 0), and S - S_max is recorded. Runs are drawn in
+    fixed MC_CHUNK chunks, each from its own stream keyed on (seed, chunk
+    index), so results depend on the config alone. threads is accepted for
+    compatibility and changes nothing.
     """
     if family.m != 4:
         raise ValidationError(
@@ -518,25 +498,24 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
             raise ValidationError("every row needs a total of at least 1")
     base_counts = base_counts.astype(float)
 
-    grid = _BoundGrid(family, mc.r_b_mean, mc.r_b_sigma)
-    agg0, smax0, c00 = grid._exact(mc.r_b_mean)
-    dists0 = base_counts / base_counts.sum(axis=1, keepdims=True)
-    point_estimate = float((agg0 * dists0).sum()) + c00 - smax0
+    point = _coefficient_row(family, mc.r_b_mean)
+    point_estimate = float(_margin(
+        point, base_counts / base_counts.sum(axis=1, keepdims=True)))
+    grid = (_BoundGrid(family, mc.r_b_mean, mc.r_b_sigma)
+            if mc.r_b_sigma > 0.0 else None)
 
-    bounds = [(s, min(s + MC_CHUNK, mc.runs))
-              for s in range(0, mc.runs, MC_CHUNK)]
     samples = np.empty(mc.runs)
     redraws = 0
     zero_redraws = 0
-    threads = max(1, int(threads or 1))
-    if threads == 1:
-        results = [_run_chunk(a, b, base_counts, grid, mc) for a, b in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda ab: _run_chunk(*ab, base_counts, grid, mc), bounds))
-    for (a, b), (chunk, rd, zr) in zip(bounds, results):
-        samples[a:b] = chunk
+    for chunk, start in enumerate(range(0, mc.runs, MC_CHUNK)):
+        stop = min(start + MC_CHUNK, mc.runs)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((mc.seed, chunk))))
+        resampled, r_b, rd, zr = _resample_chunk(rng, stop - start,
+                                                 base_counts, mc)
+        rows = grid.lookup(r_b) if grid is not None else point
+        samples[start:stop] = _margin(
+            rows, resampled / resampled.sum(axis=2, keepdims=True))
         redraws += rd
         zero_redraws += zr
 
@@ -549,8 +528,8 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
         bin_edges=bin_edges, bin_counts=bin_counts.astype(np.int64),
         binning="freedman-diaconis", gaussian_fit=gaussian,
         redraws=redraws, zero_total_redraws=zero_redraws,
-        grid_error=grid.probe_error(), point_estimate=point_estimate,
-        samples=samples)
+        grid_error=grid.probe_error() if grid is not None else 0.0,
+        point_estimate=point_estimate, samples=samples)
 
 
 def _fit_histogram_gaussian(bin_edges, bin_counts, mean, std):

@@ -9,7 +9,8 @@ values (r_a=0.233, r_b=0.217, eta=0.52, s=0.983, t=0.0656, m=4).
 Every command exits 0 on success; failures print a single line
 `<ErrorClass>: <message>` to stderr and exit 2 (validation/parse errors) or
 3 (computation errors). All randomized commands take --seed and are
-reproducible. --threads (or STEERING_LAB_THREADS) caps worker counts.
+reproducible. --threads (or STEERING_LAB_THREADS) is accepted and checked
+to be an integer but changes nothing: no command starts worker threads.
 """
 
 import argparse
@@ -349,7 +350,8 @@ def build_parser():
     parser.add_argument("--config", default=None,
                         help="key=value parameter file")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (fallback: STEERING_LAB_THREADS)")
+                        help="accepted for compatibility; has no effect "
+                             "(fallback: STEERING_LAB_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="compute unsteerable bounds and "

@@ -27,7 +27,7 @@ wherever the eta_star model extends to a checked model at eta (always up
 to eta_star), infeasible above eta_upper by a margin, indeterminate
 otherwise.
 
-Measurement phases are optimized by a hand-rolled Nelder-Mead; the simplex
+Measurement phases are optimized by scipy's Nelder-Mead; the simplex
 objective is the closed-form qubit bound of the family adapted to the
 candidate phases (a smooth surrogate sharing its minimizer, the equally
 spaced ladder, with the critical efficiency, at no conic solve per
@@ -457,62 +457,6 @@ def experiment_critical_eta(r_a, alice_phases, r_b=DEFAULT_R_B,
 
 # --- phase optimization ------------------------------------------------------
 
-def nelder_mead(f, x0, initial_offset=0.3, diam_tol=1e-3, max_iter=2000):
-    """Minimize f over R^n with the downhill simplex method.
-
-    Standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 0.5, 0.5); the initial simplex is x0 plus one offset per
-    coordinate; terminates when the simplex diameter (max pairwise max-norm)
-    drops below diam_tol. Returns (best point, best value, evaluations).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    simplex = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += initial_offset
-        simplex.append(v)
-    values = [f(v) for v in simplex]
-    evals = n + 1
-    for _ in range(max_iter):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        diam = max(np.abs(a - b).max()
-                   for i, a in enumerate(simplex) for b in simplex[i + 1:])
-        if diam < diam_tol:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + 1.0 * (centroid - worst)
-        f_r = f(reflected)
-        evals += 1
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = f(expanded)
-            evals += 1
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            f_c = f(contracted)
-            evals += 1
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    values[i] = f(simplex[i])
-                evals += n
-    best = int(np.argmin(values))
-    return simplex[best], values[best], evals
-
-
 def canonical_phases(phases):
     """Rotation/relabeling-invariant form: subtract the first, sort ascending."""
     arr = np.asarray(phases, dtype=float)
@@ -547,7 +491,9 @@ class PhaseOptimum:
 def optimize_phases(r_a, m, restarts=10, seed=0):
     """Search measurement phases minimizing the critical efficiency.
 
-    Random-restart Nelder-Mead over the m phases. The simplex ranks
+    Random-restart Nelder-Mead over the m phases, each restart's simplex
+    spanning the start plus 0.3 rad on each coordinate and stopping once
+    every vertex is within 1e-3 rad of the best. The simplex ranks
     candidates by the closed-form qubit bound of the family adapted to them
     (same minimizer as eta*, see module docstring); the assemblage critical
     efficiency (experiment_critical_eta with space='qubit') is then solved
@@ -555,6 +501,8 @@ def optimize_phases(r_a, m, restarts=10, seed=0):
     actual eta* is returned, so the result never loses to its own starting
     point. Fully reproducible from the seed.
     """
+    from scipy.optimize import minimize
+
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -569,7 +517,9 @@ def optimize_phases(r_a, m, restarts=10, seed=0):
     best = None
     for _ in range(restarts):
         start = rng.uniform(0.0, TWO_PI, size=m)
-        end, _, _ = nelder_mead(surrogate, start)
+        end = minimize(surrogate, start, method="Nelder-Mead", options=dict(
+            initial_simplex=np.vstack([start, start + 0.3 * np.eye(m)]),
+            xatol=1e-3, fatol=np.inf, maxiter=2000)).x
         eta_start = critical(tuple(start))
         eta_end = critical(tuple(end % TWO_PI))
         rec = RestartRecord(start_phases=tuple(start),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from steering_lab import analysis
 from steering_lab.analysis import (CountsRecord, MonteCarloConfig,
                                    evaluate_record, extract_setting_table,
                                    fit_cosine, format_mc_result, load_counts,
@@ -13,7 +14,9 @@ from steering_lab.analysis import (CountsRecord, MonteCarloConfig,
                                    synthesize_counts, write_counts)
 from steering_lab.errors import (ExtractionError, FitError, ParseError,
                                  ValidationError)
-from steering_lab.inequality import InequalityFamily
+from steering_lab.inequality import (InequalityFamily,
+                                     build_probability_inequality,
+                                     evaluate_steering)
 from steering_lab.quantum_model import (default_config, joint_probabilities,
                                         phase_sweep, theoretical_delta_S)
 
@@ -249,6 +252,14 @@ def test_setting_counts_selection():
         setting_counts_from_record(sweep)
     rows = setting_counts_from_record(sweep, LADDER4)
     assert rows.shape == (4, 4)
+    # both nearest-row searches name the setting and the closest distance
+    sparse = CountsRecord(phases=np.array(LADDER4) + 0.3, counts=counts4)
+    for reduce in (lambda: setting_counts_from_record(sparse, LADDER4),
+                   lambda: extract_setting_table(sparse, LADDER4,
+                                                 mode="nearest_point")):
+        with pytest.raises(ExtractionError,
+                           match=r"phase 0\.000000 \(closest is 0\.3000"):
+            reduce()
 
 
 def test_monte_carlo_is_deterministic_and_thread_invariant():
@@ -336,6 +347,66 @@ def test_monte_carlo_input_validation():
         MonteCarloConfig(r_b_sigma=-0.1)
     with pytest.raises(ValidationError):
         MonteCarloConfig(seed=-1)
+    for name in ("r_b_mean", "r_b_sigma"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValidationError, match=name):
+                MonteCarloConfig(**{name: value})
+
+
+def test_bound_grid_evaluates_exactly_off_its_ends():
+    # the grid starts at r_B = 1e-4; a draw half a step below it lies off
+    # the grid and must not be extrapolated
+    family = InequalityFamily(bob_amplitude=0.002)
+    grid = analysis._BoundGrid(family, 0.002, 0.002)
+    assert grid.r_grid[0] == pytest.approx(1e-4)
+    rows = grid.lookup(np.array([5e-5, 0.002, 5e-5]))
+    exact = analysis._coefficient_row(family, 5e-5)
+    np.testing.assert_array_equal(rows[0], exact)
+    np.testing.assert_array_equal(rows[2], exact)
+    np.testing.assert_allclose(
+        rows[1], analysis._coefficient_row(family, 0.002), atol=1e-6)
+    # a mean past the 0.999 ceiling leaves a one-point grid, not an empty one
+    family = InequalityFamily(bob_amplitude=0.9995)
+    grid = analysis._BoundGrid(family, 0.9995, 1e-5)
+    assert grid.r_grid.size == 1
+    np.testing.assert_array_equal(grid.lookup(np.array([0.9995]))[0],
+                                  analysis._coefficient_row(family, 0.9995))
+    assert grid.probe_error() == 0.0
+
+
+def test_monte_carlo_samples_are_margins_of_their_resampled_tables():
+    # reference: rebuild chunk 0's draws and evaluate each resampled table
+    # through the public extraction and evaluation path, exactly at its r_B
+    counts = _model_setting_counts(events=20000)
+    family = InequalityFamily()
+    mc = MonteCarloConfig(runs=40, r_b_sigma=0.005, seed=9)
+    res = monte_carlo(counts, family, mc)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
+    resampled, r_b, _, _ = analysis._resample_chunk(
+        rng, 40, counts.astype(float), mc)
+    for i in range(0, 40, 8):
+        table = extract_setting_table(
+            CountsRecord(phases=np.array(LADDER4), counts=resampled[i]),
+            LADDER4, mode="nearest_point")
+        ineq = build_probability_inequality(
+            InequalityFamily(bob_amplitude=float(r_b[i])))
+        assert res.samples[i] == pytest.approx(
+            evaluate_steering(ineq, table)[1], abs=1e-6)
+
+
+def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):
+    calls = []
+    build = analysis.build_probability_inequality
+
+    def counted(family, *args, **kwargs):
+        calls.append(family.bob_amplitude)
+        return build(family, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_probability_inequality", counted)
+    res = monte_carlo(_model_setting_counts(), InequalityFamily(),
+                      MonteCarloConfig(runs=5000, r_b_sigma=0.0, seed=4))
+    assert calls == [0.217]
+    assert res.grid_error == 0.0 and res.redraws == 0
 
 
 def test_result_formatting_round_trips_key_values():

@@ -258,6 +258,10 @@ def test_unknown_flags_exit_2(capsys):
     (["certify", "--r-a", "0.2"], "eta=abc"),
     (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
      "threads=x"),
+    (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
+     "r_b_sigma=inf"),
+    (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
+     "r_b_sigma=nan"),
 ])
 def test_config_values_are_read_typed(tmp_path, capsys, command, entry):
     counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)

@@ -17,8 +17,7 @@ from steering_lab.lhs_certification import (HiddenStateModel, TableProblem,
                                             _max_eta, canonical_phases,
                                             experiment_critical_eta,
                                             ladder_distance, lhs_bound,
-                                            nelder_mead, optimize_phases,
-                                            trusted_basis,
+                                            optimize_phases, trusted_basis,
                                             verify_hidden_states)
 from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
                                         default_config, joint_probabilities,
@@ -216,18 +215,6 @@ def test_every_verdict_carries_a_certificate_that_checks(phases):
         assert "infeasible" in seen
     with pytest.raises(ValidationError):
         res.verdict_at(1.5)
-
-
-def test_nelder_mead_minimizes_a_shifted_quadratic():
-    target = np.array([0.4, -1.2, 2.5])
-
-    def f(x):
-        return float(((x - target) ** 2).sum())
-
-    best, value, evals = nelder_mead(f, np.zeros(3))
-    np.testing.assert_allclose(best, target, atol=5e-3)
-    assert value < 1e-4
-    assert evals >= 4
 
 
 def test_canonical_phases_and_ladder_distance():
