@@ -19,10 +19,11 @@ import math
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import (ExtractionError, FitError, ParseError, ValidationError)
-from .fock_ops import TWO_PI
-from .inequality import (InequalityFamily, build_probability_inequality,
-                         evaluate_steering)
+from .errors import (ExtractionError, FitError, ParseError, ValidationError,
+                     check_seed)
+from .fock_ops import RESOLUTION_PHASES, TWO_PI
+from .inequality import (DEFAULT_R_B, InequalityFamily,
+                         build_probability_inequality, evaluate_steering)
 from .quantum_model import ProbabilityTable
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
@@ -143,7 +144,8 @@ def synthesize_counts(phases, probs, events_per_point, seed=0):
             f"{phases.size} phases x 4 outcomes")
     if events_per_point <= 0:
         raise ValidationError("events_per_point must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(check_seed(seed))))
     counts = rng.poisson(events_per_point * probs)
     for i in range(phases.size):
         while counts[i].sum() < 1:
@@ -285,8 +287,7 @@ class AnalysisReport:
 
 
 def evaluate_record(record: CountsRecord, family: InequalityFamily,
-                    x_phases=(0.0, np.pi / 2, np.pi, 3 * np.pi / 2),
-                    mode="from_fit"):
+                    x_phases=RESOLUTION_PHASES, mode="from_fit"):
     """Full pipeline: counts -> fit -> setting table -> S and S - S_max."""
     if family.m != 4:
         raise ValidationError(
@@ -308,7 +309,7 @@ class MonteCarloConfig:
     amplitude r_B about its mean (0 holds r_B fixed), and the seed."""
 
     runs: int = 200000
-    r_b_mean: float = 0.217
+    r_b_mean: float = DEFAULT_R_B
     r_b_sigma: float = 0.005
     seed: int = 0
 
@@ -326,9 +327,7 @@ class MonteCarloConfig:
         if self.r_b_sigma < 0.0:
             raise ValidationError(f"r_b_sigma must be non-negative, got "
                                   f"{self.r_b_sigma}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, "
-                                  f"got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

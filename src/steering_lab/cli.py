@@ -1,10 +1,15 @@
 """Command-line entry point.
 
 Subcommands: bound, simulate, sweep, certify, optimize, analyze, montecarlo.
-Parameter precedence is command-line flags over config-file entries
-(key=value lines, same keys as the long flag names with dashes as
-underscores) over built-in defaults matching the reference experimental
-values (r_a=0.233, r_b=0.217, eta=0.52, s=0.983, t=0.0656, m=4).
+Parameter precedence is command-line flags over config-file entries over
+the library's defaults, which match the reference experimental values
+(r_a=0.233, r_b=0.217, eta=0.52, s=0.983, t=0.0656, m=4). A config file
+holds key=value lines whose keys are the long flag names with dashes as
+underscores; each entry becomes the default of the option of that name, so
+argparse types and checks it like the flag. Entries for options the active
+command lacks are ignored, so one file can serve the whole pipeline; the
+output paths, --sample, --compare, --oracle and certify's --eta are
+command-line only.
 
 Every command exits 0 on success; failures print a single line
 `<ErrorClass>: <message>` to stderr and exit 2 (validation/parse errors) or
@@ -22,27 +27,23 @@ import numpy as np
 from . import analysis
 from .errors import (IndeterminateFeasibilityError, ParseError,
                      SteeringLabError, ValidationError)
-from .fock_ops import TWO_PI
+from .fock_ops import RESOLUTION_PHASES, TWO_PI
 from .inequality import (InequalityFamily, build_probability_inequality,
-                         comparison_report, export_inequality)
+                         comparison_report, default_alice_phases,
+                         export_inequality)
 from .lhs_certification import (canonical_phases, experiment_critical_eta,
                                 optimize_phases, verify_hidden_states)
-from .quantum_model import (ModelConfig, format_sweep, format_table,
-                            joint_probabilities, oracle_probabilities,
-                            phase_sweep)
-
-DEFAULTS = {
-    "r_a": 0.233,
-    "r_b": 0.217,
-    "eta": 0.52,
-    "s": 0.983,
-    "t": 0.0656,
-    "m": 4,
-    "visibility": 1.0,
-}
+from .quantum_model import (DEFAULT_R_A, ModelConfig, format_sweep,
+                            format_table, joint_probabilities,
+                            oracle_probabilities, phase_sweep)
 
 _VALIDATION_EXIT = 2
 _COMPUTATION_EXIT = 3
+
+# Namespace entries a config file may not set: the parser's own, mode
+# switches and output destinations.
+_COMMAND_LINE_ONLY = ("command", "config", "func", "compare", "oracle",
+                      "output", "sample", "verdict_eta")
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -80,72 +81,55 @@ def _load_config_file(path):
     return entries
 
 
-class RunConfig:
-    """Fully resolved invocation: command, parameter overrides, paths.
-
-    Merges flags, config-file entries and built-in defaults, typed per key.
-    Config keys irrelevant to the active command are ignored so one file can
-    serve the whole pipeline.
-    """
-
-    def __init__(self, args):
-        self.args = args
-        self.command = getattr(args, "command", None)
-        self.input_path = getattr(args, "counts", None)
-        self.output_path = getattr(args, "output", None)
-        self.file_entries = (_load_config_file(args.config)
-                             if getattr(args, "config", None) else {})
-
-    def get(self, key, kind=float, default=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_entries:
-            raw = self.file_entries[key]
-            try:
-                if kind is bool:
-                    return raw.lower() in ("1", "true", "yes", "on")
-                if kind is tuple:
-                    return _parse_phases(raw)
-                return kind(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"config key {key}={raw!r} is not a valid {kind.__name__}")
-        if default is not None:
-            return default
-        return DEFAULTS.get(key)
-
-    def threads(self):
-        value = self.get("threads", int)
-        if value is not None:
-            return value
-        env = os.environ.get("STEERING_LAB_THREADS")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"STEERING_LAB_THREADS={env!r} is not an integer")
-        return 1
+def _parse(parser, argv):
+    """Parse argv; with --config, parse it again with the file's entries as
+    defaults of the top-level parser (--threads) and of the active
+    subcommand's parser, so a flag still beats its entry."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    entries = {key: value
+               for key, value in _load_config_file(args.config).items()
+               if key in vars(args) and key not in _COMMAND_LINE_ONLY}
+    parser.set_defaults(threads=entries.pop("threads", None))
+    parser.commands[args.command].set_defaults(**entries)
+    try:
+        return parser.parse_args(argv)
+    except ValidationError as exc:
+        raise ValidationError(f"config file {args.config}: {exc}") from None
 
 
-def _family(res, r_b=None):
-    return InequalityFamily(
-        s=res.get("s"), t=res.get("t"), m=res.get("m", int),
-        alice_phases=res.get("phases", tuple, default=()) or None,
-        bob_amplitude=r_b if r_b is not None else res.get("r_b"))
+def _given(args, *names, **renamed):
+    """Library keyword arguments from the options that were set, so that
+    every other parameter keeps the library's default; renamed maps a
+    keyword to the option that feeds it."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {key: getattr(args, dest) for key, dest in pairs
+            if getattr(args, dest) is not None}
 
 
-def _model(res):
-    phases = res.get("phases", tuple, default=()) or None
-    kwargs = dict(eta=res.get("eta"), r_a=res.get("r_a"),
-                  r_b=res.get("r_b"), visibility=res.get("visibility"))
-    if phases is not None:
-        kwargs["alice_phases"] = phases
-    m = res.get("m", int)
-    if phases is None and m != 4:
-        kwargs["alice_phases"] = tuple(x * TWO_PI / m for x in range(m))
+def _family(args):
+    return InequalityFamily(**_given(args, "s", "t", "m",
+                                     alice_phases="phases",
+                                     bob_amplitude="r_b"))
+
+
+def _model(args):
+    kwargs = _given(args, "eta", "r_a", "r_b", "visibility",
+                    alice_phases="phases")
+    if args.phases is None and args.m is not None:
+        kwargs["alice_phases"] = default_alice_phases(args.m)
     return ModelConfig(**kwargs)
+
+
+def _threads(args):
+    if args.threads is not None:
+        return args.threads
+    env = os.environ.get("STEERING_LAB_THREADS", "1")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"STEERING_LAB_THREADS={env!r} is not an integer")
 
 
 def _fmt_matrix(name, mat):
@@ -155,10 +139,9 @@ def _fmt_matrix(name, mat):
     return lines
 
 
-def cmd_bound(res):
-    family = _family(res)
-    tol = res.get("n_max_tol", float, default=1e-9)
-    ineq = build_probability_inequality(family, convergence_tol=tol)
+def cmd_bound(args):
+    family = _family(args)
+    ineq = build_probability_inequality(family)
     lines = [
         "s_max_qubit=%.17g" % ineq.s_max_qubit,
         "s_max=%.17g" % ineq.s_max,
@@ -168,76 +151,69 @@ def cmd_bound(res):
     lines += _fmt_matrix("c_pp", ineq.c_pp)
     lines += _fmt_matrix("c_pm", ineq.c_pm)
     lines += _fmt_matrix("c_mp", ineq.c_mp)
-    out = res.args.output or "inequality.txt"
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(export_inequality(ineq, family))
-    lines.append(f"export written to {out}")
-    if res.args.compare:
+    lines.append(f"export written to {args.output}")
+    if args.compare:
         lines.append("")
         lines.append(comparison_report(family))
     print("\n".join(lines))
     return 0
 
 
-def cmd_simulate(res):
-    config = _model(res)
+def cmd_simulate(args):
+    config = _model(args)
     table = joint_probabilities(config)
     text = format_table(table, config)
-    if res.args.oracle:
+    if args.oracle:
         oracle = oracle_probabilities(config)
         deviation = float(np.abs(table.probs - oracle.probs).max())
         verdict = "pass" if deviation < 1e-6 else "fail"
         text += "oracle_max_deviation=%.3e\noracle_check=%s\n" % (
             deviation, verdict)
-    if res.args.output:
-        with open(res.args.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"table written to {res.args.output}")
+        print(f"table written to {args.output}")
     else:
         print(text, end="")
     return 0
 
 
-def cmd_sweep(res):
-    config = _model(res)
-    points = res.get("points", int, default=50)
-    if points < 4:
-        raise ValidationError(f"points must be at least 4, got {points}")
-    start = res.get("start", float, default=0.0)
-    stop = res.get("stop", float, default=TWO_PI)
-    phases = start + (stop - start) * np.arange(points) / points
+def cmd_sweep(args):
+    config = _model(args)
+    if args.points < 4:
+        raise ValidationError(f"points must be at least 4, got {args.points}")
+    phases = args.start + (args.stop - args.start) * np.arange(
+        args.points) / args.points
     sweep = phase_sweep(config, phases)
-    if res.args.sample is not None:
-        if res.args.sample < 1:
+    if args.sample is not None:
+        if args.sample < 1:
             raise ValidationError("sample size must be at least 1")
         record = analysis.synthesize_counts(
-            sweep.phases, sweep.probs, res.args.sample,
-            seed=res.get("seed", int, default=0))
-        out = res.args.output or "sweep_counts.txt"
+            sweep.phases, sweep.probs, args.sample, **_given(args, "seed"))
+        out = args.output or "sweep_counts.txt"
         analysis.write_counts(
             out, record,
             header="sampled sweep: %d expected events per point" %
-                   res.args.sample)
+                   args.sample)
         print(f"sampled counts written to {out}")
     else:
         text = format_sweep(sweep, config)
-        if res.args.output:
-            with open(res.args.output, "w", encoding="utf-8") as fh:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            print(f"sweep written to {res.args.output}")
+            print(f"sweep written to {args.output}")
         else:
             print(text, end="")
     return 0
 
 
-def cmd_certify(res):
-    m = res.get("m", int)
-    phases = res.get("phases", tuple, default=()) or tuple(
-        x * TWO_PI / m for x in range(m))
-    fixed = res.args.eta is not None or "eta" in res.file_entries
-    eta = res.get("eta") if fixed else None
-    result = experiment_critical_eta(res.get("r_a"), phases, space="qubit",
-                                     visibility=res.get("visibility"))
+def cmd_certify(args):
+    phases = args.phases or default_alice_phases(args.m)
+    result = experiment_critical_eta(args.r_a, phases, space="qubit",
+                                     **_given(args, "visibility"))
+    eta = args.verdict_eta
     if eta is None:
         print("eta_star=%.17g" % result.eta_star)
         print("bracket_width=%.17g" % (result.eta_upper - result.eta_star))
@@ -261,10 +237,9 @@ def cmd_certify(res):
     return 0
 
 
-def cmd_optimize(res):
-    result = optimize_phases(res.get("r_a"), res.get("m", int),
-                             restarts=res.get("restarts", int, default=10),
-                             seed=res.get("seed", int, default=0))
+def cmd_optimize(args):
+    result = optimize_phases(args.r_a, args.m,
+                             **_given(args, "restarts", "seed"))
     canon = canonical_phases(result.phases)
     print("phases=" + ",".join("%.17g" % p for p in canon))
     print("eta_star=%.17g" % result.eta_star)
@@ -274,17 +249,11 @@ def cmd_optimize(res):
     return 0
 
 
-def _x_phases(res):
-    raw = res.get("x_phases", tuple, default=())
-    return raw if raw else (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)
-
-
-def cmd_analyze(res):
-    record = analysis.load_counts(res.args.counts)
-    family = _family(res)
-    mode = res.get("mode", str, default="from_fit")
-    report = analysis.evaluate_record(record, family, x_phases=_x_phases(res),
-                                      mode=mode)
+def cmd_analyze(args):
+    record = analysis.load_counts(args.counts)
+    family = _family(args)
+    report = analysis.evaluate_record(record, family,
+                                      **_given(args, "x_phases", "mode"))
     for i, label in enumerate(analysis.OUTCOME_LABELS):
         print("fit_%s: offset=%.6g amplitude=%.6g phase0=%.6g rss=%.3e "
               "clamped=%s" % (label, report.fit.offset[i],
@@ -299,27 +268,22 @@ def cmd_analyze(res):
     return 0
 
 
-def cmd_montecarlo(res):
-    record = analysis.load_counts(res.args.counts)
-    r_b = res.get("r_b")
-    family = _family(res, r_b=r_b)
-    mc = analysis.MonteCarloConfig(
-        runs=res.get("runs", int, default=200000),
-        r_b_mean=r_b,
-        r_b_sigma=res.get("r_b_sigma", float, default=0.005),
-        seed=res.get("seed", int, default=0))
-    x_phases = _x_phases(res) if record.n_points != 4 else None
-    result = analysis.monte_carlo(record, family, mc, x_phases=x_phases,
-                                  threads=res.threads())
-    out = res.args.output or "mc_results.txt"
-    analysis.write_mc_result(out, result)
+def cmd_montecarlo(args):
+    record = analysis.load_counts(args.counts)
+    mc = analysis.MonteCarloConfig(**_given(args, "runs", "r_b_sigma", "seed",
+                                            r_b_mean="r_b"))
+    x_phases = ((args.x_phases or RESOLUTION_PHASES)
+                if record.n_points != 4 else None)
+    result = analysis.monte_carlo(record, _family(args), mc,
+                                  x_phases=x_phases, threads=_threads(args))
+    analysis.write_mc_result(args.output, result)
     print("mean=%.17g" % result.mean)
     print("std=%.17g" % result.std)
     print("runs=%d" % result.runs)
     print("seed=%d" % result.seed)
     print("redraws=%d" % result.redraws)
     print("grid_error=%.3e" % result.grid_error)
-    print(f"results written to {out}")
+    print(f"results written to {args.output}")
     return 0
 
 
@@ -357,9 +321,8 @@ def build_parser():
     p = sub.add_parser("bound", help="compute unsteerable bounds and "
                                      "coefficients")
     _add_common(p, "s", "t", "m", "r_b", "phases")
-    p.add_argument("--n-max-tol", dest="n_max_tol", type=float, default=None,
-                   help="full-space bound convergence tolerance")
-    p.add_argument("--output", default=None, help="export file path")
+    p.add_argument("--output", default="inequality.txt",
+                   help="export file path")
     p.add_argument("--compare", action="store_true",
                    help="append the reported-coefficient comparison")
     p.set_defaults(func=cmd_bound)
@@ -375,9 +338,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="relative-phase sweep (plot data or "
                                      "sampled counts)")
     _add_common(p, "eta", "r_a", "r_b", "m", "visibility", "phases", "seed")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
+    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--start", type=float, default=0.0)
+    p.add_argument("--stop", type=float, default=TWO_PI)
     p.add_argument("--sample", type=int, default=None,
                    help="expected events per point; emit a counts file")
     p.add_argument("--output", default=None)
@@ -387,16 +350,16 @@ def build_parser():
                                        "assemblage (LHS model up to it, "
                                        "violated functional above it)")
     _add_common(p, "r_a", "m", "phases", "visibility")
-    p.add_argument("--eta", type=float, default=None,
-                   help="print the certified verdict at this efficiency "
-                        "instead")
-    p.set_defaults(func=cmd_certify)
+    p.add_argument("--eta", dest="verdict_eta", metavar="ETA", type=float,
+                   default=None, help="print the certified verdict at this "
+                                      "efficiency instead")
+    p.set_defaults(func=cmd_certify, r_a=DEFAULT_R_A, m=4)
 
     p = sub.add_parser("optimize", help="phase optimization by "
                                         "random-restart simplex")
     _add_common(p, "r_a", "m", "seed")
     p.add_argument("--restarts", type=int, default=None)
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, r_a=DEFAULT_R_A, m=4)
 
     p = sub.add_parser("analyze", help="counts file -> fits -> setting "
                                        "table -> S - S_max")
@@ -412,17 +375,16 @@ def build_parser():
     _add_common(p, "s", "t", "m", "r_b", "phases", "x_phases", "seed")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--r-b-sigma", dest="r_b_sigma", type=float, default=None)
-    p.add_argument("--output", default=None)
+    p.add_argument("--output", default="mc_results.txt")
     p.set_defaults(func=cmd_montecarlo)
+    parser.commands = sub.choices    # name -> subparser, for _parse
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        res = RunConfig(args)
-        return args.func(res)
+        args = _parse(build_parser(), argv)
+        return args.func(args)
     except (ValidationError, ParseError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one seed check.
 
 Every error raised on purpose derives from SteeringLabError so the CLI can
 report a single machine-parsable line and pick an exit code.
 """
+
+import numbers
 
 
 class SteeringLabError(Exception):
@@ -56,3 +58,12 @@ class ExtractionError(SteeringLabError):
 
 class IndeterminateFeasibilityError(SteeringLabError):
     """The LHS barrier method stalled before certifying a narrow interval."""
+
+
+def check_seed(seed):
+    """Return seed if it is an integer in [0, 2**64), else raise
+    ValidationError: one rule for every seeded random stream in the package."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise ValidationError(
+            f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed

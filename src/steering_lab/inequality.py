@@ -1,9 +1,9 @@
 """Steering-inequality family: matrices, coefficients, bounds, evaluation.
 
 The family is parameterized by two positive weights (s, t), m measurement
-phases for the untrusted side, and a displacement amplitude r_B with four
-local-oscillator phases for the trusted side. Its matrix form lives on the
-0-1 photon subspace:
+phases for the untrusted side, and a displacement amplitude r_B for the
+trusted side, which measures at the four RESOLUTION_PHASES. Its matrix form
+lives on the 0-1 photon subspace:
 
     G_R = [[s, 0], [0, 0]]
     G_x = [[0, t e^{-i theta_x}], [t e^{i theta_x}, 1/m]]
@@ -30,6 +30,7 @@ from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
 DEFAULT_S = 0.983
 DEFAULT_T = 0.0656
 DEFAULT_R_B = 0.217
+CUTOFF_TOL = 1e-9    # successive cutoffs whose strategy maxima agree this well
 
 # Coefficient values reported elsewhere for s=0.983, t=0.0656, r_B=0.21,
 # kept only as cross-check data for the emitted comparison report. The
@@ -57,31 +58,26 @@ class InequalityFamily:
     m: int = 4
     alice_phases: tuple = None
     bob_amplitude: float = DEFAULT_R_B
-    bob_phases: tuple = RESOLUTION_PHASES
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValidationError(f"s must be > 0, got {self.s}")
-        if not self.t > 0:
-            raise ValidationError(f"t must be > 0, got {self.t}")
+        for name in ("s", "t", "bob_amplitude"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(
+                    f"{name} must be finite and > 0, got {value}")
         if not (isinstance(self.m, int) and self.m >= 4):
             raise ValidationError(f"m must be an integer >= 4, got {self.m}")
         phases = self.alice_phases
         if phases is None:
             phases = default_alice_phases(self.m)
-        phases = tuple(float(p) % TWO_PI for p in phases)
+        phases = tuple(float(p) for p in phases)
+        if not all(map(math.isfinite, phases)):
+            raise ValidationError(f"alice_phases must be finite, got {phases}")
         if len(phases) != self.m:
             raise ValidationError(
                 f"alice_phases needs {self.m} entries, got {len(phases)}")
-        object.__setattr__(self, "alice_phases", phases)
-        bob = tuple(float(p) % TWO_PI for p in self.bob_phases)
-        if len(bob) != 4:
-            raise ValidationError(
-                f"bob_phases needs exactly 4 entries, got {len(bob)}")
-        object.__setattr__(self, "bob_phases", bob)
-        if not self.bob_amplitude > 0:
-            raise ValidationError(
-                f"bob_amplitude must be > 0, got {self.bob_amplitude}")
+        object.__setattr__(self, "alice_phases",
+                           tuple(p % TWO_PI for p in phases))
 
 
 def family_matrices(family: InequalityFamily):
@@ -161,14 +157,10 @@ def decompose_g(family: InequalityFamily):
 
     Works through the Pauli resolution at the trusted amplitude: each G is
     written in (identity, X, Y, Z) coordinates and the Pauli pieces are
-    replaced by their projector expansions. Defined on the standard trusted
-    phase set (0, pi/2, pi, 3pi/2); the identity is re-verified on return.
+    replaced by their projector expansions over the RESOLUTION_PHASES; the
+    identity is re-verified on return.
     """
     r_b = family.bob_amplitude
-    for phi, ref in zip(family.bob_phases, RESOLUTION_PHASES):
-        if abs(phi - ref) > 1e-12:
-            raise ValidationError(
-                "decomposition is defined on trusted phases (0, pi/2, pi, 3pi/2)")
     if r_b >= 1.0:
         raise SingularDecompositionError(
             f"decomposition needs r_B < 1, got {r_b}")
@@ -194,7 +186,7 @@ def decompose_g(family: InequalityFamily):
     coeffs = CoefficientSet(c_r0=float(c_r0), c_ry=c_ry, c_x0=c_x0, c_xy=c_xy)
 
     resid = identity_residual(coeffs, family)
-    if resid > 1e-12:
+    if not resid <= 1e-12:    # a NaN residual fails too
         raise SingularDecompositionError(
             f"decomposition identity failed at residual {resid:.3e} "
             f"(r_B={r_b} too close to 1?)")
@@ -204,7 +196,7 @@ def decompose_g(family: InequalityFamily):
 def identity_residual(coeffs: CoefficientSet, family: InequalityFamily):
     """Max entrywise residual of the reconstruction of every family matrix."""
     projs = [projector_qubit(DisplacementSetting(family.bob_amplitude, th))
-             for th in family.bob_phases]
+             for th in RESOLUTION_PHASES]
     eye = np.eye(2, dtype=complex)
     g_r, g_x = family_matrices(family)
 
@@ -214,11 +206,10 @@ def identity_residual(coeffs: CoefficientSet, family: InequalityFamily):
             acc = acc + c_y[y] * projs[y]
         return acc
 
-    resid = np.abs(rebuild(coeffs.c_r0, coeffs.c_ry) - g_r).max()
-    for x in range(family.m):
-        resid = max(resid,
-                    np.abs(rebuild(coeffs.c_x0[x], coeffs.c_xy[x]) - g_x[x]).max())
-    return float(resid)
+    resid = [np.abs(rebuild(coeffs.c_r0, coeffs.c_ry) - g_r).max()]
+    resid += [np.abs(rebuild(coeffs.c_x0[x], coeffs.c_xy[x]) - g_x[x]).max()
+              for x in range(family.m)]
+    return float(np.max(resid))    # NaN, not dropped as the builtin max would
 
 
 def fullspace_g(coeffs: CoefficientSet, family: InequalityFamily, n_max):
@@ -231,7 +222,7 @@ def fullspace_g(coeffs: CoefficientSet, family: InequalityFamily, n_max):
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
     dim = n_max + 1
     projs = [projector_full(DisplacementSetting(family.bob_amplitude, th), n_max)
-             for th in family.bob_phases]
+             for th in RESOLUTION_PHASES]
     eye = np.eye(dim, dtype=complex)
 
     def rebuild(c_0, c_y):
@@ -261,20 +252,17 @@ def _strategy_bound_full(coeffs, family, n_max):
     return float(np.linalg.eigvalsh(mats)[:, -1].max())
 
 
-def fullspace_bound(coeffs: CoefficientSet, family: InequalityFamily,
-                    convergence_tol=1e-9):
+def fullspace_bound(coeffs: CoefficientSet, family: InequalityFamily):
     """Unsteerable bound in photon-number space with automatic cutoff.
 
     Increases the cutoff from 2 until two successive strategy maxima differ
-    by less than convergence_tol; returns the converged bound and the cutoff
-    at which convergence was established.
+    by less than CUTOFF_TOL; returns the converged bound and the cutoff at
+    which convergence was established.
     """
-    if not convergence_tol > 0:
-        raise ValidationError("convergence_tol must be > 0")
     prev = _strategy_bound_full(coeffs, family, 2)
     for n in range(3, 25):
         cur = _strategy_bound_full(coeffs, family, n)
-        if abs(cur - prev) < convergence_tol:
+        if abs(cur - prev) < CUTOFF_TOL:
             return FullspaceBound(s_max=cur, n_max_used=n)
         prev = cur
     raise CutoffError(
@@ -328,11 +316,11 @@ def probability_coefficients(coeffs: CoefficientSet, family: InequalityFamily,
                                  n_max_used=int(n_max_used))
 
 
-def build_probability_inequality(family: InequalityFamily, convergence_tol=1e-9):
+def build_probability_inequality(family: InequalityFamily):
     """Construct the full probability-form inequality for a family."""
     coeffs = decompose_g(family)
     sq = qubit_bound(family)
-    fb = fullspace_bound(coeffs, family, convergence_tol)
+    fb = fullspace_bound(coeffs, family)
     return probability_coefficients(coeffs, family, fb.s_max, sq, fb.n_max_used)
 
 
@@ -369,7 +357,7 @@ def export_inequality(ineq: ProbabilityInequality, family: InequalityFamily):
     lines["r_b"] = family.bob_amplitude
     for x, ph in enumerate(family.alice_phases, start=1):
         lines[f"alice_phase.{x}"] = ph
-    for y, ph in enumerate(family.bob_phases, start=1):
+    for y, ph in enumerate(RESOLUTION_PHASES, start=1):
         lines[f"bob_phase.{y}"] = ph
     lines["c0"] = ineq.c0
     lines["s_max"] = ineq.s_max

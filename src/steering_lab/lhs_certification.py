@@ -40,10 +40,12 @@ import math
 
 import numpy as np
 
-from .errors import IndeterminateFeasibilityError, ValidationError
+from .errors import (IndeterminateFeasibilityError, ValidationError,
+                     check_seed)
 from .fock_ops import RESOLUTION_PHASES, TWO_PI
-from .inequality import InequalityFamily, deterministic_strategies, qubit_bound
-from .quantum_model import DEFAULT_R_B, ModelConfig, joint_probabilities
+from .inequality import (DEFAULT_R_B, InequalityFamily,
+                         deterministic_strategies, qubit_bound)
+from .quantum_model import ModelConfig, joint_probabilities
 
 GAP_TOL = 1e-8            # width of the certified eta interval
 MODEL_TOL = 1e-9          # largest verify_hidden_states error of a model
@@ -505,7 +507,7 @@ def optimize_phases(r_a, m, restarts=10, seed=0):
 
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(check_seed(seed)))
 
     def surrogate(phases):
         return qubit_bound(InequalityFamily(m=m, alice_phases=phases))

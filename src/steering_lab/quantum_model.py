@@ -22,16 +22,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import CutoffError, ValidationError
-from .fock_ops import (TWO_PI, DisplacementSetting, coherent_tail, hermitize,
-                       projector_qubit)
-from .inequality import (InequalityFamily, build_probability_inequality,
-                         default_alice_phases, evaluate_steering)
+from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
+                       coherent_tail, hermitize, projector_qubit)
+from .inequality import (DEFAULT_R_B, InequalityFamily,
+                         build_probability_inequality, default_alice_phases,
+                         evaluate_steering)
 
 DEFAULT_ETA = 0.52
 DEFAULT_R_A = 0.233
-DEFAULT_R_B = 0.217
-
-_LADDER = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,8 @@ class ModelConfig:
     eta: float = DEFAULT_ETA
     r_a: float = DEFAULT_R_A
     r_b: float = DEFAULT_R_B
-    alice_phases: tuple = _LADDER
-    bob_phases: tuple = _LADDER
+    alice_phases: tuple = RESOLUTION_PHASES
+    bob_phases: tuple = RESOLUTION_PHASES
     visibility: float = 1.0
 
     def __post_init__(self):
@@ -230,9 +228,10 @@ def phase_sweep(config: ModelConfig, phases):
 def theoretical_delta_S(config: ModelConfig, family: InequalityFamily):
     """Predicted inequality margin S - S_max of the model for a family.
 
-    The family must use the same trusted amplitude and the same phases as the
-    model configuration, otherwise the coefficient tables do not refer to the
-    probabilities being produced.
+    The family must use the same trusted amplitude and untrusted phases as
+    the model configuration, and the configuration's trusted phases must be
+    the RESOLUTION_PHASES the family is resolved over; otherwise the
+    coefficient tables do not refer to the probabilities being produced.
     """
     if abs(family.bob_amplitude - config.r_b) > 1e-12:
         raise ValidationError(
@@ -241,9 +240,10 @@ def theoretical_delta_S(config: ModelConfig, family: InequalityFamily):
             abs(a - b) > 1e-9 for a, b in zip(family.alice_phases,
                                               config.alice_phases)):
         raise ValidationError("family and config untrusted phases differ")
-    if any(abs(a - b) > 1e-9 for a, b in zip(family.bob_phases,
+    if any(abs(a - b) > 1e-9 for a, b in zip(RESOLUTION_PHASES,
                                              config.bob_phases)):
-        raise ValidationError("family and config trusted phases differ")
+        raise ValidationError(
+            "config trusted phases differ from the RESOLUTION_PHASES")
     ineq = build_probability_inequality(family)
     table = joint_probabilities(config)
     _, delta_s = evaluate_steering(ineq, table)

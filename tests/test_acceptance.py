@@ -19,7 +19,8 @@ import pytest
 
 from steering_lab.analysis import (MonteCarloConfig, evaluate_record,
                                    monte_carlo, synthesize_counts)
-from steering_lab.fock_ops import DisplacementSetting, projector_qubit
+from steering_lab.fock_ops import (RESOLUTION_PHASES, DisplacementSetting,
+                                   projector_qubit)
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      comparison_report, decompose_g,
@@ -167,7 +168,7 @@ def _strategy_table(family, strat, trusted_state):
         float(np.real(np.trace(
             projector_qubit(DisplacementSetting(family.bob_amplitude, th))
             @ trusted_state)))
-        for th in family.bob_phases])
+        for th in RESOLUTION_PHASES])
     for x in range(family.m):
         pa = 1.0 if strat[x] else 0.0
         probs[0, 0, x] = pa * q_plus

@@ -1,5 +1,10 @@
 """End-to-end CLI tests, run in process through main(argv)."""
 
+import contextlib
+import io
+import tempfile
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -63,7 +68,7 @@ def test_bound_rejects_bad_parameters(capsys):
 
 
 def test_bound_convergence_tolerance_flag(tmp_path, capsys):
-    assert main(["bound", "--r-b", "0.2", "--n-max-tol", "1e-9",
+    assert main(["bound", "--r-b", "0.2",
                  "--output", str(tmp_path / "i.txt")]) == 0
     out, _ = _lines(capsys)
     kv = _kv(out)
@@ -212,6 +217,26 @@ def test_config_file_precedence(tmp_path, capsys):
     assert main(["--config", str(bad), "bound"]) == 2
 
 
+def test_shared_config_file_leaves_each_command_its_mode(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("eta=0.52\nr_a=0.2\noutput=%s\nsample=10\n"
+                   "verdict_eta=0.3\n" % (tmp_path / "elsewhere.txt"))
+    # eta= is simulate's; certify still prints the critical efficiency
+    assert main(["--config", str(cfg), "certify"]) == 0
+    out, _ = _lines(capsys)
+    assert float(_kv(out)["eta_star"]) == pytest.approx(0.4195681, abs=1e-6)
+    assert "verdict" not in " ".join(out)
+    # output= and sample= are command-line only: both commands print
+    assert main(["--config", str(cfg), "simulate"]) == 0
+    out, _ = _lines(capsys)
+    assert out[0].startswith("# eta=0.52000000000000002 r_a=0.2000")
+    assert len(out) == 18
+    assert main(["--config", str(cfg), "sweep", "--points", "8"]) == 0
+    out, _ = _lines(capsys)
+    assert len(out) == 10
+    assert not (tmp_path / "elsewhere.txt").exists()
+
+
 def test_threads_environment_fallback(tmp_path, capsys, monkeypatch):
     counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     base = ["montecarlo", str(counts), "--runs", "200", "--r-b-sigma", "0",
@@ -255,7 +280,7 @@ def test_unknown_flags_exit_2(capsys):
 
 
 @pytest.mark.parametrize("command, entry", [
-    (["certify", "--r-a", "0.2"], "eta=abc"),
+    (["simulate"], "eta=abc"),
     (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
      "threads=x"),
     (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
@@ -282,6 +307,12 @@ def test_config_values_are_read_typed(tmp_path, capsys, command, entry):
     ["simulate", "--r-b", "nan"],
     ["simulate", "--phases", "0,inf,1,2"],
     ["certify", "--r-a", "inf"],
+    ["bound", "--s", "inf"],
+    ["bound", "--t", "inf"],
+    ["bound", "--phases", "0,1,2,inf"],
+    # seeds outside [0, 2**64) are out of range in the same way
+    ["sweep", "--sample", "10", "--seed", "-1"],
+    ["optimize", "--restarts", "1", "--seed", "-1"],
 ])
 def test_non_finite_input_is_rejected(capsys, argv):
     assert main(argv) == 2
@@ -289,3 +320,62 @@ def test_non_finite_input_is_rejected(capsys, argv):
     assert not out
     assert len(err) == 1
     assert err[0].startswith("ValidationError:")
+
+
+_FLOAT = st.one_of(st.sampled_from((np.inf, -np.inf, np.nan)),
+                  st.floats(-2.0, 2.0), st.floats())
+_FLOATS = _FLOAT.map(repr)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-3, 60)).map(str)
+_VALUES = {
+    "eta": _FLOATS, "r_a": _FLOATS, "r_b": _FLOATS, "s": _FLOATS,
+    "t": _FLOATS, "visibility": _FLOATS, "start": _FLOATS, "stop": _FLOATS,
+    # 2^m strategies are enumerated at up to 25 cutoffs, so m stays small
+    "m": st.integers(-2, 8).map(str),
+    "phases": st.lists(_FLOAT, max_size=6).map(
+        lambda xs: ",".join(map(repr, xs))),
+    "seed": _INTS, "points": _INTS, "sample": _INTS,
+}
+_OPTIONS = {
+    "bound": ("s", "t", "m", "r_b", "phases"),
+    "simulate": ("eta", "r_a", "r_b", "m", "visibility", "phases"),
+    "sweep": ("eta", "r_a", "r_b", "m", "visibility", "phases", "seed",
+              "points", "start", "stop", "sample"),
+}
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(sorted(_VALUES) + ["threads", "output", "bogus"]).flatmap(
+        lambda key: st.one_of(
+            _VALUES.get(key, _INTS),
+            st.text(".,-+eainf x", max_size=8)).map(
+                lambda value: f"{key}={value}")),
+    st.text("abc =#", max_size=6))
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    names = draw(st.lists(st.sampled_from(_OPTIONS[command]), unique=True))
+    flags = ["--%s=%s" % (name.replace("_", "-"), draw(_VALUES[name]))
+             for name in names]
+    config = draw(st.one_of(st.none(), st.lists(_CONFIG_LINE, max_size=5)))
+    return command, flags, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invocations())
+def test_fuzzed_invocations_exit_cleanly(invocation):
+    command, flags, config = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *flags]
+        if command != "simulate":
+            argv += ["--output", f"{tmp}/out.txt"]
+        if config is not None:
+            with open(f"{tmp}/run.cfg", "w", encoding="utf-8") as fh:
+                fh.write("\n".join(config) + "\n")
+            argv = ["--config", f"{tmp}/run.cfg", *argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, lines)
+    assert len(lines) <= 1, (argv, lines)
+    assert not any("Traceback" in line for line in lines)
