@@ -2,7 +2,8 @@
 
 The package builds steering inequalities adapted to displacement
 measurements on path-entangled single photons, computes their unsteerable
-bounds (qubit closed form and truncated number-basis), simulates the lossy
+bounds (qubit closed form, and exact on photon-number space through the
+Gram matrix of the trusted coherent states), simulates the lossy
 experiment, certifies (un)steerability by computing the critical efficiency
 of the joint click table (one barrier-method conic program that returns a
 hidden-state model and a violated steering functional), with the trusted
@@ -25,21 +26,20 @@ from .errors import (CutoffError, ExtractionError, FitError,
 from .fock_ops import (DisplacementSetting, PauliResolution,
                        RESOLUTION_PHASES, coherent_amplitudes, coherent_tail,
                        hermitize, observable, pauli_resolution,
-                       projector_full, projector_qubit)
-from .inequality import (CoefficientSet, FullspaceBound, InequalityFamily,
+                       projector_full, projector_qubit, trusted_basis)
+from .inequality import (FullspaceBound, InequalityFamily,
                          ProbabilityInequality, REPORTED_SNAPSHOT,
-                         build_probability_inequality, comparison_report,
-                         decompose_g, default_alice_phases,
-                         deterministic_strategies, evaluate_steering,
-                         export_inequality, family_matrices, fullspace_bound,
-                         fullspace_g, identity_residual,
-                         probability_coefficients, qubit_bound)
+                         SteeringFunctional, build_probability_inequality,
+                         comparison_report, decompose_g,
+                         default_alice_phases, deterministic_strategies,
+                         evaluate_steering, export_inequality,
+                         family_matrices, fullspace_bound, fullspace_g,
+                         identity_residual, lhs_bound, qubit_bound)
 from .lhs_certification import (ExperimentEfficiency, HiddenStateModel,
-                                PhaseOptimum, RestartRecord,
-                                SteeringFunctional, TableProblem,
+                                PhaseOptimum, RestartRecord, TableProblem,
                                 canonical_phases, experiment_critical_eta,
-                                ladder_distance, lhs_bound, optimize_phases,
-                                trusted_basis, verify_hidden_states)
+                                ladder_distance, optimize_phases,
+                                verify_hidden_states)
 from .quantum_model import (Assemblage, ModelConfig, ProbabilityTable,
                             SweepTable, compute_assemblage, default_config,
                             format_sweep, format_table, joint_probabilities,
@@ -49,7 +49,7 @@ from .quantum_model import (Assemblage, ModelConfig, ProbabilityTable,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport", "Assemblage", "CoefficientSet", "CosineFit",
+    "AnalysisReport", "Assemblage", "CosineFit",
     "CountsRecord", "CutoffError",
     "DisplacementSetting", "ExperimentEfficiency", "ExtractionError",
     "FitError", "FullspaceBound", "HiddenStateModel",
@@ -74,7 +74,7 @@ __all__ = [
     "make_state",
     "monte_carlo", "observable", "optimize_phases",
     "oracle_probabilities", "pauli_resolution", "phase_sweep",
-    "probabilities_from_counts", "probability_coefficients",
+    "probabilities_from_counts",
     "projector_full", "projector_qubit", "qubit_bound",
     "setting_counts_from_record", "side_povm", "synthesize_counts",
     "theoretical_delta_S", "trusted_basis", "verify_hidden_states",

@@ -368,14 +368,11 @@ def _aggregate_coefficients(ineq):
     """Sum inequality coefficients over the (x, y) cells sharing each
     relative-phase index, so S = sum_j agg[j] . d_j + c0 for tables built by
     the permutation construction."""
+    tables = np.stack([ineq.c_pp, ineq.c_pm, ineq.c_mp, ineq.c_mm], axis=-1)
     agg = np.zeros((4, 4))
     for x in range(4):
         for y in range(4):
-            j = (x - y) % 4
-            agg[j, 0] += ineq.c_pp[x, y]
-            agg[j, 1] += ineq.c_pm[x, y]
-            agg[j, 2] += ineq.c_mp[x, y]
-            agg[j, 3] += ineq.c_mm[x, y]
+            agg[(x - y) % 4] += tables[x, y]
     return agg
 
 
@@ -543,9 +540,10 @@ def _fit_histogram_gaussian(bin_edges, bin_counts, mean, std):
         return amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
 
     try:
-        popt, _ = curve_fit(gauss, mids, bin_counts.astype(float),
-                            p0=(float(bin_counts.max()), mean, std),
-                            maxfev=10000)
+        with np.errstate(all="ignore"):    # a search step, not an error
+            popt, _ = curve_fit(gauss, mids, bin_counts.astype(float),
+                                p0=(float(bin_counts.max()), mean, std),
+                                maxfev=10000)
     except RuntimeError:
         return None
     return (float(popt[0]), float(popt[1]), float(abs(popt[2])))

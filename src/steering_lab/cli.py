@@ -13,7 +13,9 @@ command-line only.
 
 Every command exits 0 on success; failures print a single line
 `<ErrorClass>: <message>` to stderr and exit 2 (validation/parse errors) or
-3 (computation errors). All randomized commands take --seed and are
+3 (computation errors, including a floating-point overflow, division by
+zero or invalid operation, which numpy raises as FloatingPointError inside
+a command instead of warning). All randomized commands take --seed and are
 reproducible. --threads (or STEERING_LAB_THREADS) is accepted and checked
 to be an integer but changes nothing: no command starts worker threads.
 """
@@ -25,8 +27,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .errors import (IndeterminateFeasibilityError, ParseError,
-                     SteeringLabError, ValidationError)
+from .errors import ParseError, SteeringLabError, ValidationError
 from .fock_ops import RESOLUTION_PHASES, TWO_PI
 from .inequality import (InequalityFamily, build_probability_inequality,
                          comparison_report, default_alice_phases,
@@ -184,8 +185,10 @@ def cmd_sweep(args):
     config = _model(args)
     if args.points < 4:
         raise ValidationError(f"points must be at least 4, got {args.points}")
-    phases = args.start + (args.stop - args.start) * np.arange(
-        args.points) / args.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a non-finite phase is rejected by the model with exit 2
+        phases = args.start + (args.stop - args.start) * np.arange(
+            args.points) / args.points
     sweep = phase_sweep(config, phases)
     if args.sample is not None:
         if args.sample < 1:
@@ -384,14 +387,14 @@ def build_parser():
 def main(argv=None):
     try:
         args = _parse(build_parser(), argv)
-        return args.func(args)
+        # the first overflow, division by zero or invalid operation ends
+        # the command as its one error line, not as warnings beside it
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except (ValidationError, ParseError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
-    except IndeterminateFeasibilityError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return _COMPUTATION_EXIT
-    except SteeringLabError as exc:
+    except (SteeringLabError, FloatingPointError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _COMPUTATION_EXIT
 

@@ -169,3 +169,43 @@ def pauli_resolution(r):
     ])
     on_id = np.array([0.0, 0.0, z0])
     return PauliResolution(r=float(r), on_projectors=on_proj, on_identity=on_id)
+
+
+def trusted_basis(r_b, space="fock"):
+    """The trusted side's no-click vectors |alpha_y> in orthonormal coordinates.
+
+    Returns (basis, outside): column y of basis holds the coordinates of
+    |alpha_y>, alpha_y = r_b e^{i phi_y} at the four RESOLUTION_PHASES, in an
+    orthonormal basis of the space the hidden states are compressed onto,
+    and outside says whether they may also carry weight orthogonal to it.
+
+    space='fock' is the whole photon-number space, and outside is True.
+    As the phases are the multiples of pi/2, |alpha_y> = sum_k e^{i k phi_y}
+    |c_k>, where |c_k> holds the photon numbers n = k mod 4: the |c_k> are
+    orthogonal, with squared norms N_k = sum_{n = k mod 4} e^{-r^2} r^{2n}/n!,
+    so row k is sqrt(N_k) e^{i k phi_y}. This is exact with no cutoff and no
+    eigensolver, even where N_3 ~ r^6/6 is far below rounding of the Gram
+    matrix. space='qubit' is the 0-1 photon subspace: the columns are the
+    truncated vectors e^{-r^2/2} (1, alpha_y) and outside is False.
+    """
+    if not (r_b > 0 and math.isfinite(r_b)):
+        raise ValidationError(f"r_b must be finite and > 0, got {r_b}")
+    if space == "qubit":
+        alpha = r_b * np.exp(1j * np.asarray(RESOLUTION_PHASES))
+        return math.exp(-0.5 * r_b * r_b) * np.vstack(
+            [np.ones_like(alpha), alpha]), False
+    if space != "fock":
+        raise ValidationError(f"space must be 'fock' or 'qubit', got {space!r}")
+    x = r_b * r_b
+    k = np.arange(4)
+    if x < 1.0:
+        # Poisson weights summed by n mod 4: positive terms, no cancellation
+        n = np.arange(32)
+        norms = np.bincount(n % 4, weights=math.exp(-x) * x ** n
+                            / _factorial_table(31))
+    else:
+        # the same sums in closed form, (1/4) sum_j i^{-jk} e^{x (i^j - 1)}
+        powers = np.array([1.0, 1j, -1.0, -1j])
+        norms = np.fft.fft(np.exp(x * (powers - 1.0))).real / 4.0
+    return np.sqrt(norms)[:, None] * np.exp(
+        1j * np.outer(k, RESOLUTION_PHASES)), True

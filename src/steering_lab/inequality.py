@@ -1,4 +1,4 @@
-"""Steering-inequality family: matrices, coefficients, bounds, evaluation.
+"""Steering-inequality family and the one format of a steering functional.
 
 The family is parameterized by two positive weights (s, t), m measurement
 phases for the untrusted side, and a displacement amplitude r_B for the
@@ -10,11 +10,17 @@ lives on the 0-1 photon subspace:
 
 The off-diagonal phase is the conjugate of the x-th measurement phase so the
 quantum cross terms align setting by setting. Resolving each matrix over the
-trusted side's four no-click projectors turns the matrix inequality into a
-linear function of observable click probabilities with coefficients
-c^{ab}_{xy} and offset c0; the unsteerable bound S_max is the largest
-eigenvalue over all 2^m deterministic outcome assignments, computed both on
-the 0-1 subspace (closed form) and in truncated photon-number space.
+trusted side's four no-click projectors (decompose_g) turns the matrix
+inequality into a steering functional: an (m+1) x 5 array F that weights
+the table summary of _marginals (p(++|xy), p_A(+|x) in the last column,
+p_B(+|y) in the last row, 1 in the corner). The same format carries the
+LHS certificates of lhs_certification, and one kernel, lhs_bound, gives
+the exact maximum of any such functional over local-hidden-state models.
+The family's unsteerable bound S'_max on the 0-1 subspace has a closed
+form (qubit_bound); S_max on the whole photon-number space is lhs_bound on
+the exact coordinates of the trusted no-click vectors (trusted_basis), with
+no cutoff, and a truncation confirms it. The paper's coefficients
+c^{ab}_{xy} and offset c0 are views of F.
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +31,13 @@ import numpy as np
 from .errors import (CutoffError, NormalizationError,
                      SingularDecompositionError, ValidationError)
 from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
-                       pauli_resolution, projector_full, projector_qubit)
+                       coherent_amplitudes, pauli_resolution, projector_full,
+                       projector_qubit, trusted_basis)
 
 DEFAULT_S = 0.983
 DEFAULT_T = 0.0656
 DEFAULT_R_B = 0.217
-CUTOFF_TOL = 1e-9    # successive cutoffs whose strategy maxima agree this well
+CUTOFF_TOL = 1e-9    # a truncation agreeing this well with S_max confirms it
 
 # Coefficient values reported elsewhere for s=0.983, t=0.0656, r_B=0.21,
 # kept only as cross-check data for the emitted comparison report. The
@@ -106,59 +113,93 @@ def deterministic_strategies(m):
     return ((k[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def _eigmax_2x2(a, d, b):
-    """Largest eigenvalue of [[a, b], [conj(b), d]] with a, d real (closed form)."""
-    mean = 0.5 * (a + d)
-    rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(b) ** 2)
-    return mean + rad
-
-
 def qubit_bound(family: InequalityFamily):
     """Unsteerable bound on the 0-1 subspace.
 
     Maximum over all 2^m deterministic strategies of the largest eigenvalue
     of G_R + sum_x l_x G_x, evaluated with the closed-form 2x2 eigenvalue
-    formula (the truncated-space path uses a general Hermitian solver, so the
-    two bounds cross-check each other structurally).
+    formula; lhs_bound of decompose_g's coefficients on the 0-1 subspace
+    gives the same value through a general Hermitian solver.
     """
     strat = deterministic_strategies(family.m).astype(float)
     offs = family.t * np.exp(-1j * np.asarray(family.alice_phases))
     b = strat @ offs
     d = strat.sum(axis=1) / family.m
-    a = np.full(strat.shape[0], family.s)
-    return float(_eigmax_2x2(a, d, b).max())
+    # top eigenvalue of [[s, b], [conj(b), d]] in closed form
+    top = 0.5 * (family.s + d) + np.sqrt((0.5 * (family.s - d)) ** 2
+                                         + np.abs(b) ** 2)
+    return float(top.max())
+
+
+def _strategy_rows(m):
+    """Rows (D_k(+|x) for every x, 1): strategy k's weight in each summary row."""
+    strat = deterministic_strategies(m).astype(float)
+    return np.hstack([strat, np.ones((strat.shape[0], 1))])
+
+
+def _marginals(probs):
+    """The (m+1) x (n+1) summary of a table p[a, b, x, y] that LHS models fix.
+
+    p(++|xy) fills the leading block, p_A(+|x) the last column, p_B(+|y)
+    the last row and 1 the corner.
+    """
+    p = np.asarray(probs, dtype=float)
+    m, n = p.shape[2:]
+    out = np.ones((m + 1, n + 1))
+    out[:m, :n] = p[0, 0]
+    out[:m, n] = p[0].sum(axis=0).mean(axis=1)
+    out[m, :n] = p[:, 0].sum(axis=0).mean(axis=0)
+    return out
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
-    """Resolution of each family matrix over the trusted-side projectors.
+class SteeringFunctional:
+    """Probability-level steering inequality sum(coefficients * M) <= bound.
 
-    G_nu = sum_y c[nu, y] * Pi(r_B, phi_y) + c[nu, 0] * identity, where nu
-    runs over R and the m settings, and phi_y are the four trusted phases.
+    M is the (m+1) x (n+1) summary of a table (_marginals: p(++|xy),
+    p_A(+|x) in the last column, p_B(+|y) in the last row, 1 in the
+    corner). Row x of the coefficients is the trusted-side operator G_x =
+    sum_y F[x, y] Pi_y + F[x, n] 1 that strategy rows with D(+|x) = 1
+    collect, and the last row is the operator every strategy collects.
+    bound is the exact maximum over LHS models (lhs_bound).
     """
 
-    c_r0: float
-    c_ry: np.ndarray = field(repr=False)
-    c_x0: np.ndarray = field(repr=False)
-    c_xy: np.ndarray = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
+    bound: float
+
+    def value(self, probs):
+        return float((self.coefficients * _marginals(probs)).sum())
 
 
-def _h_components(g):
-    """Real coordinates of a 2x2 Hermitian matrix over (I, X, Y, Z)/identity."""
-    h0 = 0.5 * (g[0, 0].real + g[1, 1].real)
-    hz = 0.5 * (g[0, 0].real - g[1, 1].real)
-    hx = g[1, 0].real
-    hy = g[1, 0].imag
-    return h0, hx, hy, hz
+def lhs_bound(coefficients, basis, outside):
+    """Exact maximum of a table functional over LHS models.
+
+    The columns of basis are the coordinates of the trusted no-click
+    vectors (see trusted_basis); outside says whether a hidden state may
+    also carry weight orthogonal to them. Per strategy the maximum is the
+    top eigenvalue of its operator sum_y g_y |b_y><b_y| + g_0 1 on the
+    basis (g_0 alone outside it); the bound is the largest over all 2^m
+    strategies. On exact coordinates of photon-number space no cutoff
+    enters: A diag(g) A^dag keeps its nonzero eigenvalues when A is
+    replaced by any B with B^dag B = A^dag A (Horn & Johnson, Matrix
+    Analysis, Thm 1.3.22).
+    """
+    n = basis.shape[1]
+    g = _strategy_rows(coefficients.shape[0] - 1) @ coefficients
+    ops = np.einsum('ay,ky,by->kab', basis, g[:, :n], basis.conj())
+    top = np.linalg.eigvalsh(ops)[:, -1]
+    if outside:
+        top = np.maximum(top, 0.0)
+    return float((top + g[:, n]).max())
 
 
 def decompose_g(family: InequalityFamily):
-    """Coefficients resolving every family matrix over the no-click projectors.
+    """The family as a steering functional: its (m+1) x 5 coefficients F.
 
-    Works through the Pauli resolution at the trusted amplitude: each G is
-    written in (identity, X, Y, Z) coordinates and the Pauli pieces are
-    replaced by their projector expansions over the RESOLUTION_PHASES; the
-    identity is re-verified on return.
+    Row x resolves G_x and the last row G_R over the trusted side's no-click
+    projectors Pi_y at the RESOLUTION_PHASES, G_nu = sum_y F[nu, y] Pi_y +
+    F[nu, 4] * identity, through the Pauli resolution at the trusted
+    amplitude; the identity is re-verified on return.
     """
     r_b = family.bob_amplitude
     if r_b >= 1.0:
@@ -170,70 +211,52 @@ def decompose_g(family: InequalityFamily):
         raise SingularDecompositionError(str(exc)) from exc
 
     g_r, g_x = family_matrices(family)
+    coefficients = np.empty((family.m + 1, 5))
+    for row, g in zip(coefficients, [*g_x, g_r]):
+        # coordinates of G over (identity, X, Y, Z)
+        hz = 0.5 * (g[0, 0].real - g[1, 1].real)
+        row[:4] = (g[1, 0].real * res.on_projectors[0]
+                   + g[1, 0].imag * res.on_projectors[1]
+                   + hz * res.on_projectors[2])
+        row[4] = 0.5 * (g[0, 0].real + g[1, 1].real) + hz * res.on_identity[2]
 
-    def resolve(g):
-        h0, hx, hy, hz = _h_components(g)
-        c_y = (hx * res.on_projectors[0] + hy * res.on_projectors[1]
-               + hz * res.on_projectors[2])
-        c_0 = h0 + hz * res.on_identity[2]
-        return c_0, c_y
-
-    c_r0, c_ry = resolve(g_r)
-    c_x0 = np.empty(family.m)
-    c_xy = np.empty((family.m, 4))
-    for x, g in enumerate(g_x):
-        c_x0[x], c_xy[x] = resolve(g)
-    coeffs = CoefficientSet(c_r0=float(c_r0), c_ry=c_ry, c_x0=c_x0, c_xy=c_xy)
-
-    resid = identity_residual(coeffs, family)
+    resid = identity_residual(coefficients, family)
     if not resid <= 1e-12:    # a NaN residual fails too
         raise SingularDecompositionError(
             f"decomposition identity failed at residual {resid:.3e} "
             f"(r_B={r_b} too close to 1?)")
-    return coeffs
+    return coefficients
 
 
-def identity_residual(coeffs: CoefficientSet, family: InequalityFamily):
+def _operators(coefficients, projectors):
+    """G_nu = sum_y F[nu, y] Pi_y + F[nu, 4] 1 for every row nu of F."""
+    ops = coefficients[:, 4, None, None] * np.eye(projectors[0].shape[0])
+    for y, proj in enumerate(projectors):
+        ops = ops + coefficients[:, y, None, None] * proj
+    return ops
+
+
+def identity_residual(coefficients, family: InequalityFamily):
     """Max entrywise residual of the reconstruction of every family matrix."""
     projs = [projector_qubit(DisplacementSetting(family.bob_amplitude, th))
              for th in RESOLUTION_PHASES]
-    eye = np.eye(2, dtype=complex)
     g_r, g_x = family_matrices(family)
-
-    def rebuild(c_0, c_y):
-        acc = c_0 * eye
-        for y in range(4):
-            acc = acc + c_y[y] * projs[y]
-        return acc
-
-    resid = [np.abs(rebuild(coeffs.c_r0, coeffs.c_ry) - g_r).max()]
-    resid += [np.abs(rebuild(coeffs.c_x0[x], coeffs.c_xy[x]) - g_x[x]).max()
-              for x in range(family.m)]
-    return float(np.max(resid))    # NaN, not dropped as the builtin max would
+    resid = np.abs(_operators(coefficients, projs) - np.stack([*g_x, g_r]))
+    return float(resid.max())    # NaN, not dropped as the builtin max would
 
 
-def fullspace_g(coeffs: CoefficientSet, family: InequalityFamily, n_max):
-    """Family matrices in truncated photon-number space.
+def fullspace_g(coefficients, family: InequalityFamily, n_max):
+    """Family matrices (G_R, [G_x]) in truncated photon-number space.
 
     Same coefficients, with each 0-1 subspace projector replaced by the full
     coherent-state projector at the trusted amplitude and phase.
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
-    dim = n_max + 1
-    projs = [projector_full(DisplacementSetting(family.bob_amplitude, th), n_max)
-             for th in RESOLUTION_PHASES]
-    eye = np.eye(dim, dtype=complex)
-
-    def rebuild(c_0, c_y):
-        acc = c_0 * eye
-        for y in range(4):
-            acc = acc + c_y[y] * projs[y]
-        return acc
-
-    g_r = rebuild(coeffs.c_r0, coeffs.c_ry)
-    g_x = [rebuild(coeffs.c_x0[x], coeffs.c_xy[x]) for x in range(family.m)]
-    return g_r, g_x
+    projs = [projector_full(DisplacementSetting(family.bob_amplitude, th),
+                            n_max) for th in RESOLUTION_PHASES]
+    ops = _operators(coefficients, projs)
+    return ops[-1], ops[:-1]
 
 
 @dataclass(frozen=True)
@@ -242,86 +265,89 @@ class FullspaceBound:
     n_max_used: int
 
 
-def _strategy_bound_full(coeffs, family, n_max):
-    """Strategy maximum of the largest eigenvalue at a fixed cutoff."""
-    g_r, g_x = fullspace_g(coeffs, family, n_max)
-    strat = deterministic_strategies(family.m).astype(float)
-    stack = np.stack(g_x)
-    mats = g_r[None, :, :] + np.einsum('kx,xij->kij', strat, stack)
-    mats = 0.5 * (mats + np.conj(np.transpose(mats, (0, 2, 1))))
-    return float(np.linalg.eigvalsh(mats)[:, -1].max())
+def fullspace_bound(coefficients, family: InequalityFamily):
+    """Unsteerable bound S_max on the whole photon-number space.
 
-
-def fullspace_bound(coeffs: CoefficientSet, family: InequalityFamily):
-    """Unsteerable bound in photon-number space with automatic cutoff.
-
-    Increases the cutoff from 2 until two successive strategy maxima differ
-    by less than CUTOFF_TOL; returns the converged bound and the cutoff at
-    which convergence was established.
+    S_max is lhs_bound on the exact coordinates of the trusted no-click
+    vectors (trusted_basis), with no cutoff: within 2e-15 of the brute-force
+    cutoff-24 maximum for r_B >= 0.02; below, the coefficients grow as
+    1/r_B and the brute force's own rounding dominates (2.5e-12 at r_B =
+    7e-6). n_max_used is the first cutoff from 3 whose truncated strategy
+    maximum confirms S_max to CUTOFF_TOL; none up to 24 is a CutoffError.
     """
-    prev = _strategy_bound_full(coeffs, family, 2)
+    r_b = family.bob_amplitude
+    s_max = lhs_bound(coefficients, *trusted_basis(r_b))
     for n in range(3, 25):
-        cur = _strategy_bound_full(coeffs, family, n)
-        if abs(cur - prev) < CUTOFF_TOL:
-            return FullspaceBound(s_max=cur, n_max_used=n)
-        prev = cur
+        columns = np.column_stack([
+            coherent_amplitudes(DisplacementSetting(r_b, th), n)
+            for th in RESOLUTION_PHASES])
+        gap = abs(lhs_bound(coefficients, columns, False) - s_max)
+        if gap < CUTOFF_TOL:
+            return FullspaceBound(s_max=s_max, n_max_used=n)
     raise CutoffError(
-        "strategy bound did not converge by cutoff 24 "
-        f"(last change {abs(cur - prev):.3e}); amplitude too large for this method")
+        f"cutoff 24 still misses the exact bound by {gap:.3e}; "
+        "amplitude too large for this method")
 
 
 @dataclass(frozen=True)
-class ProbabilityInequality:
-    """Click-probability form of the inequality with its unsteerable bounds.
+class ProbabilityInequality(SteeringFunctional):
+    """The family's inequality S <= S_max as a steering functional.
 
-    S = sum_{a,b,x,y} c^{ab}_{xy} p(ab|xy) + c0 with coefficient tables
-    indexed [x, y]; outcome ++ means no click on both sides. c_mm is
-    identically zero: double clicks never enter.
+    coefficients is decompose_g's F and bound is S_max; s_max_qubit is the
+    bound on the 0-1 subspace and n_max_used the cutoff that confirmed
+    S_max. The paper's form S = sum_{a,b,x,y} c^{ab}_{xy} p(ab|xy) + c0
+    (outcome + is no click) is read off F: the reduced-state row spreads
+    evenly over the m settings, each setting's identity term over the 4
+    trusted ones, and c_mm is zero (double clicks never enter).
     """
 
-    c_pp: np.ndarray = field(repr=False)
-    c_pm: np.ndarray = field(repr=False)
-    c_mp: np.ndarray = field(repr=False)
-    c_mm: np.ndarray = field(repr=False)
-    c0: float
-    s_max: float
     s_max_qubit: float
     n_max_used: int
 
     @property
     def m(self):
-        return self.c_pp.shape[0]
+        return self.coefficients.shape[0] - 1
 
+    @property
+    def s_max(self):
+        return self.bound
 
-def probability_coefficients(coeffs: CoefficientSet, family: InequalityFamily,
-                             s_max, s_max_qubit, n_max_used):
-    """Repackage the matrix coefficients as click-probability coefficients.
+    @property
+    def c_pp(self):
+        f, m = self.coefficients, self.m
+        return f[:m, :4] + f[m, :4][None, :] / m + f[:m, 4][:, None] / 4.0
 
-    The reduced-state term spreads evenly over the m untrusted settings
-    (weight 1/m) and the identity terms spread over the trusted side's 4
-    settings (weight 1/4); the offset c0 is the reduced-state identity
-    coefficient.
-    """
-    if s_max < s_max_qubit - 1e-12:
-        raise ValidationError(
-            f"full-space bound {s_max} below qubit bound {s_max_qubit}")
-    m = family.m
-    c_pp = coeffs.c_xy + coeffs.c_ry[None, :] / m + coeffs.c_x0[:, None] / 4.0
-    c_pm = np.tile(coeffs.c_x0[:, None] / 4.0, (1, 4))
-    c_mp = np.tile(coeffs.c_ry[None, :] / m, (m, 1))
-    c_mm = np.zeros((m, 4))
-    return ProbabilityInequality(c_pp=c_pp, c_pm=c_pm, c_mp=c_mp, c_mm=c_mm,
-                                 c0=float(coeffs.c_r0), s_max=float(s_max),
-                                 s_max_qubit=float(s_max_qubit),
-                                 n_max_used=int(n_max_used))
+    @property
+    def c_pm(self):
+        return np.tile(self.coefficients[:self.m, 4][:, None] / 4.0, (1, 4))
+
+    @property
+    def c_mp(self):
+        m = self.m
+        return np.tile(self.coefficients[m, :4][None, :] / m, (m, 1))
+
+    @property
+    def c_mm(self):
+        return np.zeros((self.m, 4))
+
+    @property
+    def c0(self):
+        return float(self.coefficients[self.m, 4])
 
 
 def build_probability_inequality(family: InequalityFamily):
-    """Construct the full probability-form inequality for a family."""
-    coeffs = decompose_g(family)
-    sq = qubit_bound(family)
-    fb = fullspace_bound(coeffs, family)
-    return probability_coefficients(coeffs, family, fb.s_max, sq, fb.n_max_used)
+    """Construct the family's inequality with both unsteerable bounds."""
+    coefficients = decompose_g(family)
+    s_max_qubit = qubit_bound(family)
+    fb = fullspace_bound(coefficients, family)
+    # a bound computed from F is rounded on the scale of its largest entry,
+    # which grows as 1/r_B: 0.54 at the paper's r_B, ~1e5 at r_B = 3e-6
+    if fb.s_max < s_max_qubit - 1e-12 * max(1.0, np.abs(coefficients).max()):
+        raise ValidationError(
+            f"full-space bound {fb.s_max} below qubit bound {s_max_qubit}")
+    return ProbabilityInequality(coefficients=coefficients, bound=fb.s_max,
+                                 s_max_qubit=s_max_qubit,
+                                 n_max_used=fb.n_max_used)
 
 
 def evaluate_steering(ineq: ProbabilityInequality, probs, norm_tol=1e-9):
@@ -342,9 +368,7 @@ def evaluate_steering(ineq: ProbabilityInequality, probs, norm_tol=1e-9):
         raise NormalizationError(
             f"table cells are not normalized (max deviation "
             f"{np.abs(totals - 1.0).max():.3e})")
-    s_value = float(
-        (ineq.c_pp * p[0, 0]).sum() + (ineq.c_pm * p[0, 1]).sum()
-        + (ineq.c_mp * p[1, 0]).sum() + ineq.c0)
+    s_value = ineq.value(p)
     return s_value, s_value - ineq.s_max
 
 
@@ -407,6 +431,6 @@ def comparison_report(family: InequalityFamily = None):
         row(f"c_mp[1,{y + 1}]", ineq.c_mp[0, y], snap["c_mp_columns"][y])
     row("c0", ineq.c0, snap["c0"])
     rows.append("decomposition identity residual: "
-                f"{identity_residual(decompose_g(family), family):.3e} "
+                f"{identity_residual(ineq.coefficients, family):.3e} "
                 "(authoritative check)")
     return "\n".join(rows) + "\n"

@@ -9,8 +9,8 @@ outcome assignment lambda of the untrusted side, with
 The trusted side is seen only through the no-click projectors
 |alpha_y><alpha_y| of its four displacement detectors. With space='fock'
 the hidden states live anywhere in photon-number space and enter through
-their compression onto the span of the |alpha_y> (coordinates from the
-closed-form Gram matrix, no cutoff) plus a weight outside it. With
+their compression onto the span of the |alpha_y> (exact coordinates from
+fock_ops.trusted_basis, no cutoff) plus a weight outside it. With
 space='qubit' they are confined to the 0-1 subspace, where the table fixes
 the conditional states sigma_{+|x} and sigma_R completely: that is the
 assemblage problem.
@@ -20,12 +20,13 @@ efficiency eta* (the largest eta with an LHS model) is one conic program,
 maximized directly by a barrier method with no bisection. The solve
 returns both certificates: hidden states that reproduce the table at
 eta_star, checked by verify_hidden_states, and a probability-level
-steering functional, whose exact LHS bound is a maximum of small
-eigenvalue problems, violated above eta_upper. A verdict at a fixed eta
-follows from the same solve (ExperimentEfficiency.verdict_at): feasible
-wherever the eta_star model extends to a checked model at eta (always up
-to eta_star), infeasible above eta_upper by a margin, indeterminate
-otherwise.
+steering functional in the format of the family's inequality
+(inequality.SteeringFunctional), whose exact LHS bound (lhs_bound) is a
+maximum of small eigenvalue problems, violated above eta_upper. A verdict
+at a fixed eta follows from the same solve
+(ExperimentEfficiency.verdict_at): feasible wherever the eta_star model
+extends to a checked model at eta (always up to eta_star), infeasible
+above eta_upper by a margin, indeterminate otherwise.
 
 Measurement phases are optimized by scipy's Nelder-Mead; the simplex
 objective is the closed-form qubit bound of the family adapted to the
@@ -42,9 +43,10 @@ import numpy as np
 
 from .errors import (IndeterminateFeasibilityError, ValidationError,
                      check_seed)
-from .fock_ops import RESOLUTION_PHASES, TWO_PI
-from .inequality import (DEFAULT_R_B, InequalityFamily,
-                         deterministic_strategies, qubit_bound)
+from .fock_ops import RESOLUTION_PHASES, TWO_PI, trusted_basis
+from .inequality import (DEFAULT_R_B, InequalityFamily, SteeringFunctional,
+                         _marginals, _strategy_rows, deterministic_strategies,
+                         lhs_bound, qubit_bound)
 from .quantum_model import ModelConfig, joint_probabilities
 
 GAP_TOL = 1e-8            # width of the certified eta interval
@@ -54,50 +56,6 @@ FALLBACK_GAP = 1e-6       # widest interval returned when the barrier stalls
 CENTERING_TOL = 1e-2      # Newton decrement that ends a centering
 BARRIER_GROWTH = 10.0
 NEWTON_CAP = 2000
-
-
-def trusted_basis(r_b, space="fock"):
-    """The trusted side's no-click vectors |alpha_y> in orthonormal coordinates.
-
-    Returns (basis, outside): column y of basis holds the coordinates of
-    |alpha_y>, alpha_y = r_b e^{i phi_y} at the four RESOLUTION_PHASES, in an
-    orthonormal basis of the space the hidden states are compressed onto,
-    and outside says whether they may also carry weight orthogonal to it.
-
-    space='fock' is the whole photon-number space. Only the span of the
-    |alpha_y> is ever probed, so the coordinates come from the closed-form
-    Gram matrix <alpha_y|alpha_y'> = exp(-r^2 + r^2 e^{i(phi_y' - phi_y)})
-    with no photon-number cutoff, and outside is True. space='qubit' is the
-    0-1 photon subspace: the columns are the truncated vectors
-    e^{-r^2/2} (1, alpha_y) and outside is False.
-    """
-    if not r_b > 0:
-        raise ValidationError(f"r_b must be > 0, got {r_b}")
-    alpha = r_b * np.exp(1j * np.asarray(RESOLUTION_PHASES))
-    if space == "qubit":
-        return math.exp(-0.5 * r_b * r_b) * np.vstack(
-            [np.ones_like(alpha), alpha]), False
-    if space != "fock":
-        raise ValidationError(f"space must be 'fock' or 'qubit', got {space!r}")
-    gram = np.exp(-r_b * r_b + np.conj(alpha)[:, None] * alpha[None, :])
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > 1e-13 * vals[-1]
-    return np.sqrt(vals[keep])[:, None] * vecs[:, keep].conj().T, True
-
-
-def _marginals(probs):
-    """The (m+1) x (n+1) summary of a table p[a, b, x, y] that LHS models fix.
-
-    p(++|xy) fills the leading block, p_A(+|x) the last column, p_B(+|y)
-    the last row and 1 the corner.
-    """
-    p = np.asarray(probs, dtype=float)
-    m, n = p.shape[2:]
-    out = np.ones((m + 1, n + 1))
-    out[:m, :n] = p[0, 0]
-    out[:m, n] = p[0].sum(axis=0).mean(axis=1)
-    out[m, :n] = p[:, 0].sum(axis=0).mean(axis=0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -147,29 +105,6 @@ class HiddenStateModel:
     weights: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class SteeringFunctional:
-    """Probability-level steering inequality sum(coefficients * M) <= bound.
-
-    M is the (m+1) x 5 summary of a table (p(++|xy), p_A(+|x) in the last
-    column, p_B(+|y) in the last row, 1 in the corner). bound is its exact
-    maximum over LHS models: per strategy, the largest eigenvalue of the
-    trusted-side operator in the problem's basis (or 0 outside it).
-    """
-
-    coefficients: np.ndarray = field(repr=False)
-    bound: float
-
-    def value(self, probs):
-        return float((self.coefficients * _marginals(probs)).sum())
-
-
-def _strategy_rows(m):
-    """Rows (D_k(+|x) for every x, 1): strategy k's weight in each summary row."""
-    strat = deterministic_strategies(m).astype(float)
-    return np.hstack([strat, np.ones((strat.shape[0], 1))])
-
-
 def _lhs_table(model: HiddenStateModel, problem: TableProblem):
     """Joint table p[a, b, x, y] that a hidden-state model predicts."""
     strat = deterministic_strategies(problem.m).astype(float)
@@ -197,18 +132,6 @@ def verify_hidden_states(model: HiddenStateModel, problem: TableProblem, eta):
     weight_fault = (-float(weights.min()) if problem.outside
                     else float(np.abs(weights).max()))
     return max(mismatch, psd_deficit, weight_fault, 0.0)
-
-
-def lhs_bound(coefficients, problem: TableProblem):
-    """Exact maximum of a table functional over LHS models of the problem."""
-    n = problem.basis.shape[1]
-    g = _strategy_rows(problem.m) @ coefficients
-    ops = np.einsum('ay,ky,by->kab', problem.basis, g[:, :n],
-                    problem.basis.conj())
-    top = np.linalg.eigvalsh(ops)[:, -1]
-    if problem.outside:
-        top = np.maximum(top, 0.0)
-    return float((top + g[:, n]).max())
 
 
 def _product_model(problem: TableProblem):
@@ -411,7 +334,8 @@ def _max_eta(problem: TableProblem):
             nu = np.linalg.lstsq(jac.T, -move, rcond=None)[0].reshape(-1, rank)
             coefficients = -(nu / t) @ red.T
             func = SteeringFunctional(coefficients=coefficients,
-                                      bound=lhs_bound(coefficients, problem))
+                                      bound=lhs_bound(coefficients, basis,
+                                                      outside))
             slope_d = float((coefficients * td).sum())
             eta_upper = (eta + (func.bound - func.value(problem.table_at(eta)))
                          / slope_d if slope_d > 0.0 else math.inf)

@@ -2,6 +2,10 @@
 
 import contextlib
 import io
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -13,8 +17,8 @@ from steering_lab.cli import main
 from steering_lab.quantum_model import default_config, phase_sweep
 
 QUBIT_BOUND_DEFAULT = "1.0002063393115832"
-FULL_BOUND_DEFAULT = "1.0008400711084255"
-FULL_BOUND_R20 = "1.0007083333333335"
+FULL_BOUND_DEFAULT = "1.0008400711084244"
+FULL_BOUND_R20 = "1.0007083333333333"
 
 
 def _lines(capsys):
@@ -74,6 +78,18 @@ def test_bound_convergence_tolerance_flag(tmp_path, capsys):
     kv = _kv(out)
     assert kv["s_max"] == FULL_BOUND_R20
     assert int(kv["n_max_used"]) <= 4
+
+
+def test_bound_is_exact_where_successive_cutoffs_agree_early(tmp_path,
+                                                              capsys):
+    # at r_B = 0.6 the cutoff-2 and cutoff-3 maxima agree to 1e-9 while
+    # both lie 1.08e-3 below the photon-number-space bound
+    assert main(["bound", "--r-b", "0.6",
+                 "--output", str(tmp_path / "i.txt")]) == 0
+    out, _ = _lines(capsys)
+    kv = _kv(out)
+    assert float(kv["s_max"]) == pytest.approx(1.083608314875498, abs=1e-12)
+    assert int(kv["n_max_used"]) > 3
 
 
 def test_simulate_lossless_no_displacement(capsys):
@@ -379,3 +395,26 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
     assert code in (0, 2, 3), (argv, lines)
     assert len(lines) <= 1, (argv, lines)
     assert not any("Traceback" in line for line in lines)
+
+
+@pytest.mark.parametrize("argv, code", [
+    # numpy overflows in the first two; no warning may reach stderr
+    (["bound", "--t", "1e308"], 3),
+    (["sweep", "--points", "5", "--stop", "1e308"], 2),
+    (["bound", "--s", "1e-308", "--m", "5"], 0),
+    (["simulate", "--r-a", "1e200", "--r-b", "1e-200", "--eta", "1e-320"], 0),
+])
+def test_real_stderr_keeps_the_one_line_contract(tmp_path, argv, code):
+    """Run in a subprocess: in process, pytest records numpy's warnings
+    instead of letting them reach stderr."""
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "steering_lab.cli", *argv, "--output",
+         str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == code, err
+    assert len(err) == (1 if code else 0), err
+    if code:
+        assert err[0].split(":")[0].isidentifier()

@@ -1,13 +1,15 @@
 """Tests for the inequality family, bounds, and coefficient pipeline."""
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from steering_lab import inequality
 from steering_lab.errors import (NormalizationError,
                                  SingularDecompositionError, ValidationError)
 from steering_lab.fock_ops import (DisplacementSetting, RESOLUTION_PHASES,
-                                   projector_qubit)
-from steering_lab.inequality import (CoefficientSet, InequalityFamily,
+                                   projector_qubit, trusted_basis)
+from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      comparison_report, decompose_g,
                                      default_alice_phases,
@@ -15,7 +17,7 @@ from steering_lab.inequality import (CoefficientSet, InequalityFamily,
                                      evaluate_steering, export_inequality,
                                      family_matrices, fullspace_bound,
                                      fullspace_g, identity_residual,
-                                     probability_coefficients, qubit_bound)
+                                     lhs_bound, qubit_bound)
 
 # Converged bounds at reference parameters, frozen from hand-checked runs.
 QUBIT_BOUND_DEFAULT = 1.0002063393115832
@@ -101,15 +103,17 @@ def test_decomposition_identity_on_random_triples():
 def test_decomposition_component_structure():
     fam = InequalityFamily()
     coeffs = decompose_g(fam)
-    # the reduced-state matrix is diagonal: no imaginary-quadrature weight
-    assert coeffs.c_ry[1] == pytest.approx(0.0, abs=1e-15)
-    assert coeffs.c_ry[3] == pytest.approx(0.0, abs=1e-15)
+    assert coeffs.shape == (5, 5)
+    # the reduced-state matrix (last row) is diagonal: no
+    # imaginary-quadrature weight
+    assert coeffs[4, 1] == pytest.approx(0.0, abs=1e-15)
+    assert coeffs[4, 3] == pytest.approx(0.0, abs=1e-15)
     # rebuild one setting matrix explicitly as an independent route
     projs = [projector_qubit(DisplacementSetting(fam.bob_amplitude, th))
              for th in RESOLUTION_PHASES]
     g_x = family_matrices(fam)[1][2]
-    rebuilt = coeffs.c_x0[2] * np.eye(2) + sum(
-        coeffs.c_xy[2, y] * projs[y] for y in range(4))
+    rebuilt = coeffs[2, 4] * np.eye(2) + sum(
+        coeffs[2, y] * projs[y] for y in range(4))
     np.testing.assert_allclose(rebuilt, g_x, atol=1e-13)
 
 
@@ -148,6 +152,59 @@ def test_fullspace_bound_matches_brute_force_and_is_flat():
         assert abs(_brute_force_full_bound(fam, n) - bound.s_max) < 1e-11
 
 
+def test_exact_bound_keeps_its_precision_at_small_amplitude():
+    # the span of the |alpha_y> has directions of weight ~1, r^2, r^4/2 and
+    # r^6/6, the last ones far below the rounding of the Gram matrix here
+    for r_b in (1e-4, 0.005):
+        fam = InequalityFamily(bob_amplitude=r_b)
+        bound = fullspace_bound(decompose_g(fam), fam)
+        assert abs(bound.s_max - _brute_force_full_bound(fam, 24)) < 1e-12
+
+
+@st.composite
+def _families(draw):
+    m = draw(st.integers(4, 6))
+    return InequalityFamily(
+        s=draw(st.floats(0.3, 1.5)), t=draw(st.floats(0.005, 0.4)), m=m,
+        alice_phases=tuple(draw(st.lists(st.floats(0.0, 2 * np.pi),
+                                         min_size=m, max_size=m))),
+        bob_amplitude=draw(st.floats(0.02, 0.95)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_families())
+def test_bounds_agree_across_independent_paths(family):
+    coeffs = decompose_g(family)
+    bound = fullspace_bound(coeffs, family)
+    # exact kernel against brute force in truncated Fock space
+    assert abs(bound.s_max - _brute_force_full_bound(family, 24)) < 1e-10
+    assert bound.s_max >= qubit_bound(family) - 1e-12
+    # closed-form qubit bound against the kernel on the 0-1 subspace
+    qubit = lhs_bound(coeffs, *trusted_basis(family.bob_amplitude, "qubit"))
+    assert abs(qubit - qubit_bound(family)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(_families(), st.integers(0, 2 ** 32 - 1))
+def test_evaluation_matches_the_paper_form(family, seed):
+    """S = sum_{a,b,x,y} c^{ab}_{xy} p(ab|xy) + c0, summed term by term."""
+    ineq = build_probability_inequality(family)
+    m = family.m
+    rng = np.random.Generator(np.random.Philox(seed))
+    cells = rng.dirichlet(np.ones(4), size=(m, 4))    # [x, y, (a, b)]
+    probs = np.moveaxis(cells, -1, 0).reshape(2, 2, m, 4)
+    tables = {(0, 0): ineq.c_pp, (0, 1): ineq.c_pm, (1, 0): ineq.c_mp,
+              (1, 1): ineq.c_mm}
+    paper = ineq.c0
+    for (a, b), table in tables.items():
+        for x in range(m):
+            for y in range(4):
+                paper += table[x, y] * probs[a, b, x, y]
+    s_value, delta = evaluate_steering(ineq, probs)
+    assert abs(s_value - paper) < 1e-14
+    assert delta == s_value - ineq.s_max
+
+
 def test_fullspace_bound_dominates_qubit_bound():
     rng = np.random.Generator(np.random.Philox(23))
     for _ in range(10):
@@ -158,23 +215,26 @@ def test_fullspace_bound_dominates_qubit_bound():
         assert bound.s_max >= qubit_bound(fam) - 1e-12
 
 
-def test_probability_coefficient_structure():
+def test_probability_coefficient_structure(monkeypatch):
     fam = InequalityFamily()
     ineq = build_probability_inequality(fam)
     coeffs = decompose_g(fam)
+    np.testing.assert_array_equal(ineq.coefficients, coeffs)
     assert (ineq.c_mm == 0.0).all()
     np.testing.assert_allclose(ineq.c_pm,
-                               np.tile(coeffs.c_x0[:, None] / 4.0, (1, 4)))
+                               np.tile(coeffs[:4, 4, None] / 4.0, (1, 4)))
     np.testing.assert_allclose(ineq.c_mp,
-                               np.tile(coeffs.c_ry[None, :] / 4.0, (4, 1)))
+                               np.tile(coeffs[None, 4, :4] / 4.0, (4, 1)))
     np.testing.assert_allclose(
-        ineq.c_pp, coeffs.c_xy + coeffs.c_ry[None, :] / 4.0
-        + coeffs.c_x0[:, None] / 4.0)
-    assert ineq.c0 == pytest.approx(coeffs.c_r0)
+        ineq.c_pp, coeffs[:4, :4] + coeffs[None, 4, :4] / 4.0
+        + coeffs[:4, 4, None] / 4.0)
+    assert ineq.c0 == pytest.approx(coeffs[4, 4])
     assert ineq.m == 4
+    assert ineq.s_max == ineq.bound
+    # a full-space bound below the qubit bound is refused by the build
+    monkeypatch.setattr(inequality, "qubit_bound", lambda family: 2.0)
     with pytest.raises(ValidationError):
-        probability_coefficients(coeffs, fam, s_max=0.5,
-                                 s_max_qubit=1.0, n_max_used=3)
+        build_probability_inequality(fam)
 
 
 def _lhs_product_table(family, strat, trusted_state):

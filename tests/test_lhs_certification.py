@@ -114,7 +114,8 @@ def test_lossless_ladder_assemblage_is_infeasible(assemblage_r233):
     verdict, func = res.verdict_at(1.0)
     assert verdict == "infeasible"
     # the bound is re-derived from the coefficients alone
-    assert func.bound == lhs_bound(func.coefficients, res.problem)
+    assert func.bound == lhs_bound(func.coefficients, res.problem.basis,
+                                   res.problem.outside)
     assert func.value(res.problem.table_at(1.0)) > func.bound + 0.1
 
 
@@ -371,7 +372,8 @@ def test_lhs_bound_counts_weight_outside_the_detector_span():
     qubit = TableProblem.from_model(0.2, LADDER4, space="qubit")
     coefficients = np.zeros((5, 5))
     coefficients[4, :4] = -1.0
-    assert lhs_bound(coefficients, fock) == 0.0
+    assert lhs_bound(coefficients, fock.basis, fock.outside) == 0.0
     projs = np.einsum('ay,by->ab', qubit.basis, qubit.basis.conj())
-    assert lhs_bound(coefficients, qubit) == pytest.approx(
+    assert lhs_bound(coefficients, qubit.basis,
+                     qubit.outside) == pytest.approx(
         -np.linalg.eigvalsh(projs)[0], abs=1e-12)
