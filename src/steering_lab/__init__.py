@@ -34,7 +34,8 @@ from .inequality import (FullspaceBound, InequalityFamily,
                          default_alice_phases, deterministic_strategies,
                          evaluate_steering, export_inequality,
                          family_matrices, fullspace_bound, fullspace_g,
-                         identity_residual, lhs_bound, qubit_bound)
+                         identity_residual, lhs_bound, qubit_bound,
+                         stacked_inequality)
 from .lhs_certification import (ExperimentEfficiency, HiddenStateModel,
                                 PhaseOptimum, RestartRecord, TableProblem,
                                 canonical_phases, experiment_critical_eta,
@@ -76,7 +77,8 @@ __all__ = [
     "oracle_probabilities", "pauli_resolution", "phase_sweep",
     "probabilities_from_counts",
     "projector_full", "projector_qubit", "qubit_bound",
-    "setting_counts_from_record", "side_povm", "synthesize_counts",
+    "setting_counts_from_record", "side_povm", "stacked_inequality",
+    "synthesize_counts",
     "theoretical_delta_S", "trusted_basis", "verify_hidden_states",
     "write_counts", "write_mc_result",
 ]

@@ -13,17 +13,17 @@ phases strictly ascending. Results file: key=value lines followed by a
 histogram block of `bin_lo bin_hi count` rows.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import (ExtractionError, FitError, ParseError, ValidationError,
                      check_seed)
 from .fock_ops import RESOLUTION_PHASES, TWO_PI
 from .inequality import (DEFAULT_R_B, InequalityFamily,
-                         build_probability_inequality, evaluate_steering)
+                         build_probability_inequality, evaluate_steering,
+                         stacked_inequality)
 from .quantum_model import ProbabilityTable
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
@@ -369,20 +369,22 @@ def _aggregate_coefficients(ineq):
     relative-phase index, so S = sum_j agg[j] . d_j + c0 for tables built by
     the permutation construction."""
     tables = np.stack([ineq.c_pp, ineq.c_pm, ineq.c_mp, ineq.c_mm], axis=-1)
-    agg = np.zeros((4, 4))
+    agg = np.zeros(tables.shape[:-3] + (4, 4))
     for x in range(4):
         for y in range(4):
-            agg[(x - y) % 4] += tables[x, y]
+            agg[..., (x - y) % 4, :] += tables[..., x, y, :]
     return agg
 
 
 def _coefficient_row(family: InequalityFamily, r_b):
-    """Exact coefficient row at one r_B: the 16 aggregated coefficients
-    (relative-phase index major), c0 and s_max."""
-    ineq = build_probability_inequality(
-        replace(family, bob_amplitude=float(r_b)))
-    return np.concatenate([_aggregate_coefficients(ineq).ravel(),
-                           [ineq.c0, ineq.s_max]])
+    """Exact coefficient row at r_B: the 16 aggregated coefficients
+    (relative-phase index major), c0 and s_max. An array of r_B gives one
+    row per entry from one stacked build."""
+    ineq = stacked_inequality(family, r_b)
+    agg = _aggregate_coefficients(ineq)
+    return np.concatenate([agg.reshape(agg.shape[:-2] + (16,)),
+                           np.stack([ineq.c0, ineq.s_max], axis=-1)],
+                          axis=-1)
 
 
 def _margin(rows, dists):
@@ -396,10 +398,12 @@ def _margin(rows, dists):
 class _BoundGrid:
     """Coefficient rows (see _coefficient_row) on an r_B grid.
 
-    build_probability_inequality is evaluated on a GRID_SPACING-spaced grid
-    spanning +/- 8 sigma around the mean; per-run values are linear
-    interpolations. Draws outside the grid fall back to exact evaluation.
-    The interpolation error is probed at off-grid points and reported.
+    The inequality is built on a GRID_SPACING-spaced grid spanning +/- 8
+    sigma around the mean in one stacked pass (stacked_inequality), with
+    every grid point checked as a one-point build is; per-run values are
+    linear interpolations. Draws outside the grid fall back to exact
+    evaluation, again one stacked pass per chunk. The interpolation error
+    is probed at off-grid points and reported.
     """
 
     def __init__(self, family: InequalityFamily, r_b_mean, r_b_sigma):
@@ -408,8 +412,7 @@ class _BoundGrid:
         hi = max(lo, min(0.999, r_b_mean + 8.0 * r_b_sigma))
         n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
         self.r_grid = lo + GRID_SPACING * np.arange(n)
-        self.rows = np.array([_coefficient_row(family, r)
-                              for r in self.r_grid])
+        self.rows = _coefficient_row(family, self.r_grid)
 
     def lookup(self, r_b):
         """Coefficient rows (n, 18) at the r_B values of a 1-D array: linear
@@ -421,10 +424,9 @@ class _BoundGrid:
         k = i[inside].astype(np.intp)
         w = ((r_b[inside] - self.r_grid[k]) / GRID_SPACING)[:, None]
         rows[inside] = (1.0 - w) * self.rows[k] + w * self.rows[k + 1]
-        off = np.flatnonzero(~inside)
-        values, which = np.unique(r_b[off], return_inverse=True)
-        for j, r in enumerate(values):
-            rows[off[which == j]] = _coefficient_row(self.family, r)
+        if not inside.all():
+            values, which = np.unique(r_b[~inside], return_inverse=True)
+            rows[~inside] = _coefficient_row(self.family, values)[which]
         return rows
 
     def probe_error(self):
@@ -436,7 +438,7 @@ class _BoundGrid:
              + np.array([0.25, 0.5, 0.75]) * GRID_SPACING).ravel()
         if r.size == 0:
             return 0.0
-        exact = np.array([_coefficient_row(self.family, x) for x in r])
+        exact = _coefficient_row(self.family, r)
         return float(np.abs(self.lookup(r) - exact).max())
 
 
@@ -526,6 +528,19 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
         redraws=redraws, zero_total_redraws=zero_redraws,
         grid_error=grid.probe_error() if grid is not None else 0.0,
         point_estimate=point_estimate, samples=samples)
+
+
+def curve_fit(*args, **kwargs):
+    """scipy.optimize.curve_fit, imported on the first call.
+
+    Importing scipy.optimize costs about half a second, and only the
+    histogram fit of a Monte Carlo run needs it. The name stays a function
+    of this module because bench/tracer.py times the fit by looking
+    analysis.curve_fit up (its FOREIGN table), so removing it breaks the
+    benchmark's traced replay.
+    """
+    from scipy.optimize import curve_fit as fit
+    return fit(*args, **kwargs)
 
 
 def _fit_histogram_gaussian(bin_edges, bin_counts, mean, std):

@@ -69,6 +69,17 @@ def hermitize(a, tol=1e-10):
     return 0.5 * (a + a.conj().T)
 
 
+def _exp(x):
+    """math.exp elementwise over an array of any shape.
+
+    numpy's exp differs from math.exp in the last bit on a few percent of
+    inputs; evaluating through math.exp keeps every value of a stacked
+    evaluation equal to the one-point evaluation at the same amplitude.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _factorial_table(n_max):
     """n! for n = 0..n_max by cumulative product (exact in float at this scale)."""
     t = np.ones(n_max + 1)
@@ -82,12 +93,19 @@ def coherent_amplitudes(alpha: DisplacementSetting, n_max: int):
     Component n is e^{-r^2/2} r^n e^{i n theta} / sqrt(n!). The squared norm
     falls short of 1 by the Poisson tail beyond the cutoff.
     """
+    return _coherent(alpha.r, alpha.theta, n_max)
+
+
+def _coherent(r, theta, n_max):
+    """coherent_amplitudes at amplitudes r and phases theta broadcast
+    together; the photon number is the last axis."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     n = np.arange(n_max + 1)
     fact = _factorial_table(n_max)
-    amps = math.exp(-0.5 * alpha.r**2) * alpha.r**n / np.sqrt(fact)
-    return amps * np.exp(1j * alpha.theta * n)
+    r = np.asarray(r, dtype=float)[..., None]
+    amps = _exp(-0.5 * r**2) * r**n / np.sqrt(fact)
+    return amps * np.exp(1j * np.asarray(theta)[..., None] * n)
 
 
 def coherent_tail(r, n_max):
@@ -105,10 +123,20 @@ def projector_full(alpha: DisplacementSetting, n_max: int):
 
 def projector_qubit(alpha: DisplacementSetting):
     """No-click operator restricted to the 0-1 photon subspace (rank 1)."""
-    r, th = alpha.r, alpha.theta
-    e = math.exp(-r * r)
-    off = e * r * np.exp(-1j * th)
-    return np.array([[e, off], [np.conj(off), e * r * r]], dtype=complex)
+    return _qubit_projector(alpha.r, alpha.theta)
+
+
+def _qubit_projector(r, theta):
+    """projector_qubit at amplitudes r and phases theta broadcast together,
+    shape (..., 2, 2)."""
+    e = _exp(-r * r)
+    off = e * r * np.exp(-1j * theta)
+    out = np.empty(np.shape(off) + (2, 2), dtype=complex)
+    out[..., 0, 0] = e
+    out[..., 0, 1] = off
+    out[..., 1, 0] = np.conj(off)
+    out[..., 1, 1] = e * r * r
+    return out
 
 
 def observable(alpha: DisplacementSetting, n_max=None):
@@ -127,7 +155,8 @@ class PauliResolution:
 
     on_projectors[k, y] multiplies the projector at amplitude r and phase
     RESOLUTION_PHASES[y]; on_identity[k] multiplies the 2x2 identity. Row
-    order is (X, Y, Z).
+    order is (X, Y, Z). For an array of amplitudes both carry its shape in
+    front, and reconstruct needs a single amplitude.
     """
 
     r: float
@@ -152,23 +181,28 @@ def pauli_resolution(r):
 
     X and Y come from phase-opposed projector differences scaled by
     e^{r^2}/(2r); Z uses the phase-0 and phase-pi projectors plus an identity
-    term with denominator 1 - r^2. Singular at r = 0 and for r >= 1.
+    term with denominator 1 - r^2. Singular at r = 0 and for r >= 1. r may
+    be an array of amplitudes.
     """
-    if r <= 0.0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise SingularResolutionError("resolution needs r > 0 (X, Y scale as 1/r)")
-    if r >= 1.0:
+    if np.any(r >= 1.0):
         raise SingularResolutionError(
-            f"resolution needs r < 1 (Z denominator 1 - r^2 vanishes), got r={r}")
-    k = math.exp(r * r) / (2.0 * r)
-    kz = math.exp(r * r) / (1.0 - r * r)
+            "resolution needs r < 1 (Z denominator 1 - r^2 vanishes), "
+            f"got r={r.max()}")
+    k = _exp(r * r) / (2.0 * r)
+    kz = _exp(r * r) / (1.0 - r * r)
     z0 = (r * r + 1.0) / (r * r - 1.0)
-    on_proj = np.array([
-        [k, 0.0, -k, 0.0],
-        [0.0, k, 0.0, -k],
-        [kz, 0.0, kz, 0.0],
-    ])
-    on_id = np.array([0.0, 0.0, z0])
-    return PauliResolution(r=float(r), on_projectors=on_proj, on_identity=on_id)
+    zero = np.zeros_like(r)
+    on_proj = np.stack([np.stack(row, axis=-1) for row in (
+        (k, zero, -k, zero),
+        (zero, k, zero, -k),
+        (kz, zero, kz, zero),
+    )], axis=-2)
+    on_id = np.stack([zero, zero, z0], axis=-1)
+    return PauliResolution(r=float(r) if r.ndim == 0 else r,
+                           on_projectors=on_proj, on_identity=on_id)
 
 
 def trusted_basis(r_b, space="fock"):
@@ -187,25 +221,32 @@ def trusted_basis(r_b, space="fock"):
     eigensolver, even where N_3 ~ r^6/6 is far below rounding of the Gram
     matrix. space='qubit' is the 0-1 photon subspace: the columns are the
     truncated vectors e^{-r^2/2} (1, alpha_y) and outside is False.
+
+    r_b may be an array; basis then carries its shape in front.
     """
-    if not (r_b > 0 and math.isfinite(r_b)):
+    r_b = np.asarray(r_b, dtype=float)
+    if not (np.all(r_b > 0) and np.all(np.isfinite(r_b))):
         raise ValidationError(f"r_b must be finite and > 0, got {r_b}")
     if space == "qubit":
-        alpha = r_b * np.exp(1j * np.asarray(RESOLUTION_PHASES))
-        return math.exp(-0.5 * r_b * r_b) * np.vstack(
-            [np.ones_like(alpha), alpha]), False
+        alpha = r_b[..., None] * np.exp(1j * np.asarray(RESOLUTION_PHASES))
+        return _exp(-0.5 * r_b * r_b)[..., None, None] * np.stack(
+            [np.ones_like(alpha), alpha], axis=-2), False
     if space != "fock":
         raise ValidationError(f"space must be 'fock' or 'qubit', got {space!r}")
     x = r_b * r_b
     k = np.arange(4)
-    if x < 1.0:
-        # Poisson weights summed by n mod 4: positive terms, no cancellation
-        n = np.arange(32)
-        norms = np.bincount(n % 4, weights=math.exp(-x) * x ** n
-                            / _factorial_table(31))
-    else:
-        # the same sums in closed form, (1/4) sum_j i^{-jk} e^{x (i^j - 1)}
-        powers = np.array([1.0, 1j, -1.0, -1j])
-        norms = np.fft.fft(np.exp(x * (powers - 1.0))).real / 4.0
-    return np.sqrt(norms)[:, None] * np.exp(
+    norms = np.empty(x.shape + (4,))
+    small = x < 1.0
+    # Poisson weights summed by n mod 4: positive terms, no cancellation
+    xs = x[small][:, None]
+    weights = _exp(-xs) * xs ** np.arange(32) / _factorial_table(31)
+    sums = weights[:, 0:4]
+    for start in range(4, 32, 4):
+        sums = sums + weights[:, start:start + 4]
+    norms[small] = sums
+    # for x >= 1 the same sums in closed form, (1/4) sum_j i^{-jk} e^{x (i^j - 1)}
+    powers = np.array([1.0, 1j, -1.0, -1j])
+    norms[~small] = np.fft.fft(
+        np.exp(x[~small][:, None] * (powers - 1.0)), axis=-1).real / 4.0
+    return np.sqrt(norms)[..., :, None] * np.exp(
         1j * np.outer(k, RESOLUTION_PHASES)), True

@@ -20,7 +20,10 @@ The family's unsteerable bound S'_max on the 0-1 subspace has a closed
 form (qubit_bound); S_max on the whole photon-number space is lhs_bound on
 the exact coordinates of the trusted no-click vectors (trusted_basis), with
 no cutoff, and a truncation confirms it. The paper's coefficients
-c^{ab}_{xy} and offset c0 are views of F.
+c^{ab}_{xy} and offset c0 are views of F. decompose_g, lhs_bound and
+fullspace_bound broadcast over an array of trusted amplitudes, so
+stacked_inequality builds the inequality on a whole r_B grid in one pass
+through the same arithmetic as a one-point build.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +34,8 @@ import numpy as np
 from .errors import (CutoffError, NormalizationError,
                      SingularDecompositionError, ValidationError)
 from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
-                       coherent_amplitudes, pauli_resolution, projector_full,
-                       projector_qubit, trusted_basis)
+                       _coherent, _qubit_projector, pauli_resolution,
+                       projector_full, trusted_basis)
 
 DEFAULT_S = 0.983
 DEFAULT_T = 0.0656
@@ -171,6 +174,11 @@ class SteeringFunctional:
         return float((self.coefficients * _marginals(probs)).sum())
 
 
+def _unstack(a):
+    """A 0-d result as a Python float; a stacked one as it is."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def lhs_bound(coefficients, basis, outside):
     """Exact maximum of a table functional over LHS models.
 
@@ -183,66 +191,88 @@ def lhs_bound(coefficients, basis, outside):
     enters: A diag(g) A^dag keeps its nonzero eigenvalues when A is
     replaced by any B with B^dag B = A^dag A (Horn & Johnson, Matrix
     Analysis, Thm 1.3.22).
+
+    Leading axes of coefficients and basis broadcast together and give one
+    bound each: one stacked eigensolve serves a whole grid of amplitudes.
     """
-    n = basis.shape[1]
-    g = _strategy_rows(coefficients.shape[0] - 1) @ coefficients
-    ops = np.einsum('ay,ky,by->kab', basis, g[:, :n], basis.conj())
-    top = np.linalg.eigvalsh(ops)[:, -1]
+    n = basis.shape[-1]
+    g = _strategy_rows(coefficients.shape[-2] - 1) @ coefficients
+    ops = np.einsum('...ay,...ky,...by->...kab', basis, g[..., :n],
+                    basis.conj())
+    top = np.linalg.eigvalsh(ops)[..., -1]
     if outside:
         top = np.maximum(top, 0.0)
-    return float((top + g[:, n]).max())
+    return _unstack((top + g[..., n]).max(axis=-1))
 
 
-def decompose_g(family: InequalityFamily):
+def _amplitudes(family, r_b):
+    """r_b as a float array, the family's trusted amplitude when None."""
+    return np.asarray(family.bob_amplitude if r_b is None else r_b,
+                      dtype=float)
+
+
+def decompose_g(family: InequalityFamily, r_b=None):
     """The family as a steering functional: its (m+1) x 5 coefficients F.
 
     Row x resolves G_x and the last row G_R over the trusted side's no-click
     projectors Pi_y at the RESOLUTION_PHASES, G_nu = sum_y F[nu, y] Pi_y +
     F[nu, 4] * identity, through the Pauli resolution at the trusted
-    amplitude; the identity is re-verified on return.
+    amplitude; the identity is re-verified on return. An array r_b replaces
+    the family's amplitude and stacks one F per entry in front.
     """
-    r_b = family.bob_amplitude
-    if r_b >= 1.0:
+    r_b = _amplitudes(family, r_b)
+    if np.any(r_b >= 1.0):
         raise SingularDecompositionError(
-            f"decomposition needs r_B < 1, got {r_b}")
+            f"decomposition needs r_B < 1, got {r_b.max()}")
     try:
         res = pauli_resolution(r_b)
     except Exception as exc:
         raise SingularDecompositionError(str(exc)) from exc
 
     g_r, g_x = family_matrices(family)
-    coefficients = np.empty((family.m + 1, 5))
-    for row, g in zip(coefficients, [*g_x, g_r]):
-        # coordinates of G over (identity, X, Y, Z)
-        hz = 0.5 * (g[0, 0].real - g[1, 1].real)
-        row[:4] = (g[1, 0].real * res.on_projectors[0]
-                   + g[1, 0].imag * res.on_projectors[1]
-                   + hz * res.on_projectors[2])
-        row[4] = 0.5 * (g[0, 0].real + g[1, 1].real) + hz * res.on_identity[2]
+    g = np.stack([*g_x, g_r])
+    # coordinates of each G over (identity, X, Y, Z)
+    hz = 0.5 * (g[:, 0, 0].real - g[:, 1, 1].real)
+    on_proj = res.on_projectors[..., None, :, :]
+    coefficients = np.empty(r_b.shape + (family.m + 1, 5))
+    coefficients[..., :4] = (g[:, 1, 0].real[:, None] * on_proj[..., 0, :]
+                             + g[:, 1, 0].imag[:, None] * on_proj[..., 1, :]
+                             + hz[:, None] * on_proj[..., 2, :])
+    coefficients[..., 4] = (0.5 * (g[:, 0, 0].real + g[:, 1, 1].real)
+                            + hz * res.on_identity[..., None, 2])
 
-    resid = identity_residual(coefficients, family)
-    if not resid <= 1e-12:    # a NaN residual fails too
+    # F grows as t/(2 r_B), and the rounding of the rebuilt G with it
+    resid = identity_residual(coefficients, family, r_b)
+    tol = 1e-12 * np.maximum(1.0, np.abs(coefficients).max(axis=(-2, -1)))
+    failed = ~(resid <= tol)    # a NaN residual fails too
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
         raise SingularDecompositionError(
-            f"decomposition identity failed at residual {resid:.3e} "
-            f"(r_B={r_b} too close to 1?)")
+            f"decomposition identity failed at r_B={r_b.ravel()[i]}: "
+            f"residual {np.ravel(resid)[i]:.3e} exceeds "
+            f"{np.ravel(tol)[i]:.3e}")
     return coefficients
 
 
 def _operators(coefficients, projectors):
     """G_nu = sum_y F[nu, y] Pi_y + F[nu, 4] 1 for every row nu of F."""
-    ops = coefficients[:, 4, None, None] * np.eye(projectors[0].shape[0])
+    ops = coefficients[..., 4, None, None] * np.eye(projectors[0].shape[-1])
     for y, proj in enumerate(projectors):
-        ops = ops + coefficients[:, y, None, None] * proj
+        ops = ops + coefficients[..., y, None, None] * proj
     return ops
 
 
-def identity_residual(coefficients, family: InequalityFamily):
-    """Max entrywise residual of the reconstruction of every family matrix."""
-    projs = [projector_qubit(DisplacementSetting(family.bob_amplitude, th))
-             for th in RESOLUTION_PHASES]
+def identity_residual(coefficients, family: InequalityFamily, r_b=None):
+    """Max entrywise residual of the reconstruction of every family matrix.
+
+    With an array r_b (see decompose_g), one residual per stacked F.
+    """
+    r_b = _amplitudes(family, r_b)[..., None]
+    projs = [_qubit_projector(r_b, th) for th in RESOLUTION_PHASES]
     g_r, g_x = family_matrices(family)
     resid = np.abs(_operators(coefficients, projs) - np.stack([*g_x, g_r]))
-    return float(resid.max())    # NaN, not dropped as the builtin max would
+    # NaN, not dropped as the builtin max would
+    return _unstack(resid.max(axis=(-3, -2, -1)))
 
 
 def fullspace_g(coefficients, family: InequalityFamily, n_max):
@@ -265,7 +295,7 @@ class FullspaceBound:
     n_max_used: int
 
 
-def fullspace_bound(coefficients, family: InequalityFamily):
+def fullspace_bound(coefficients, family: InequalityFamily, r_b=None):
     """Unsteerable bound S_max on the whole photon-number space.
 
     S_max is lhs_bound on the exact coordinates of the trusted no-click
@@ -274,18 +304,24 @@ def fullspace_bound(coefficients, family: InequalityFamily):
     1/r_B and the brute force's own rounding dominates (2.5e-12 at r_B =
     7e-6). n_max_used is the first cutoff from 3 whose truncated strategy
     maximum confirms S_max to CUTOFF_TOL; none up to 24 is a CutoffError.
+    With an array r_b (see decompose_g), both fields are arrays of its shape.
     """
-    r_b = family.bob_amplitude
-    s_max = lhs_bound(coefficients, *trusted_basis(r_b))
+    r_b = _amplitudes(family, r_b)
+    s_max = np.asarray(lhs_bound(coefficients, *trusted_basis(r_b)))
+    n_used = np.zeros(r_b.shape, dtype=int)
     for n in range(3, 25):
-        columns = np.column_stack([
-            coherent_amplitudes(DisplacementSetting(r_b, th), n)
-            for th in RESOLUTION_PHASES])
-        gap = abs(lhs_bound(coefficients, columns, False) - s_max)
-        if gap < CUTOFF_TOL:
-            return FullspaceBound(s_max=s_max, n_max_used=n)
+        todo = n_used == 0
+        columns = _coherent(r_b[todo][:, None], RESOLUTION_PHASES, n)
+        gap = np.abs(lhs_bound(coefficients[todo],
+                               np.swapaxes(columns, -1, -2), False)
+                     - s_max[todo])
+        n_used[todo] = np.where(gap < CUTOFF_TOL, n, 0)
+        if n_used.all():
+            return FullspaceBound(
+                s_max=_unstack(s_max),
+                n_max_used=int(n_used) if n_used.ndim == 0 else n_used)
     raise CutoffError(
-        f"cutoff 24 still misses the exact bound by {gap:.3e}; "
+        f"cutoff 24 still misses the exact bound by {gap.max():.3e}; "
         "amplitude too large for this method")
 
 
@@ -298,7 +334,9 @@ class ProbabilityInequality(SteeringFunctional):
     S_max. The paper's form S = sum_{a,b,x,y} c^{ab}_{xy} p(ab|xy) + c0
     (outcome + is no click) is read off F: the reduced-state row spreads
     evenly over the m settings, each setting's identity term over the 4
-    trusted ones, and c_mm is zero (double clicks never enter).
+    trusted ones, and c_mm is zero (double clicks never enter). A stack
+    built by stacked_inequality holds one inequality per trusted amplitude,
+    and every field and view then carries the stack's shape in front.
     """
 
     s_max_qubit: float
@@ -306,7 +344,7 @@ class ProbabilityInequality(SteeringFunctional):
 
     @property
     def m(self):
-        return self.coefficients.shape[0] - 1
+        return self.coefficients.shape[-2] - 1
 
     @property
     def s_max(self):
@@ -315,36 +353,52 @@ class ProbabilityInequality(SteeringFunctional):
     @property
     def c_pp(self):
         f, m = self.coefficients, self.m
-        return f[:m, :4] + f[m, :4][None, :] / m + f[:m, 4][:, None] / 4.0
+        return (f[..., :m, :4] + f[..., m, None, :4] / m
+                + f[..., :m, 4, None] / 4.0)
 
     @property
     def c_pm(self):
-        return np.tile(self.coefficients[:self.m, 4][:, None] / 4.0, (1, 4))
+        return np.repeat(self.coefficients[..., :self.m, 4, None] / 4.0, 4,
+                         axis=-1)
 
     @property
     def c_mp(self):
         m = self.m
-        return np.tile(self.coefficients[m, :4][None, :] / m, (m, 1))
+        return np.repeat(self.coefficients[..., m, None, :4] / m, m, axis=-2)
 
     @property
     def c_mm(self):
-        return np.zeros((self.m, 4))
+        return np.zeros(self.coefficients.shape[:-2] + (self.m, 4))
 
     @property
     def c0(self):
-        return float(self.coefficients[self.m, 4])
+        return _unstack(self.coefficients[..., self.m, 4])
 
 
 def build_probability_inequality(family: InequalityFamily):
     """Construct the family's inequality with both unsteerable bounds."""
-    coefficients = decompose_g(family)
+    return stacked_inequality(family, family.bob_amplitude)
+
+
+def stacked_inequality(family: InequalityFamily, r_b):
+    """The family's inequality at every trusted amplitude of r_b at once.
+
+    The fields of the returned ProbabilityInequality carry r_b's shape in
+    front (s_max_qubit does not depend on r_B). Every amplitude passes the
+    same three checks as a one-point build: the decomposition identity,
+    S_max >= S'_max and the confirmation on truncated columns.
+    """
+    coefficients = decompose_g(family, r_b)
     s_max_qubit = qubit_bound(family)
-    fb = fullspace_bound(coefficients, family)
+    fb = fullspace_bound(coefficients, family, r_b)
     # a bound computed from F is rounded on the scale of its largest entry,
     # which grows as 1/r_B: 0.54 at the paper's r_B, ~1e5 at r_B = 3e-6
-    if fb.s_max < s_max_qubit - 1e-12 * max(1.0, np.abs(coefficients).max()):
+    scale = np.maximum(1.0, np.abs(coefficients).max(axis=(-2, -1)))
+    low = fb.s_max < s_max_qubit - 1e-12 * scale
+    if np.any(low):
         raise ValidationError(
-            f"full-space bound {fb.s_max} below qubit bound {s_max_qubit}")
+            f"full-space bound {np.ravel(fb.s_max)[np.ravel(low)][0]} "
+            f"below qubit bound {s_max_qubit}")
     return ProbabilityInequality(coefficients=coefficients, bound=fb.s_max,
                                  s_max_qubit=s_max_qubit,
                                  n_max_used=fb.n_max_used)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffError, ValidationError
 from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
@@ -261,7 +260,11 @@ def _noclick_full(setting: DisplacementSetting, n_max):
 
     Built from the matrix exponential of the displacement generator, which is
     a construction path independent of the closed-form coherent expansion.
+    scipy's expm is imported here, so that only the oracle pays for
+    scipy.linalg (about 0.3 s) and every other command starts without it.
     """
+    from scipy.linalg import expm
+
     dim = n_max + 1
     a = _lowering(dim)
     alpha = setting.alpha

@@ -374,6 +374,25 @@ def test_bound_grid_evaluates_exactly_off_its_ends():
     assert grid.probe_error() == 0.0
 
 
+@pytest.mark.parametrize("mean", [0.002, 0.217, 0.6])
+def test_stacked_grid_rows_equal_one_point_builds(mean):
+    # the grid is one stacked build; each row must be the row of a one-point
+    # build_probability_inequality at its r_B (at 0.002 the grid starts at
+    # the 1e-4 floor)
+    family = InequalityFamily(bob_amplitude=mean)
+    grid = analysis._BoundGrid(family, mean, 0.005)
+    n = grid.r_grid.size
+    for i in sorted({*range(0, n, 97), n // 2, n - 1}):
+        r_b = float(grid.r_grid[i])
+        ineq = build_probability_inequality(
+            InequalityFamily(bob_amplitude=r_b))
+        one = np.concatenate([analysis._aggregate_coefficients(ineq).ravel(),
+                              [ineq.c0, ineq.s_max]])
+        np.testing.assert_allclose(grid.rows[i], one, rtol=1e-15, atol=0)
+    if mean == 0.002:
+        assert grid.r_grid[0] == pytest.approx(1e-4)
+
+
 def test_monte_carlo_samples_are_margins_of_their_resampled_tables():
     # reference: rebuild chunk 0's draws and evaluate each resampled table
     # through the public extraction and evaluation path, exactly at its r_B
@@ -396,13 +415,13 @@ def test_monte_carlo_samples_are_margins_of_their_resampled_tables():
 
 def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):
     calls = []
-    build = analysis.build_probability_inequality
+    build = analysis.stacked_inequality
 
-    def counted(family, *args, **kwargs):
-        calls.append(family.bob_amplitude)
-        return build(family, *args, **kwargs)
+    def counted(family, r_b):
+        calls.append(r_b)
+        return build(family, r_b)
 
-    monkeypatch.setattr(analysis, "build_probability_inequality", counted)
+    monkeypatch.setattr(analysis, "stacked_inequality", counted)
     res = monte_carlo(_model_setting_counts(), InequalityFamily(),
                       MonteCarloConfig(runs=5000, r_b_sigma=0.0, seed=4))
     assert calls == [0.217]

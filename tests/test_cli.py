@@ -397,6 +397,16 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
     assert not any("Traceback" in line for line in lines)
 
 
+def _fresh_python(cwd, *args):
+    """Run a new interpreter on the package sources, with numpy's warnings
+    written to stderr rather than recorded by pytest, and with no module
+    imported by an earlier test."""
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
+
+
 @pytest.mark.parametrize("argv, code", [
     # numpy overflows in the first two; no warning may reach stderr
     (["bound", "--t", "1e308"], 3),
@@ -407,14 +417,46 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
 def test_real_stderr_keeps_the_one_line_contract(tmp_path, argv, code):
     """Run in a subprocess: in process, pytest records numpy's warnings
     instead of letting them reach stderr."""
-    env = dict(os.environ, PYTHONWARNINGS="default",
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "steering_lab.cli", *argv, "--output",
-         str(tmp_path / "out.txt")],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv,
+                         "--output", str(tmp_path / "out.txt"))
     err = proc.stderr.splitlines()
     assert proc.returncode == code, err
     assert len(err) == (1 if code else 0), err
     if code:
         assert err[0].split(":")[0].isidentifier()
+
+
+def test_short_commands_leave_scipy_unloaded(tmp_path):
+    # only the optimizer, the oracle and the Monte Carlo histogram fit need
+    # scipy; a module-level scipy import anywhere in the package fails this
+    _write_model_sweep(tmp_path / "sweep.txt")
+    script = "\n".join([
+        "import sys",
+        "from steering_lab.cli import main",
+        "for argv in (['bound'], ['sweep'],",
+        "             ['certify', '--r-a', '0.2', '--eta', '0.3'],",
+        "             ['analyze', 'sweep.txt']):",
+        "    assert main(argv) == 0, argv",
+        "print(sorted(name for name in sys.modules",
+        "             if name.partition('.')[0] == 'scipy'))",
+    ])
+    proc = _fresh_python(tmp_path, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--restarts", "1", "--seed", "7"],
+    ["simulate", "--oracle"],
+    ["montecarlo", "sweep.txt", "--runs", "2000"],
+])
+def test_first_scipy_import_runs_under_the_raising_errstate(tmp_path, argv):
+    """Each command imports scipy for the first time inside cli.main's
+    np.errstate(raise); in process an earlier test has imported it."""
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if argv[0] == "montecarlo":
+        keys = _kv((tmp_path / "mc_results.txt").read_text().splitlines())
+        assert {"gauss_amp", "gauss_mean", "gauss_std"} <= set(keys)

@@ -122,6 +122,39 @@ def test_decomposition_rejects_bad_trusted_side():
         decompose_g(InequalityFamily(bob_amplitude=1.2))
 
 
+@pytest.mark.parametrize("t", [0.0656, 0.73])
+def test_small_trusted_amplitudes_decompose(t):
+    # F grows as t / (2 r_B), so the identity residual is judged relative to
+    # max(1, max|F|); with an absolute 1e-12 tens of these points failed
+    family = InequalityFamily(t=t)
+    r_b = np.geomspace(1e-9, 1e-3, 600)
+    stack = inequality.stacked_inequality(family, r_b)
+    assert stack.coefficients.shape == (600, 5, 5)
+    assert (stack.n_max_used == 3).all()
+    for i in range(0, 600, 60):
+        one = build_probability_inequality(
+            InequalityFamily(t=t, bob_amplitude=float(r_b[i])))
+        assert one.s_max == stack.s_max[i]
+        np.testing.assert_array_equal(one.coefficients, stack.coefficients[i])
+
+
+def test_decomposition_failures_name_their_cause(monkeypatch):
+    with pytest.raises(SingularDecompositionError, match="needs r_B < 1"):
+        decompose_g(InequalityFamily(bob_amplitude=1.0))
+    # a resolution that is off by 1e-9 leaves a residual no rounding explains
+    exact = inequality.pauli_resolution
+
+    def skewed(r):
+        res = exact(r)
+        return type(res)(r=res.r, on_projectors=res.on_projectors * (1 + 1e-9),
+                         on_identity=res.on_identity)
+
+    monkeypatch.setattr(inequality, "pauli_resolution", skewed)
+    with pytest.raises(SingularDecompositionError,
+                       match=r"identity failed at r_B=0\.217: residual"):
+        decompose_g(InequalityFamily())
+
+
 def _brute_force_full_bound(family, n_max):
     coeffs = decompose_g(family)
     g_r, g_x = fullspace_g(coeffs, family, n_max)

@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -184,6 +185,30 @@ def test_oracle_agrees_with_analytic_model():
         got = oracle_probabilities(cfg).probs
         want = joint_probabilities(cfg).probs
         assert np.abs(got - want).max() < 1e-6
+
+
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(eta=st.floats(0.0, 1.0), r_a=st.floats(0.0, 0.9),
+       r_b=st.floats(0.0, 0.9), visibility=st.floats(0.0, 1.0),
+       alice=st.lists(_PHASE, min_size=1, max_size=4),
+       bob=st.lists(_PHASE, min_size=4, max_size=4))
+def test_oracle_matches_the_analytic_table_over_the_parameter_box(
+        eta, r_a, r_b, visibility, alice, bob):
+    cfg = ModelConfig(eta=eta, r_a=r_a, r_b=r_b, visibility=visibility,
+                      alice_phases=tuple(alice), bob_phases=tuple(bob))
+    want = joint_probabilities(cfg).probs
+    got = oracle_probabilities(cfg).probs
+    assert np.abs(got - want).max() < 1e-6
+    for p in (want, got):
+        np.testing.assert_allclose(p.sum(axis=(0, 1)), 1.0, atol=1e-9)
+        # no signalling: each side's marginal ignores the other's setting
+        alice_marginal = p.sum(axis=1)          # [a, x, y]
+        bob_marginal = p.sum(axis=0)            # [b, x, y]
+        assert np.ptp(alice_marginal, axis=2).max() < 1e-12
+        assert np.ptp(bob_marginal, axis=1).max() < 1e-12
 
 
 def test_oracle_cutoff_guards():
