@@ -12,7 +12,7 @@ Both sides measure by displacing their mode and checking a non-number-
 resolving detector; outcome +1 is no click. The analytic path works entirely
 on the 0-1 subspace; oracle_probabilities re-simulates the whole chain in
 truncated photon-number space (splitting, loss as a beamsplitter before the
-displacement, exact displacement via matrix exponential) and must agree.
+displacement, exact displacement by eigendecomposition) and must agree.
 """
 
 from dataclasses import dataclass, field
@@ -255,23 +255,21 @@ def _lowering(dim):
     return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
 
 
-def _noclick_full(setting: DisplacementSetting, n_max):
-    """No-click POVM element: displace by -alpha, project on vacuum.
-
-    Built from the matrix exponential of the displacement generator, which is
-    a construction path independent of the closed-form coherent expansion.
-    scipy's expm is imported here, so that only the oracle pays for
-    scipy.linalg (about 0.3 s) and every other command starts without it.
+def _displacement(alpha, n_max):
+    """Truncated displacement U = exp(G), G = -alpha a^dag + alpha* a, from
+    the eigenvectors of the Hermitian H = iG: U = V diag(exp(-i lambda)) V^dag.
     """
-    from scipy.linalg import expm
+    a = _lowering(n_max + 1)
+    lam, v = np.linalg.eigh(1j * (np.conj(alpha) * a - alpha * a.T))
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
-    dim = n_max + 1
-    a = _lowering(dim)
-    alpha = setting.alpha
-    u = expm(-alpha * a.conj().T + np.conj(alpha) * a)
-    p0 = np.zeros((dim, dim))
-    p0[0, 0] = 1.0
-    return u.conj().T @ p0 @ u
+
+def _noclick_full(setting: DisplacementSetting, n_max):
+    """No-click POVM element U^dag |0><0| U: displace by -alpha, project on
+    vacuum. U comes from diagonalizing the displacement generator, a
+    construction path independent of the closed-form coherent expansion."""
+    row = _displacement(setting.alpha, n_max)[0]
+    return np.outer(row.conj(), row)
 
 
 def _loss_kraus(eta, n_max):

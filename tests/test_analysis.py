@@ -445,3 +445,43 @@ def test_result_formatting_round_trips_key_values():
     assert sum(int(r[2]) for r in rows) == 2000
     if res.gaussian_fit is not None:
         assert float(entries["gauss_std"]) == pytest.approx(res.std, rel=0.5)
+
+
+def _mids(res):
+    return 0.5 * (res.bin_edges[:-1] + res.bin_edges[1:])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_histogram_gaussian_agrees_with_a_least_squares_fit(seed):
+    # scipy's iterative least squares in linear counts is the reference
+    from scipy.optimize import curve_fit
+
+    res = monte_carlo(_model_setting_counts(), InequalityFamily(),
+                      MonteCarloConfig(runs=20000, seed=seed))
+    mids, counts = _mids(res), res.bin_counts.astype(float)
+    want, _ = curve_fit(
+        lambda x, amp, mu, sigma: amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2),
+        mids, counts, p0=(counts.max(), res.mean, res.std))
+    want[2] = abs(want[2])
+    assert res.gaussian_fit == analysis.curve_fit(mids, res.bin_counts)
+    np.testing.assert_allclose(res.gaussian_fit, want, rtol=0.01)
+
+
+def test_histogram_gaussian_is_none_or_finite_and_never_raises():
+    x = np.linspace(-1.0, 1.0, 41)
+    spike = np.zeros(41)
+    spike[20] = 500
+    twin = np.zeros(41)
+    twin[[5, 6, 7, 33, 34, 35]] = [40, 90, 40, 50, 100, 50]
+    heavy = monte_carlo(_model_setting_counts(), InequalityFamily(),
+                        MonteCarloConfig(runs=2000, r_b_mean=0.002,
+                                         r_b_sigma=0.002, seed=1))
+    cases = [(x, spike), (x, np.full(41, 7.0)),
+             (x[:4], np.array([3.0, 9.0, 8.0, 2.0])), (x, twin),
+             (_mids(heavy), heavy.bin_counts)]
+    with np.errstate(all="raise"):
+        fits = [analysis.curve_fit(*case) for case in cases]
+    assert fits[0] is None                       # one positive bin
+    for fit in fits:
+        assert fit is None or (np.all(np.isfinite(fit)) and fit[0] > 0.0
+                               and fit[2] > 0.0)

@@ -427,15 +427,16 @@ def test_real_stderr_keeps_the_one_line_contract(tmp_path, argv, code):
 
 
 def test_short_commands_leave_scipy_unloaded(tmp_path):
-    # only the optimizer, the oracle and the Monte Carlo histogram fit need
-    # scipy; a module-level scipy import anywhere in the package fails this
-    _write_model_sweep(tmp_path / "sweep.txt")
+    # only the phase optimizer needs scipy; a module-level scipy import
+    # anywhere in the package fails this
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     script = "\n".join([
         "import sys",
         "from steering_lab.cli import main",
-        "for argv in (['bound'], ['sweep'],",
+        "for argv in (['bound'], ['sweep'], ['simulate', '--oracle'],",
         "             ['certify', '--r-a', '0.2', '--eta', '0.3'],",
-        "             ['analyze', 'sweep.txt']):",
+        "             ['analyze', 'sweep.txt'],",
+        "             ['montecarlo', 'sweep.txt', '--runs', '2000']):",
         "    assert main(argv) == 0, argv",
         "print(sorted(name for name in sys.modules",
         "             if name.partition('.')[0] == 'scipy'))",
@@ -443,6 +444,8 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
     proc = _fresh_python(tmp_path, "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+    keys = _kv((tmp_path / "mc_results.txt").read_text().splitlines())
+    assert {"gauss_amp", "gauss_mean", "gauss_std"} <= set(keys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -451,12 +454,22 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
     ["montecarlo", "sweep.txt", "--runs", "2000"],
 ])
 def test_first_scipy_import_runs_under_the_raising_errstate(tmp_path, argv):
-    """Each command imports scipy for the first time inside cli.main's
-    np.errstate(raise); in process an earlier test has imported it."""
+    """Each command runs in a fresh process inside cli.main's
+    np.errstate(raise) and leaves the real stderr empty. optimize, the one
+    command that loads scipy, imports it there for the first time; in
+    process an earlier test has imported it."""
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    if argv[0] == "montecarlo":
-        keys = _kv((tmp_path / "mc_results.txt").read_text().splitlines())
-        assert {"gauss_amp", "gauss_mean", "gauss_std"} <= set(keys)
+
+
+def test_heavy_tailed_montecarlo_keeps_stderr_empty(tmp_path):
+    """Draws of r_B near zero give margins growing as 1/r_B; the histogram
+    fit over that heavy tail must neither raise nor warn."""
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", "montecarlo",
+                         "sweep.txt", "--r-b", "0.002", "--r-b-sigma",
+                         "0.002", "--runs", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

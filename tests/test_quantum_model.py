@@ -14,7 +14,8 @@ from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
                                         format_table, joint_probabilities,
                                         make_state, oracle_probabilities,
                                         phase_sweep, side_povm,
-                                        theoretical_delta_S)
+                                        theoretical_delta_S, _displacement,
+                                        _lowering)
 
 # Frozen model outputs at the default configuration (hand-checked against the
 # closed form below and the Fock-space oracle).
@@ -209,6 +210,19 @@ def test_oracle_matches_the_analytic_table_over_the_parameter_box(
         bob_marginal = p.sum(axis=0)            # [b, x, y]
         assert np.ptp(alice_marginal, axis=2).max() < 1e-12
         assert np.ptp(bob_marginal, axis=1).max() < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.0, 0.95), theta=_PHASE, n_max=st.integers(6, 24))
+def test_displacement_matches_the_matrix_exponential(r, theta, n_max):
+    # scipy is the reference here only; the package builds U by eigh
+    from scipy.linalg import expm
+
+    alpha = r * np.exp(1j * theta)
+    a = _lowering(n_max + 1)
+    u = _displacement(alpha, n_max)
+    assert np.abs(u - expm(-alpha * a.T + np.conj(alpha) * a)).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(n_max + 1)).max() < 1e-12
 
 
 def test_oracle_cutoff_guards():
