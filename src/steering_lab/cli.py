@@ -359,7 +359,7 @@ def build_parser():
     p.set_defaults(func=cmd_certify, r_a=DEFAULT_R_A, m=4)
 
     p = sub.add_parser("optimize", help="phase optimization by "
-                                        "random-restart simplex")
+                                        "random-restart pattern search")
     _add_common(p, "r_a", "m", "seed")
     p.add_argument("--restarts", type=int, default=None)
     p.set_defaults(func=cmd_optimize, r_a=DEFAULT_R_A, m=4)

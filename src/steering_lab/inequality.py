@@ -116,22 +116,27 @@ def deterministic_strategies(m):
     return ((k[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def qubit_bound(family: InequalityFamily):
+def qubit_bound(family: InequalityFamily, phases=None):
     """Unsteerable bound on the 0-1 subspace.
 
     Maximum over all 2^m deterministic strategies of the largest eigenvalue
     of G_R + sum_x l_x G_x, evaluated with the closed-form 2x2 eigenvalue
     formula; lhs_bound of decompose_g's coefficients on the 0-1 subspace
-    gives the same value through a general Hermitian solver.
+    gives the same value through a general Hermitian solver. An array of
+    phase sets, m on its last axis, replaces the family's phases and gives
+    one bound per set: each set's arithmetic is elementwise, so its bound is
+    bit-identical to that of the family with those phases.
     """
+    phases = np.asarray(family.alice_phases if phases is None else phases,
+                        dtype=float) % TWO_PI
     strat = deterministic_strategies(family.m).astype(float)
-    offs = family.t * np.exp(-1j * np.asarray(family.alice_phases))
-    b = strat @ offs
+    offs = family.t * np.exp(-1j * phases)
+    b = (strat * offs[..., None, :]).sum(axis=-1)
     d = strat.sum(axis=1) / family.m
     # top eigenvalue of [[s, b], [conj(b), d]] in closed form
     top = 0.5 * (family.s + d) + np.sqrt((0.5 * (family.s - d)) ** 2
                                          + np.abs(b) ** 2)
-    return float(top.max())
+    return _unstack(top.max(axis=-1))
 
 
 def _strategy_rows(m):

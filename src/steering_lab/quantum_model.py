@@ -273,15 +273,14 @@ def _noclick_full(setting: DisplacementSetting, n_max):
 
 
 def _loss_kraus(eta, n_max):
-    """Beamsplitter-loss Kraus operators K_k (k photons lost) on one mode."""
+    """Beamsplitter-loss Kraus operators on one mode, stacked: ks[k] is K_k
+    (k photons lost)."""
     dim = n_max + 1
-    ks = []
+    ks = np.zeros((dim, dim, dim))
     for k in range(dim):
-        kk = np.zeros((dim, dim))
         for n in range(k, dim):
-            kk[n - k, n] = math.sqrt(
+            ks[k, n - k, n] = math.sqrt(
                 math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-        ks.append(kk)
     return ks
 
 
@@ -308,11 +307,12 @@ def oracle_probabilities(config: ModelConfig, n_max=10):
     rho[0, 1, 1, 0] *= v
     rho[1, 0, 0, 1] *= v
 
+    # the channel sum_k K_k rho K_k^dag of one mode as a matrix on its
+    # (ket, bra) index pairs, applied to each mode by one product
     ks = _loss_kraus(config.eta, n_max)
-    rho = sum(np.einsum('ij,jbkd,lk->ibld', kk, rho, kk.conj())
-              for kk in ks)
-    rho = sum(np.einsum('ij,ajck,lk->aicl', kk, rho, kk.conj())
-              for kk in ks)
+    loss = np.einsum('kij,kln->iljn', ks, ks.conj()).reshape(dim ** 2, -1)
+    pairs = rho.transpose(0, 2, 1, 3).reshape(dim ** 2, -1)
+    rho = (loss @ pairs @ loss.T).reshape((dim,) * 4).transpose(0, 2, 1, 3)
     m = config.m
     probs = np.empty((2, 2, m, 4))
     povms_a = [_noclick_full(DisplacementSetting(config.r_a, th), n_max)

@@ -46,7 +46,8 @@ def _report(capsys, line):
 
 @pytest.fixture(scope="module")
 def optimum():
-    """Ten seeded simplex restarts at r_A = 0.2, shared by criteria 1 and 9."""
+    """Ten seeded pattern-search restarts at r_A = 0.2, shared by criteria
+    1 and 9."""
     return optimize_phases(0.2, 4, restarts=10, seed=7)
 
 

@@ -174,6 +174,15 @@ def test_certify_visibility_raises_the_critical_efficiency(capsys):
     assert stars[0] < stars[1] < stars[2]
 
 
+def test_certify_decides_on_a_thin_interior(capsys):
+    """Near r_A = 0 the LHS set has a thin interior and the barrier's
+    Newton systems are ill-conditioned; a least-squares solve with a
+    singular-value cut stalled here at t = 1e8."""
+    assert main(["certify", "--r-a", "1e-3"]) == 0
+    out, _ = _lines(capsys)
+    assert 0.0 < float(_kv(out)["bracket_width"]) <= 1e-8
+
+
 def test_optimize_is_reproducible(capsys):
     argv = ["optimize", "--restarts", "2", "--seed", "7", "--r-a", "0.2"]
     assert main(argv) == 0
@@ -427,14 +436,15 @@ def test_real_stderr_keeps_the_one_line_contract(tmp_path, argv, code):
 
 
 def test_short_commands_leave_scipy_unloaded(tmp_path):
-    # only the phase optimizer needs scipy; a module-level scipy import
-    # anywhere in the package fails this
+    # the package runs on numpy alone; a scipy import anywhere in it, at
+    # module level or inside a command, fails this
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     script = "\n".join([
         "import sys",
         "from steering_lab.cli import main",
         "for argv in (['bound'], ['sweep'], ['simulate', '--oracle'],",
         "             ['certify', '--r-a', '0.2', '--eta', '0.3'],",
+        "             ['optimize', '--restarts', '1', '--seed', '7'],",
         "             ['analyze', 'sweep.txt'],",
         "             ['montecarlo', 'sweep.txt', '--runs', '2000']):",
         "    assert main(argv) == 0, argv",
@@ -455,9 +465,10 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
 ])
 def test_first_scipy_import_runs_under_the_raising_errstate(tmp_path, argv):
     """Each command runs in a fresh process inside cli.main's
-    np.errstate(raise) and leaves the real stderr empty. optimize, the one
-    command that loads scipy, imports it there for the first time; in
-    process an earlier test has imported it."""
+    np.errstate(raise) and leaves the real stderr empty. A fresh process is
+    the only place where an import made inside a command would run under
+    the errstate; test_short_commands_leave_scipy_unloaded checks that
+    these three commands, which each had one, import no scipy."""
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv)
     assert proc.returncode == 0, proc.stderr

@@ -90,6 +90,21 @@ def test_qubit_bound_frozen_value():
     assert abs(qubit_bound(InequalityFamily()) - QUBIT_BOUND_DEFAULT) < 1e-12
 
 
+def test_stacked_qubit_bound_equals_per_family_bounds():
+    rng = np.random.Generator(np.random.Philox(23))
+    for m in (4, 5, 6):
+        family = InequalityFamily(s=float(rng.uniform(0.5, 1.2)),
+                                  t=float(rng.uniform(0.01, 0.3)), m=m)
+        phases = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=(5, 3, m))
+        stacked = qubit_bound(family, phases)
+        assert stacked.shape == (5, 3)
+        for idx in np.ndindex(5, 3):
+            one = InequalityFamily(s=family.s, t=family.t, m=m,
+                                   alice_phases=tuple(phases[idx]))
+            assert stacked[idx] == qubit_bound(one)
+        assert qubit_bound(family, family.alice_phases) == qubit_bound(family)
+
+
 def test_decomposition_identity_on_random_triples():
     rng = np.random.Generator(np.random.Philox(17))
     for _ in range(20):

@@ -1,7 +1,9 @@
 """Tests for LHS certification, critical efficiency, and phase optimization."""
 
 from dataclasses import replace
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -96,6 +98,33 @@ def test_constructed_lhs_mixture_is_recognized_and_certified():
     verdict, model = res.verdict_at(1.0)
     assert verdict == "feasible"
     assert verify_hidden_states(model, problem, 1.0) <= 1e-9
+
+
+@st.composite
+def _phase_sets(draw):
+    m = draw(st.integers(4, 5))
+    return tuple(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=m,
+                               max_size=m)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(phases=_phase_sets(), r_a=st.floats(0.01, 0.9))
+def test_every_assemblage_verdict_checks_by_arithmetic(phases, r_a):
+    res = experiment_critical_eta(r_a, phases, space="qubit")
+    problem, func = res.problem, res.functional
+    assert verify_hidden_states(res.model, problem,
+                                res.eta_star) <= lhs_certification.MODEL_TOL
+    assert func.bound == lhs_bound(func.coefficients, problem.basis,
+                                   problem.outside)
+    assert func.value(problem.table_at(res.eta_upper + 1e-6)) > func.bound
+    gap = res.eta_upper - res.eta_star
+    assert 0.0 < gap <= lhs_certification.FALLBACK_GAP
+    if gap > lhs_certification.GAP_TOL:
+        # so wide an interval must come from the stall fallback: without
+        # it, the same solve stalls
+        with mock.patch.object(lhs_certification, "FALLBACK_GAP", 0.0), \
+                pytest.raises(IndeterminateFeasibilityError):
+            _max_eta(problem)
 
 
 def test_verify_certificate_flags_corruption(assemblage_r233):
