@@ -519,16 +519,34 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
 
     mean = float(samples.mean())
     std = float(samples.std(ddof=1)) if mc.runs > 1 else 0.0
-    bin_counts, bin_edges = np.histogram(samples, bins="fd")
+    n_bins, binning = _bin_count(samples)
+    bin_counts, bin_edges = np.histogram(samples, bins=n_bins)
     # a visual aid; the sample std stays the estimate of record
     gaussian = curve_fit(0.5 * (bin_edges[:-1] + bin_edges[1:]), bin_counts)
     return MonteCarloResult(
         mean=mean, std=std, runs=mc.runs, seed=mc.seed,
         bin_edges=bin_edges, bin_counts=bin_counts.astype(np.int64),
-        binning="freedman-diaconis", gaussian_fit=gaussian,
+        binning=binning, gaussian_fit=gaussian,
         redraws=redraws, zero_total_redraws=zero_redraws,
         grid_error=grid.probe_error() if grid is not None else 0.0,
         point_estimate=point_estimate, samples=samples)
+
+
+def _bin_count(samples):
+    """Histogram bin count and its rule: numpy's Freedman-Diaconis count
+    (bins="fd": ceil(range / (2 IQR n^(-1/3))), or 1 at zero IQR) while it
+    is at most ceil(sqrt(n)), else ceil(sqrt(n)), the square-root rule. A
+    heavy tail gives a tiny IQR against a wide range, so the first rule
+    alone can ask for far more bins than samples."""
+    cap = math.isqrt(samples.size - 1) + 1
+    q75, q25 = np.percentile(samples, [75, 25])
+    width = 2.0 * (q75 - q25) * samples.size ** (-1.0 / 3.0)
+    if not width:
+        return 1, "freedman-diaconis"
+    n_fd = math.ceil((samples.max() - samples.min()) / width)
+    if n_fd <= cap:
+        return n_fd, "freedman-diaconis"
+    return cap, "square-root"
 
 
 def curve_fit(x, y):

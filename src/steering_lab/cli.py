@@ -12,34 +12,35 @@ output paths, --sample, --compare, --oracle and certify's --eta are
 command-line only.
 
 Every command exits 0 on success; failures print a single line
-`<ErrorClass>: <message>` to stderr and exit 2 (validation/parse errors) or
-3 (computation errors, including a floating-point overflow, division by
-zero or invalid operation, which numpy raises as FloatingPointError inside
-a command instead of warning). All randomized commands take --seed and are
+`<ErrorClass>: <message>` to stderr and exit 2 (validation/parse errors,
+and a file that cannot be read or written) or 3 (computation errors,
+including a floating-point overflow, division by zero or invalid
+operation, which numpy raises as FloatingPointError inside a command
+instead of warning). A reader that closes stdout early ends the command
+quietly with exit 1. All randomized commands take --seed and are
 reproducible. --threads (or STEERING_LAB_THREADS) is accepted and checked
 to be an integer but changes nothing: no command starts worker threads.
+
+Start-up follows the command: this module loads neither numpy nor another
+package module, main parses argv before it imports numpy (so --help and
+every parse error end without it), and each command imports the modules it
+runs. Unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
+set, that numpy import starts OpenBLAS on one thread: on the package's
+small matrices its worker threads cost more than they save.
 """
 
 import argparse
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import analysis
 from .errors import ParseError, SteeringLabError, ValidationError
-from .fock_ops import RESOLUTION_PHASES, TWO_PI
-from .inequality import (InequalityFamily, build_probability_inequality,
-                         comparison_report, default_alice_phases,
-                         export_inequality)
-from .lhs_certification import (canonical_phases, experiment_critical_eta,
-                                optimize_phases, verify_hidden_states)
-from .quantum_model import (DEFAULT_R_A, ModelConfig, format_sweep,
-                            format_table, joint_probabilities,
-                            oracle_probabilities, phase_sweep)
 
 _VALIDATION_EXIT = 2
 _COMPUTATION_EXIT = 3
+_CLOSED_STDOUT_EXIT = 1
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 # Namespace entries a config file may not set: the parser's own, mode
 # switches and output destinations.
@@ -110,17 +111,25 @@ def _given(args, *names, **renamed):
 
 
 def _family(args):
+    from .inequality import InequalityFamily
     return InequalityFamily(**_given(args, "s", "t", "m",
                                      alice_phases="phases",
                                      bob_amplitude="r_b"))
 
 
-def _model(args):
-    kwargs = _given(args, "eta", "r_a", "r_b", "visibility",
-                    alice_phases="phases")
+def _with_ladder(args, kwargs):
+    """kwargs, with the equally spaced phases of --m as alice_phases when
+    --m is set and --phases is not."""
     if args.phases is None and args.m is not None:
+        from .inequality import default_alice_phases
         kwargs["alice_phases"] = default_alice_phases(args.m)
-    return ModelConfig(**kwargs)
+    return kwargs
+
+
+def _model(args):
+    from .quantum_model import ModelConfig
+    return ModelConfig(**_with_ladder(args, _given(
+        args, "eta", "r_a", "r_b", "visibility", alice_phases="phases")))
 
 
 def _threads(args):
@@ -141,6 +150,8 @@ def _fmt_matrix(name, mat):
 
 
 def cmd_bound(args):
+    from .inequality import (build_probability_inequality, comparison_report,
+                             export_inequality)
     family = _family(args)
     ineq = build_probability_inequality(family)
     lines = [
@@ -163,6 +174,10 @@ def cmd_bound(args):
 
 
 def cmd_simulate(args):
+    import numpy as np
+
+    from .quantum_model import (format_table, joint_probabilities,
+                                oracle_probabilities)
     config = _model(args)
     table = joint_probabilities(config)
     text = format_table(table, config)
@@ -182,6 +197,9 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
+    import numpy as np
+
+    from .quantum_model import format_sweep, phase_sweep
     config = _model(args)
     if args.points < 4:
         raise ValidationError(f"points must be at least 4, got {args.points}")
@@ -193,6 +211,7 @@ def cmd_sweep(args):
     if args.sample is not None:
         if args.sample < 1:
             raise ValidationError("sample size must be at least 1")
+        from . import analysis
         record = analysis.synthesize_counts(
             sweep.phases, sweep.probs, args.sample, **_given(args, "seed"))
         out = args.output or "sweep_counts.txt"
@@ -213,9 +232,10 @@ def cmd_sweep(args):
 
 
 def cmd_certify(args):
-    phases = args.phases or default_alice_phases(args.m)
-    result = experiment_critical_eta(args.r_a, phases, space="qubit",
-                                     **_given(args, "visibility"))
+    from .lhs_certification import (experiment_critical_eta,
+                                    verify_hidden_states)
+    result = experiment_critical_eta(space="qubit", **_with_ladder(
+        args, _given(args, "r_a", "visibility", alice_phases="phases")))
     eta = args.verdict_eta
     if eta is None:
         print("eta_star=%.17g" % result.eta_star)
@@ -241,8 +261,8 @@ def cmd_certify(args):
 
 
 def cmd_optimize(args):
-    result = optimize_phases(args.r_a, args.m,
-                             **_given(args, "restarts", "seed"))
+    from .lhs_certification import canonical_phases, optimize_phases
+    result = optimize_phases(**_given(args, "r_a", "m", "restarts", "seed"))
     canon = canonical_phases(result.phases)
     print("phases=" + ",".join("%.17g" % p for p in canon))
     print("eta_star=%.17g" % result.eta_star)
@@ -253,6 +273,8 @@ def cmd_optimize(args):
 
 
 def cmd_analyze(args):
+    from . import analysis
+    from .inequality import build_probability_inequality
     record = analysis.load_counts(args.counts)
     family = _family(args)
     report = analysis.evaluate_record(record, family,
@@ -272,6 +294,8 @@ def cmd_analyze(args):
 
 
 def cmd_montecarlo(args):
+    from . import analysis
+    from .fock_ops import RESOLUTION_PHASES
     record = analysis.load_counts(args.counts)
     mc = analysis.MonteCarloConfig(**_given(args, "runs", "r_b_sigma", "seed",
                                             r_b_mean="r_b"))
@@ -343,7 +367,7 @@ def build_parser():
     _add_common(p, "eta", "r_a", "r_b", "m", "visibility", "phases", "seed")
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=TWO_PI)
+    p.add_argument("--stop", type=float, default=math.tau)
     p.add_argument("--sample", type=int, default=None,
                    help="expected events per point; emit a counts file")
     p.add_argument("--output", default=None)
@@ -356,13 +380,13 @@ def build_parser():
     p.add_argument("--eta", dest="verdict_eta", metavar="ETA", type=float,
                    default=None, help="print the certified verdict at this "
                                       "efficiency instead")
-    p.set_defaults(func=cmd_certify, r_a=DEFAULT_R_A, m=4)
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("optimize", help="phase optimization by "
                                         "random-restart pattern search")
     _add_common(p, "r_a", "m", "seed")
     p.add_argument("--restarts", type=int, default=None)
-    p.set_defaults(func=cmd_optimize, r_a=DEFAULT_R_A, m=4)
+    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("analyze", help="counts file -> fits -> setting "
                                        "table -> S - S_max")
@@ -384,19 +408,42 @@ def build_parser():
     return parser
 
 
+def _import_numpy():
+    """numpy; its first import in the process runs OpenBLAS on one thread
+    unless the user has chosen a thread count (see the module docstring)."""
+    if "numpy" not in sys.modules and not any(
+            name in os.environ for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+    return numpy
+
+
 def main(argv=None):
     try:
         args = _parse(build_parser(), argv)
+        np = _import_numpy()
         # the first overflow, division by zero or invalid operation ends
         # the command as its one error line, not as warnings beside it
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()          # a closed stdout raises here, not at exit
+        return code
     except (ValidationError, ParseError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT
     except (SteeringLabError, FloatingPointError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _COMPUTATION_EXIT
+    except BrokenPipeError:
+        # the reader has gone; what is left goes to devnull, so the flush
+        # at exit cannot fail again (the recipe in the Python docs' notes
+        # on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _CLOSED_STDOUT_EXIT
+    except OSError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return _VALIDATION_EXIT
 
 
 if __name__ == "__main__":

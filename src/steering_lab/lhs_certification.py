@@ -47,7 +47,7 @@ from .fock_ops import RESOLUTION_PHASES, TWO_PI, trusted_basis
 from .inequality import (DEFAULT_R_B, InequalityFamily, SteeringFunctional,
                          _marginals, _strategy_rows, deterministic_strategies,
                          lhs_bound, qubit_bound)
-from .quantum_model import ModelConfig, joint_probabilities
+from .quantum_model import DEFAULT_R_A, ModelConfig, joint_probabilities
 
 GAP_TOL = 1e-8            # width of the certified eta interval
 MODEL_TOL = 1e-9          # largest verify_hidden_states error of a model
@@ -370,8 +370,8 @@ def _max_eta(problem: TableProblem):
         t *= min(BARRIER_GROWTH, 2.0 * gap / GAP_TOL)
 
 
-def experiment_critical_eta(r_a, alice_phases, r_b=DEFAULT_R_B,
-                            space="fock", visibility=1.0):
+def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
+                            r_b=DEFAULT_R_B, space="fock", visibility=1.0):
     """Largest efficiency at which the joint click table admits an LHS model.
 
     The trusted side is seen only through its four displacement detectors,
@@ -380,7 +380,8 @@ def experiment_critical_eta(r_a, alice_phases, r_b=DEFAULT_R_B,
     the assemblage problem). Solved directly by a barrier method, no
     bisection; the answer carries hidden states at eta_star and a steering
     functional violated above eta_upper, normally within GAP_TOL of
-    eta_star and never more than FALLBACK_GAP above it.
+    eta_star and never more than FALLBACK_GAP above it. The defaults are
+    the reference amplitude r_A = 0.233 and the m = 4 ladder.
     """
     return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space,
                                             visibility))
@@ -449,7 +450,7 @@ def _pattern_search(score, start):
     return x
 
 
-def optimize_phases(r_a, m, restarts=10, seed=0):
+def optimize_phases(r_a=DEFAULT_R_A, m=4, restarts=10, seed=0):
     """Search measurement phases minimizing the critical efficiency.
 
     Random-restart pattern search over the m phases (_pattern_search), from
@@ -460,6 +461,7 @@ def optimize_phases(r_a, m, restarts=10, seed=0):
     space='qubit') is then solved for every restart's start and end phases,
     and the best candidate by actual eta* is returned, so the result never
     loses to its own starting point. Fully reproducible from the seed.
+    The defaults are the reference amplitude r_A = 0.233 and m = 4.
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")

@@ -440,11 +440,33 @@ def test_result_formatting_round_trips_key_values():
     assert float(entries["std"]) == res.std
     assert int(entries["runs"]) == 2000
     assert entries["binning"] == "freedman-diaconis"
+    counts, edges = np.histogram(res.samples, bins="fd")
+    assert np.array_equal(res.bin_counts, counts)
+    assert np.array_equal(res.bin_edges, edges)
     rows = [line.split() for line in hist.strip().splitlines()]
     assert len(rows) == res.bin_counts.size
     assert sum(int(r[2]) for r in rows) == 2000
     if res.gaussian_fit is not None:
         assert float(entries["gauss_std"]) == pytest.approx(res.std, rel=0.5)
+
+
+def test_heavy_tail_histogram_has_at_most_root_runs_bins():
+    """Draws of r_B near zero give margins growing as 1/r_B: a tiny
+    interquartile range against a wide span, where the Freedman-Diaconis
+    rule asks for more bins than there are runs."""
+    runs = 2000
+    res = monte_carlo(_model_setting_counts(), InequalityFamily(),
+                      MonteCarloConfig(runs=runs, r_b_mean=0.002,
+                                       r_b_sigma=0.002, seed=1))
+    cap = math.ceil(math.sqrt(runs))
+    assert np.histogram(res.samples, bins="fd")[0].size > runs
+    assert res.binning == "square-root"
+    hist = format_mc_result(res).partition("histogram\n")[2]
+    rows = [line.split() for line in hist.strip().splitlines()]
+    assert len(rows) == res.bin_counts.size <= cap
+    assert sum(int(r[2]) for r in rows) == runs
+    assert float(rows[0][0]) == res.samples.min()
+    assert float(rows[-1][1]) == res.samples.max()
 
 
 def _mids(res):

@@ -1,7 +1,9 @@
 """End-to-end CLI tests, run in process through main(argv)."""
 
 import contextlib
+import importlib
 import io
+import json
 import os
 from pathlib import Path
 import subprocess
@@ -359,13 +361,33 @@ _VALUES = {
     "phases": st.lists(_FLOAT, max_size=6).map(
         lambda xs: ",".join(map(repr, xs))),
     "seed": _INTS, "points": _INTS, "sample": _INTS,
+    "mode": st.sampled_from(("from_fit", "nearest_point", "fit")),
+    # a wide r_B spread builds a bound grid of up to 10^4 points per draw
+    "r_b_sigma": st.sampled_from(("0", "0.005", "-1", "nan", "inf")),
+    "runs": st.integers(-1, 40).map(str),
 }
+_VALUES["x_phases"] = _VALUES["phases"]
 _OPTIONS = {
     "bound": ("s", "t", "m", "r_b", "phases"),
     "simulate": ("eta", "r_a", "r_b", "m", "visibility", "phases"),
     "sweep": ("eta", "r_a", "r_b", "m", "visibility", "phases", "seed",
               "points", "start", "stop", "sample"),
+    "analyze": ("s", "t", "m", "r_b", "phases", "x_phases", "mode"),
+    "montecarlo": ("s", "t", "m", "r_b", "phases", "x_phases", "seed",
+                   "r_b_sigma"),
 }
+# Where a command reads its counts file and writes its output: one that
+# works, a missing file or directory, and a directory in place of a file.
+_COUNTS_SOURCES = ("model", "drawn", "missing", "directory")
+_OUTPUTS = {"bound": ("file", "missing", "directory"),
+            "simulate": (None, "file", "missing", "directory"),
+            "sweep": ("file", "missing", "directory"),
+            "montecarlo": ("file", "missing", "directory")}
+# counts rows at phases k pi/4, so that 4 rows can hold the ladder, mixed
+# with junk lines; most drawn files are malformed
+_COUNTS_ROWS = st.lists(st.one_of(
+    st.lists(st.integers(-1, 40), min_size=4, max_size=4),
+    st.text("0123456789 .-+einf#x", max_size=14)), max_size=12)
 _CONFIG_LINE = st.one_of(
     st.sampled_from(sorted(_VALUES) + ["threads", "output", "bogus"]).flatmap(
         lambda key: st.one_of(
@@ -381,19 +403,43 @@ def _invocations(draw):
     names = draw(st.lists(st.sampled_from(_OPTIONS[command]), unique=True))
     flags = ["--%s=%s" % (name.replace("_", "-"), draw(_VALUES[name]))
              for name in names]
+    if command == "montecarlo":
+        flags.append("--runs=%s" % draw(_VALUES["runs"]))
+    counts = rows = None
+    if command in ("analyze", "montecarlo"):
+        counts = draw(st.sampled_from(_COUNTS_SOURCES))
+        if counts == "drawn":
+            rows = draw(_COUNTS_ROWS)
+    output = draw(st.sampled_from(_OUTPUTS.get(command, (None,))))
     config = draw(st.one_of(st.none(), st.lists(_CONFIG_LINE, max_size=5)))
-    return command, flags, config
+    return command, flags, (counts, rows), output, config
 
 
-@settings(max_examples=200, deadline=None)
+def _counts_argument(tmp, source, rows):
+    if source == "model":
+        return str(_write_model_sweep(Path(tmp) / "counts.txt", scale=1e5))
+    if source == "drawn":
+        lines = [row if isinstance(row, str) else "%r %s" % (
+            k * np.pi / 4, " ".join(map(str, row)))
+            for k, row in enumerate(rows)]
+        Path(tmp, "counts.txt").write_text("\n".join(lines) + "\n")
+        return f"{tmp}/counts.txt"
+    return {"missing": f"{tmp}/absent.txt", "directory": tmp}[source]
+
+
+@settings(max_examples=300, deadline=None)
 @given(_invocations())
 def test_fuzzed_invocations_exit_cleanly(invocation):
-    command, flags, config = invocation
+    command, flags, (counts, rows), output, config = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, *flags]
-        if command != "simulate":
-            argv += ["--output", f"{tmp}/out.txt"]
+        if counts is not None:
+            argv.insert(1, _counts_argument(tmp, counts, rows))
+        if output is not None:
+            argv += ["--output", {"file": f"{tmp}/out.txt",
+                                  "missing": f"{tmp}/absent/out.txt",
+                                  "directory": tmp}[output]]
         if config is not None:
             with open(f"{tmp}/run.cfg", "w", encoding="utf-8") as fh:
                 fh.write("\n".join(config) + "\n")
@@ -406,14 +452,48 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
     assert not any("Traceback" in line for line in lines)
 
 
-def _fresh_python(cwd, *args):
-    """Run a new interpreter on the package sources, with numpy's warnings
-    written to stderr rather than recorded by pytest, and with no module
-    imported by an earlier test."""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _fresh_env(**overrides):
+    """The environment of a new interpreter on the package sources, with
+    numpy's warnings written to stderr rather than recorded by pytest; an
+    override of None removes the variable."""
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for key, value in overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return env
+
+
+def _fresh_python(cwd, *args, **env):
+    """Run a new interpreter, with no module imported by an earlier test."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, cwd=cwd, timeout=120)
+                          text=True, env=_fresh_env(**env), cwd=cwd,
+                          timeout=120)
+
+
+# Runs main on argv in a fresh interpreter and prints, as its last line,
+# the exit code, the loaded modules and the OpenBLAS thread setting.
+_REPORT_MAIN = """
+import json, os, sys
+from steering_lab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def _report_main(cwd, argv, **env):
+    proc = _fresh_python(cwd, "-c", _REPORT_MAIN, *argv, **env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -456,6 +536,92 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     keys = _kv((tmp_path / "mc_results.txt").read_text().splitlines())
     assert {"gauss_amp", "gauss_mean", "gauss_std"} <= set(keys)
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    # parsed before numpy is imported
+    (["--help"], 0, "numpy"),
+    (["bound", "--frobnicate"], 2, "numpy"),
+    (["bound"], 0, "steering_lab.lhs_certification steering_lab.analysis"),
+    (["certify", "--r-a", "0.2", "--eta", "0.3"], 0,
+     "steering_lab.analysis"),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
+    got, modules, _ = _report_main(tmp_path, argv)
+    assert got == code
+    assert not set(absent.split()) & set(modules)
+
+
+def test_package_import_loads_no_numpy(tmp_path):
+    proc = _fresh_python(tmp_path, "-c", "import sys, steering_lab; "
+                         "print('numpy' in sys.modules)")
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+    ({"MKL_NUM_THREADS": "2"}, None),
+])
+def test_blas_runs_one_thread_unless_the_user_chose(tmp_path, env, threads):
+    unset = dict.fromkeys(_BLAS_THREAD_VARS)
+    code, modules, got = _report_main(tmp_path, ["simulate"],
+                                      **{**unset, **env})
+    assert code == 0 and "numpy" in modules
+    assert got == threads
+
+
+def test_package_namespace_resolves_every_public_name():
+    import steering_lab
+    for name in steering_lab.__all__:
+        home = importlib.import_module(
+            "steering_lab." + steering_lab._HOME[name])
+        assert getattr(steering_lab, name) is getattr(home, name)
+        assert name in dir(steering_lab)
+    with pytest.raises(AttributeError):
+        steering_lab.no_such_name
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["analyze", "absent.txt"], "FileNotFoundError"),
+    (["montecarlo", "absent.txt"], "FileNotFoundError"),
+    (["analyze", "subdir"], "IsADirectoryError"),
+    (["bound", "--output", "absent/x.txt"], "FileNotFoundError"),
+    (["simulate", "--output", "absent/x.txt"], "FileNotFoundError"),
+    (["sweep", "--sample", "10", "--output", "absent/x.txt"],
+     "FileNotFoundError"),
+    (["montecarlo", "sweep.txt", "--runs", "10", "--output", "absent/x.txt"],
+     "FileNotFoundError"),
+    (["bound", "--output", "subdir"], "IsADirectoryError"),
+])
+def test_file_errors_keep_the_one_line_contract(tmp_path, argv, error):
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    (tmp_path / "subdir").mkdir()
+    proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2, err
+    assert len(err) == 1 and err[0].startswith(error + ": "), err
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
+    """The reader closes the pipe before the command writes, as
+    `steering-lab certify | head -1` can. Unbuffered, the first print
+    fails; buffered, the table fits in the buffer and the flush fails."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steering_lab.cli", "simulate"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_fresh_env(PYTHONUNBUFFERED=unbuffered), cwd=tmp_path)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+    finally:
+        proc.stderr.close()
+        proc.wait(timeout=120)
+    assert proc.returncode == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [
