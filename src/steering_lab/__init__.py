@@ -36,16 +36,15 @@ _EXPORTS = {
         "SteeringLabError", "ValidationError"),
     "fock_ops": (
         "DisplacementSetting", "PauliResolution", "RESOLUTION_PHASES",
-        "coherent_amplitudes", "coherent_tail", "hermitize", "observable",
+        "coherent_amplitudes", "coherent_tail", "hermitize",
         "pauli_resolution", "projector_full", "projector_qubit",
         "trusted_basis"),
     "inequality": (
-        "FullspaceBound", "InequalityFamily", "ProbabilityInequality",
-        "REPORTED_SNAPSHOT", "SteeringFunctional",
-        "build_probability_inequality", "comparison_report", "decompose_g",
-        "default_alice_phases", "deterministic_strategies",
-        "evaluate_steering", "export_inequality", "family_matrices",
-        "fullspace_bound", "fullspace_g", "identity_residual", "lhs_bound",
+        "InequalityFamily", "ProbabilityInequality", "REPORTED_SNAPSHOT",
+        "SteeringFunctional", "build_probability_inequality",
+        "comparison_report", "decompose_g", "default_alice_phases",
+        "deterministic_strategies", "evaluate_steering", "export_inequality",
+        "family_matrices", "fullspace_g", "identity_residual", "lhs_bound",
         "qubit_bound", "stacked_inequality"),
     "lhs_certification": (
         "ExperimentEfficiency", "HiddenStateModel", "PhaseOptimum",
@@ -54,10 +53,9 @@ _EXPORTS = {
         "verify_hidden_states"),
     "quantum_model": (
         "Assemblage", "ModelConfig", "ProbabilityTable", "SweepTable",
-        "compute_assemblage", "default_config", "format_sweep",
-        "format_table", "joint_probabilities", "make_state",
-        "oracle_probabilities", "phase_sweep", "side_povm",
-        "theoretical_delta_S"),
+        "compute_assemblage", "format_sweep", "format_table",
+        "joint_probabilities", "make_state", "oracle_probabilities",
+        "phase_sweep", "side_povm", "theoretical_delta_S"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -69,43 +69,48 @@ def load_counts(path):
     """Parse a counts file into a CountsRecord.
 
     Malformed rows, negative counts, zero-total rows and non-ascending
-    phases raise ParseError carrying the offending line number.
+    phases raise ParseError carrying the offending line number; a file that
+    is not UTF-8 raises ValidationError naming it.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read counts file {path}: {exc}")
     phases = []
     counts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 5:
-                raise ParseError(
-                    f"expected 5 fields (phase + 4 counts), got "
-                    f"{len(tokens)}", line=lineno)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 5:
+            raise ParseError(
+                f"expected 5 fields (phase + 4 counts), got "
+                f"{len(tokens)}", line=lineno)
+        try:
+            phase = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"invalid phase {tokens[0]!r}", line=lineno)
+        if not math.isfinite(phase):
+            raise ParseError(f"non-finite phase {tokens[0]!r}", line=lineno)
+        row = []
+        for tok in tokens[1:]:
             try:
-                phase = float(tokens[0])
+                value = int(tok)
             except ValueError:
-                raise ParseError(f"invalid phase {tokens[0]!r}", line=lineno)
-            if not math.isfinite(phase):
-                raise ParseError(f"non-finite phase {tokens[0]!r}", line=lineno)
-            row = []
-            for tok in tokens[1:]:
-                try:
-                    value = int(tok)
-                except ValueError:
-                    raise ParseError(f"invalid count {tok!r}", line=lineno)
-                if value < 0:
-                    raise ParseError(f"negative count {tok!r}", line=lineno)
-                row.append(value)
-            if sum(row) < 1:
-                raise ParseError("row total must be at least 1", line=lineno)
-            if phases and phase <= phases[-1]:
-                raise ParseError(
-                    f"phase {phase!r} does not ascend past {phases[-1]!r}",
-                    line=lineno)
-            phases.append(phase)
-            counts.append(row)
+                raise ParseError(f"invalid count {tok!r}", line=lineno)
+            if value < 0:
+                raise ParseError(f"negative count {tok!r}", line=lineno)
+            row.append(value)
+        if sum(row) < 1:
+            raise ParseError("row total must be at least 1", line=lineno)
+        if phases and phase <= phases[-1]:
+            raise ParseError(
+                f"phase {phase!r} does not ascend past {phases[-1]!r}",
+                line=lineno)
+        phases.append(phase)
+        counts.append(row)
     if len(phases) < 4:
         raise ParseError(f"file has {len(phases)} data rows; at least 4 "
                          "phase points are required")
@@ -281,6 +286,7 @@ def extract_setting_table(source, x_phases, mode="from_fit"):
 @dataclass(frozen=True)
 class AnalysisReport:
     s_value: float
+    s_max: float
     delta_s: float
     fit: CosineFit
     table: ProbabilityTable
@@ -297,8 +303,8 @@ def evaluate_record(record: CountsRecord, family: InequalityFamily,
     table = extract_setting_table(source, x_phases, mode=mode)
     ineq = build_probability_inequality(family)
     s_value, delta_s = evaluate_steering(ineq, table)
-    return AnalysisReport(s_value=s_value, delta_s=delta_s, fit=fit,
-                          table=table)
+    return AnalysisReport(s_value=s_value, s_max=ineq.s_max, delta_s=delta_s,
+                          fit=fit, table=table)
 
 
 # --- Monte Carlo error estimation --------------------------------------------

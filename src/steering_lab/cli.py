@@ -18,8 +18,8 @@ including a floating-point overflow, division by zero or invalid
 operation, which numpy raises as FloatingPointError inside a command
 instead of warning). A reader that closes stdout early ends the command
 quietly with exit 1. All randomized commands take --seed and are
-reproducible. --threads (or STEERING_LAB_THREADS) is accepted and checked
-to be an integer but changes nothing: no command starts worker threads.
+reproducible. --threads is accepted and checked to be an integer but
+changes nothing: no command starts worker threads.
 
 Start-up follows the command: this module loads neither numpy nor another
 package module, main parses argv before it imports numpy (so --help and
@@ -66,20 +66,20 @@ def _parse_phases(text):
 
 
 def _load_config_file(path):
-    entries = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"expected key=value, got {line!r}",
-                                     line=lineno)
-                key, _, value = line.partition("=")
-                entries[key.strip()] = value.strip()
-    except OSError as exc:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}")
+    entries = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+        key, _, value = line.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -130,16 +130,6 @@ def _model(args):
     from .quantum_model import ModelConfig
     return ModelConfig(**_with_ladder(args, _given(
         args, "eta", "r_a", "r_b", "visibility", alice_phases="phases")))
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("STEERING_LAB_THREADS", "1")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"STEERING_LAB_THREADS={env!r} is not an integer")
 
 
 def _fmt_matrix(name, mat):
@@ -274,7 +264,6 @@ def cmd_optimize(args):
 
 def cmd_analyze(args):
     from . import analysis
-    from .inequality import build_probability_inequality
     record = analysis.load_counts(args.counts)
     family = _family(args)
     report = analysis.evaluate_record(record, family,
@@ -285,9 +274,8 @@ def cmd_analyze(args):
                               report.fit.amplitude[i], report.fit.phase0[i],
                               report.fit.rss[i],
                               "yes" if report.fit.clamped[i] else "no"))
-    ineq = build_probability_inequality(family)
     print("s_value=%.17g" % report.s_value)
-    print("s_max=%.17g" % ineq.s_max)
+    print("s_max=%.17g" % report.s_max)
     print("delta_s=%.17g" % report.delta_s)
     print("steerable=%s" % ("yes" if report.delta_s > 0 else "no"))
     return 0
@@ -302,7 +290,7 @@ def cmd_montecarlo(args):
     x_phases = ((args.x_phases or RESOLUTION_PHASES)
                 if record.n_points != 4 else None)
     result = analysis.monte_carlo(record, _family(args), mc,
-                                  x_phases=x_phases, threads=_threads(args))
+                                  x_phases=x_phases)
     analysis.write_mc_result(args.output, result)
     print("mean=%.17g" % result.mean)
     print("std=%.17g" % result.std)
@@ -341,8 +329,7 @@ def build_parser():
     parser.add_argument("--config", default=None,
                         help="key=value parameter file")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect "
-                             "(fallback: STEERING_LAB_THREADS)")
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="compute unsteerable bounds and "

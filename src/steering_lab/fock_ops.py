@@ -139,16 +139,6 @@ def _qubit_projector(r, theta):
     return out
 
 
-def observable(alpha: DisplacementSetting, n_max=None):
-    """Click/no-click observable 2*Pi - identity.
-
-    Qubit space when n_max is None, truncated Fock space otherwise.
-    """
-    if n_max is None:
-        return 2.0 * projector_qubit(alpha) - IDENT2
-    return 2.0 * projector_full(alpha, n_max) - np.eye(n_max + 1, dtype=complex)
-
-
 @dataclass(frozen=True)
 class PauliResolution:
     """Coefficients expressing X, Y, Z over four no-click projectors + identity.

@@ -19,11 +19,10 @@ the exact maximum of any such functional over local-hidden-state models.
 The family's unsteerable bound S'_max on the 0-1 subspace has a closed
 form (qubit_bound); S_max on the whole photon-number space is lhs_bound on
 the exact coordinates of the trusted no-click vectors (trusted_basis), with
-no cutoff, and a truncation confirms it. The paper's coefficients
-c^{ab}_{xy} and offset c0 are views of F. decompose_g, lhs_bound and
-fullspace_bound broadcast over an array of trusted amplitudes, so
-stacked_inequality builds the inequality on a whole r_B grid in one pass
-through the same arithmetic as a one-point build.
+no cutoff. The paper's coefficients c^{ab}_{xy} and offset c0 are views of
+F. decompose_g and lhs_bound broadcast over an array of trusted
+amplitudes, so stacked_inequality builds the inequality on a whole r_B
+grid in one pass through the same arithmetic as a one-point build.
 """
 
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
 DEFAULT_S = 0.983
 DEFAULT_T = 0.0656
 DEFAULT_R_B = 0.217
-CUTOFF_TOL = 1e-9    # a truncation agreeing this well with S_max confirms it
+CUTOFF_TOL = 1e-9    # n_max_used: a truncation agreeing this well with S_max
 
 # Coefficient values reported elsewhere for s=0.983, t=0.0656, r_B=0.21,
 # kept only as cross-check data for the emitted comparison report. The
@@ -295,57 +294,42 @@ def fullspace_g(coefficients, family: InequalityFamily, n_max):
 
 
 @dataclass(frozen=True)
-class FullspaceBound:
-    s_max: float
-    n_max_used: int
-
-
-def fullspace_bound(coefficients, family: InequalityFamily, r_b=None):
-    """Unsteerable bound S_max on the whole photon-number space.
-
-    S_max is lhs_bound on the exact coordinates of the trusted no-click
-    vectors (trusted_basis), with no cutoff: within 2e-15 of the brute-force
-    cutoff-24 maximum for r_B >= 0.02; below, the coefficients grow as
-    1/r_B and the brute force's own rounding dominates (2.5e-12 at r_B =
-    7e-6). n_max_used is the first cutoff from 3 whose truncated strategy
-    maximum confirms S_max to CUTOFF_TOL; none up to 24 is a CutoffError.
-    With an array r_b (see decompose_g), both fields are arrays of its shape.
-    """
-    r_b = _amplitudes(family, r_b)
-    s_max = np.asarray(lhs_bound(coefficients, *trusted_basis(r_b)))
-    n_used = np.zeros(r_b.shape, dtype=int)
-    for n in range(3, 25):
-        todo = n_used == 0
-        columns = _coherent(r_b[todo][:, None], RESOLUTION_PHASES, n)
-        gap = np.abs(lhs_bound(coefficients[todo],
-                               np.swapaxes(columns, -1, -2), False)
-                     - s_max[todo])
-        n_used[todo] = np.where(gap < CUTOFF_TOL, n, 0)
-        if n_used.all():
-            return FullspaceBound(
-                s_max=_unstack(s_max),
-                n_max_used=int(n_used) if n_used.ndim == 0 else n_used)
-    raise CutoffError(
-        f"cutoff 24 still misses the exact bound by {gap.max():.3e}; "
-        "amplitude too large for this method")
-
-
-@dataclass(frozen=True)
 class ProbabilityInequality(SteeringFunctional):
     """The family's inequality S <= S_max as a steering functional.
 
     coefficients is decompose_g's F and bound is S_max; s_max_qubit is the
-    bound on the 0-1 subspace and n_max_used the cutoff that confirmed
-    S_max. The paper's form S = sum_{a,b,x,y} c^{ab}_{xy} p(ab|xy) + c0
-    (outcome + is no click) is read off F: the reduced-state row spreads
-    evenly over the m settings, each setting's identity term over the 4
-    trusted ones, and c_mm is zero (double clicks never enter). A stack
-    built by stacked_inequality holds one inequality per trusted amplitude,
-    and every field and view then carries the stack's shape in front.
+    bound on the 0-1 subspace and r_b the trusted amplitude of the build.
+    n_max_used is computed only when read: the first cutoff from 3 whose
+    truncated strategy maximum agrees with S_max to CUTOFF_TOL (none up to
+    24 is a CutoffError). The paper's form S = sum_{a,b,x,y} c^{ab}_{xy}
+    p(ab|xy) + c0 (outcome + is no click) is read off F: the reduced-state
+    row spreads evenly over the m settings, each setting's identity term
+    over the 4 trusted ones, and c_mm is zero (double clicks never enter).
+    A stack built by stacked_inequality holds one inequality per trusted
+    amplitude, and every field and view then carries the stack's shape in
+    front.
     """
 
     s_max_qubit: float
-    n_max_used: int
+    r_b: float
+
+    @property
+    def n_max_used(self):
+        r_b = np.asarray(self.r_b)
+        s_max = np.asarray(self.bound)
+        n_used = np.zeros(r_b.shape, dtype=int)
+        for n in range(3, 25):
+            todo = n_used == 0
+            columns = _coherent(r_b[todo][:, None], RESOLUTION_PHASES, n)
+            gap = np.abs(lhs_bound(self.coefficients[todo],
+                                   np.swapaxes(columns, -1, -2), False)
+                         - s_max[todo])
+            n_used[todo] = np.where(gap < CUTOFF_TOL, n, 0)
+            if n_used.all():
+                return int(n_used) if n_used.ndim == 0 else n_used
+        raise CutoffError(
+            f"cutoff 24 still misses the exact bound by {gap.max():.3e}; "
+            "amplitude too large for this method")
 
     @property
     def m(self):
@@ -388,25 +372,30 @@ def build_probability_inequality(family: InequalityFamily):
 def stacked_inequality(family: InequalityFamily, r_b):
     """The family's inequality at every trusted amplitude of r_b at once.
 
-    The fields of the returned ProbabilityInequality carry r_b's shape in
-    front (s_max_qubit does not depend on r_B). Every amplitude passes the
-    same three checks as a one-point build: the decomposition identity,
-    S_max >= S'_max and the confirmation on truncated columns.
+    S_max is lhs_bound on the exact coordinates of the trusted no-click
+    vectors (trusted_basis), with no cutoff: within 2e-15 of the brute-force
+    cutoff-24 maximum for r_B >= 0.02; below, the coefficients grow as
+    1/r_B and the brute force's own rounding dominates (2.5e-12 at r_B =
+    7e-6). The fields of the returned ProbabilityInequality carry r_b's
+    shape in front (s_max_qubit does not depend on r_B). Every amplitude
+    passes the same two checks as a one-point build: the decomposition
+    identity and S_max >= S'_max. No truncated column is built unless
+    n_max_used is read.
     """
+    r_b = _amplitudes(family, r_b)
     coefficients = decompose_g(family, r_b)
     s_max_qubit = qubit_bound(family)
-    fb = fullspace_bound(coefficients, family, r_b)
+    s_max = lhs_bound(coefficients, *trusted_basis(r_b))
     # a bound computed from F is rounded on the scale of its largest entry,
     # which grows as 1/r_B: 0.54 at the paper's r_B, ~1e5 at r_B = 3e-6
     scale = np.maximum(1.0, np.abs(coefficients).max(axis=(-2, -1)))
-    low = fb.s_max < s_max_qubit - 1e-12 * scale
+    low = s_max < s_max_qubit - 1e-12 * scale
     if np.any(low):
         raise ValidationError(
-            f"full-space bound {np.ravel(fb.s_max)[np.ravel(low)][0]} "
+            f"full-space bound {np.ravel(s_max)[np.ravel(low)][0]} "
             f"below qubit bound {s_max_qubit}")
-    return ProbabilityInequality(coefficients=coefficients, bound=fb.s_max,
-                                 s_max_qubit=s_max_qubit,
-                                 n_max_used=fb.n_max_used)
+    return ProbabilityInequality(coefficients=coefficients, bound=s_max,
+                                 s_max_qubit=s_max_qubit, r_b=_unstack(r_b))
 
 
 def evaluate_steering(ineq: ProbabilityInequality, probs, norm_tol=1e-9):

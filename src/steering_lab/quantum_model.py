@@ -356,8 +356,3 @@ def format_sweep(sweep: SweepTable, config: ModelConfig):
         vals = " ".join(f"{v:.12g}" for v in row)
         lines.append(f"{ph:.17g} {vals}")
     return "\n".join(lines) + "\n"
-
-
-def default_config(**overrides):
-    """ModelConfig with the standard experimental defaults."""
-    return ModelConfig(**overrides)

@@ -31,7 +31,7 @@ from steering_lab.inequality import (InequalityFamily,
 from steering_lab.lhs_certification import (experiment_critical_eta,
                                             ladder_distance, optimize_phases,
                                             verify_hidden_states)
-from steering_lab.quantum_model import (compute_assemblage, default_config,
+from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
                                         joint_probabilities, make_state,
                                         oracle_probabilities, phase_sweep,
                                         theoretical_delta_S)
@@ -130,7 +130,7 @@ def test_criterion_4_printed_coefficient_cross_check(capsys):
 
 
 def test_criterion_5_theoretical_margin_window(capsys):
-    config = default_config(visibility=0.97)
+    config = ModelConfig(visibility=0.97)
     delta = theoretical_delta_S(config, InequalityFamily())
     ok = 1.0e-3 <= delta <= 3.0e-3
     _report(capsys, "CRITERION 5: %s - delta_S = %.6e at eta=0.52, r_A=0.233, "
@@ -145,7 +145,7 @@ def test_criterion_6_oracle_equivalence(capsys):
     start = time.monotonic()
     worst = 0.0
     for eta in etas:
-        config = default_config(
+        config = ModelConfig(
             eta=eta,
             r_a=float(rng.uniform(0.05, 0.3)),
             r_b=float(rng.uniform(0.05, 0.3)),
@@ -229,7 +229,7 @@ def test_criterion_7_lhs_soundness_and_transition(capsys):
 
 
 def _model_setting_counts(events):
-    table = joint_probabilities(default_config())
+    table = joint_probabilities(ModelConfig())
     dists = np.array([table.probs[:, :, j, 0].ravel() for j in range(4)])
     return np.rint(events * dists).astype(np.int64)
 
@@ -278,7 +278,7 @@ def test_criterion_9_optimizer_convergence(optimum, capsys):
 
 
 def test_criterion_10_pipeline_end_to_end(capsys):
-    config = default_config()
+    config = ModelConfig()
     family = InequalityFamily()
     phases = np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False)
     probs = phase_sweep(config, phases).probs

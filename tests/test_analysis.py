@@ -17,14 +17,14 @@ from steering_lab.errors import (ExtractionError, FitError, ParseError,
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      evaluate_steering)
-from steering_lab.quantum_model import (default_config, joint_probabilities,
+from steering_lab.quantum_model import (ModelConfig, joint_probabilities,
                                         phase_sweep, theoretical_delta_S)
 
 LADDER4 = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
 
 def _model_sweep(n_points, **overrides):
-    cfg = default_config(**overrides)
+    cfg = ModelConfig(**overrides)
     phases = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     return phases, phase_sweep(cfg, phases).probs, cfg
 
@@ -231,7 +231,7 @@ def test_full_pipeline_recovers_the_theoretical_margin():
 # --- Monte Carlo ----------------------------------------------------------------
 
 def _model_setting_counts(events=100000, **overrides):
-    cfg = default_config(**overrides)
+    cfg = ModelConfig(**overrides)
     table = joint_probabilities(cfg)
     dists = np.array([table.probs[:, :, j, 0].ravel() for j in range(4)])
     return np.rint(events * dists).astype(np.int64)

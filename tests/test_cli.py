@@ -6,6 +6,7 @@ import io
 import json
 import os
 from pathlib import Path
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 
 from steering_lab.analysis import load_counts, write_counts
 from steering_lab.cli import main
-from steering_lab.quantum_model import default_config, phase_sweep
+from steering_lab.quantum_model import ModelConfig, phase_sweep
 
 QUBIT_BOUND_DEFAULT = "1.0002063393115832"
 FULL_BOUND_DEFAULT = "1.0008400711084244"
@@ -35,7 +36,7 @@ def _kv(lines):
 
 def _write_model_sweep(path, n_points=72, scale=1e9):
     phases = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    sweep = phase_sweep(default_config(), phases)
+    sweep = phase_sweep(ModelConfig(), phases)
     counts = np.rint(scale * sweep.probs).astype(np.int64)
     from steering_lab.analysis import CountsRecord
     write_counts(path, CountsRecord(phases=phases, counts=counts))
@@ -264,20 +265,6 @@ def test_shared_config_file_leaves_each_command_its_mode(tmp_path, capsys):
     assert not (tmp_path / "elsewhere.txt").exists()
 
 
-def test_threads_environment_fallback(tmp_path, capsys, monkeypatch):
-    counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
-    base = ["montecarlo", str(counts), "--runs", "200", "--r-b-sigma", "0",
-            "--seed", "2", "--output"]
-    assert main(base + [str(tmp_path / "a.txt")]) == 0
-    one, _ = _lines(capsys)
-    monkeypatch.setenv("STEERING_LAB_THREADS", "3")
-    assert main(base + [str(tmp_path / "b.txt")]) == 0
-    three, _ = _lines(capsys)
-    assert _kv(one)["mean"] == _kv(three)["mean"]
-    monkeypatch.setenv("STEERING_LAB_THREADS", "lots")
-    assert main(base + [str(tmp_path / "c.txt")]) == 2
-
-
 def test_analyze_computation_errors_exit_3(tmp_path, capsys):
     path = tmp_path / "degenerate.txt"
     rows = ["%.17g 10 10 10 10" % p
@@ -377,8 +364,9 @@ _OPTIONS = {
                    "r_b_sigma"),
 }
 # Where a command reads its counts file and writes its output: one that
-# works, a missing file or directory, and a directory in place of a file.
-_COUNTS_SOURCES = ("model", "drawn", "missing", "directory")
+# works, a missing file or directory, a directory in place of a file, and
+# a file that is not UTF-8.
+_COUNTS_SOURCES = ("model", "drawn", "missing", "directory", "binary")
 _OUTPUTS = {"bound": ("file", "missing", "directory"),
             "simulate": (None, "file", "missing", "directory"),
             "sweep": ("file", "missing", "directory"),
@@ -395,6 +383,7 @@ _CONFIG_LINE = st.one_of(
             st.text(".,-+eainf x", max_size=8)).map(
                 lambda value: f"{key}={value}")),
     st.text("abc =#", max_size=6))
+_NOT_UTF8 = b"\xff\xfe0.5 1 2 3 4\n"
 
 
 @st.composite
@@ -411,7 +400,8 @@ def _invocations(draw):
         if counts == "drawn":
             rows = draw(_COUNTS_ROWS)
     output = draw(st.sampled_from(_OUTPUTS.get(command, (None,))))
-    config = draw(st.one_of(st.none(), st.lists(_CONFIG_LINE, max_size=5)))
+    config = draw(st.one_of(st.none(), st.just(_NOT_UTF8),
+                            st.lists(_CONFIG_LINE, max_size=5)))
     return command, flags, (counts, rows), output, config
 
 
@@ -423,6 +413,9 @@ def _counts_argument(tmp, source, rows):
             k * np.pi / 4, " ".join(map(str, row)))
             for k, row in enumerate(rows)]
         Path(tmp, "counts.txt").write_text("\n".join(lines) + "\n")
+        return f"{tmp}/counts.txt"
+    if source == "binary":
+        Path(tmp, "counts.txt").write_bytes(_NOT_UTF8)
         return f"{tmp}/counts.txt"
     return {"missing": f"{tmp}/absent.txt", "directory": tmp}[source]
 
@@ -441,8 +434,9 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
                                   "missing": f"{tmp}/absent/out.txt",
                                   "directory": tmp}[output]]
         if config is not None:
-            with open(f"{tmp}/run.cfg", "w", encoding="utf-8") as fh:
-                fh.write("\n".join(config) + "\n")
+            Path(tmp, "run.cfg").write_bytes(
+                config if config == _NOT_UTF8
+                else ("\n".join(config) + "\n").encode())
             argv = ["--config", f"{tmp}/run.cfg", *argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -450,6 +444,19 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
     assert code in (0, 2, 3), (argv, lines)
     assert len(lines) <= 1, (argv, lines)
     assert not any("Traceback" in line for line in lines)
+
+
+def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [shlex.split(line.partition("#")[0])[1:]
+                for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("steering-lab ")]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv)
+        _, err = _lines(capsys)
+        assert code == 0, (argv, err)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -594,10 +601,17 @@ def test_package_namespace_resolves_every_public_name():
     (["montecarlo", "sweep.txt", "--runs", "10", "--output", "absent/x.txt"],
      "FileNotFoundError"),
     (["bound", "--output", "subdir"], "IsADirectoryError"),
+    (["analyze", "bytes.txt"],
+     "ValidationError: cannot read counts file bytes.txt"),
+    (["montecarlo", "bytes.txt"],
+     "ValidationError: cannot read counts file bytes.txt"),
+    (["--config", "bytes.txt", "bound"],
+     "ValidationError: cannot read config file bytes.txt"),
 ])
 def test_file_errors_keep_the_one_line_contract(tmp_path, argv, error):
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     (tmp_path / "subdir").mkdir()
+    (tmp_path / "bytes.txt").write_bytes(_NOT_UTF8)
     proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv)
     err = proc.stderr.splitlines()
     assert proc.returncode == 2, err

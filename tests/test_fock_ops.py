@@ -9,7 +9,7 @@ from steering_lab.errors import SingularResolutionError, ValidationError
 from steering_lab.fock_ops import (DisplacementSetting, PAULI_X, PAULI_Y,
                                    PAULI_Z, RESOLUTION_PHASES,
                                    coherent_amplitudes, coherent_tail,
-                                   hermitize, observable, pauli_resolution,
+                                   hermitize, pauli_resolution,
                                    projector_full, projector_qubit)
 
 
@@ -49,16 +49,6 @@ def test_qubit_projector_is_truncated_full_projector():
     # rank one and consistent trace
     w = np.linalg.eigvalsh(full)
     assert abs(w[-1] - 1.0) < 1e-12 and abs(w[:-1]).max() < 1e-12
-
-
-def test_observable_is_two_projector_minus_identity():
-    s = DisplacementSetting(0.2, 0.3)
-    np.testing.assert_allclose(observable(s),
-                               2.0 * projector_qubit(s) - np.eye(2),
-                               atol=1e-15)
-    full = observable(s, n_max=5)
-    np.testing.assert_allclose(full, 2.0 * projector_full(s, 5) - np.eye(6),
-                               atol=1e-15)
 
 
 def test_hermitize_accepts_noise_and_rejects_structure():

@@ -15,9 +15,9 @@ from steering_lab.inequality import (InequalityFamily,
                                      default_alice_phases,
                                      deterministic_strategies,
                                      evaluate_steering, export_inequality,
-                                     family_matrices, fullspace_bound,
-                                     fullspace_g, identity_residual,
-                                     lhs_bound, qubit_bound)
+                                     family_matrices, fullspace_g,
+                                     identity_residual, lhs_bound,
+                                     qubit_bound)
 
 # Converged bounds at reference parameters, frozen from hand-checked runs.
 QUBIT_BOUND_DEFAULT = 1.0002063393115832
@@ -188,14 +188,36 @@ def test_fullspace_bound_frozen_values_and_cutoff():
     for r_b, frozen in ((0.217, FULL_BOUND_DEFAULT), (0.2, FULL_BOUND_R20),
                         (0.21, FULL_BOUND_R21)):
         fam = InequalityFamily(bob_amplitude=r_b)
-        bound = fullspace_bound(decompose_g(fam), fam)
+        bound = build_probability_inequality(fam)
         assert abs(bound.s_max - frozen) < 1e-12
         assert bound.n_max_used == 3
 
 
+def test_truncated_columns_are_built_only_when_the_cutoff_is_read(
+        monkeypatch):
+    calls = []
+    exact = inequality._coherent
+
+    def counted(*args):
+        calls.append(args[-1])
+        return exact(*args)
+
+    monkeypatch.setattr(inequality, "_coherent", counted)
+    stack = inequality.stacked_inequality(InequalityFamily(),
+                                          np.linspace(0.2, 0.6, 5))
+    one = build_probability_inequality(InequalityFamily(bob_amplitude=0.6))
+    assert calls == []
+    assert one.r_b == 0.6
+    assert one.n_max_used == 8
+    assert calls == list(range(3, 9))
+    np.testing.assert_array_equal(stack.r_b, np.linspace(0.2, 0.6, 5))
+    assert stack.n_max_used.shape == (5,)
+    assert stack.n_max_used[-1] == 8
+
+
 def test_fullspace_bound_matches_brute_force_and_is_flat():
     fam = InequalityFamily()
-    bound = fullspace_bound(decompose_g(fam), fam)
+    bound = build_probability_inequality(fam)
     for n in (2, 4, 8):
         assert abs(_brute_force_full_bound(fam, n) - bound.s_max) < 1e-11
 
@@ -205,7 +227,7 @@ def test_exact_bound_keeps_its_precision_at_small_amplitude():
     # r^6/6, the last ones far below the rounding of the Gram matrix here
     for r_b in (1e-4, 0.005):
         fam = InequalityFamily(bob_amplitude=r_b)
-        bound = fullspace_bound(decompose_g(fam), fam)
+        bound = build_probability_inequality(fam)
         assert abs(bound.s_max - _brute_force_full_bound(fam, 24)) < 1e-12
 
 
@@ -222,8 +244,8 @@ def _families(draw):
 @settings(max_examples=25, deadline=None)
 @given(_families())
 def test_bounds_agree_across_independent_paths(family):
-    coeffs = decompose_g(family)
-    bound = fullspace_bound(coeffs, family)
+    bound = build_probability_inequality(family)
+    coeffs = bound.coefficients
     # exact kernel against brute force in truncated Fock space
     assert abs(bound.s_max - _brute_force_full_bound(family, 24)) < 1e-10
     assert bound.s_max >= qubit_bound(family) - 1e-12
@@ -259,7 +281,7 @@ def test_fullspace_bound_dominates_qubit_bound():
         fam = InequalityFamily(s=float(rng.uniform(0.5, 1.2)),
                                t=float(rng.uniform(0.01, 0.2)),
                                bob_amplitude=float(rng.uniform(0.05, 0.5)))
-        bound = fullspace_bound(decompose_g(fam), fam)
+        bound = build_probability_inequality(fam)
         assert bound.s_max >= qubit_bound(fam) - 1e-12
 
 

@@ -22,8 +22,7 @@ from steering_lab.lhs_certification import (HiddenStateModel, TableProblem,
                                             optimize_phases, trusted_basis,
                                             verify_hidden_states)
 from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
-                                        default_config, joint_probabilities,
-                                        make_state)
+                                        joint_probabilities, make_state)
 
 LADDER4 = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 LADDER5 = tuple(i * 2.0 * np.pi / 5.0 for i in range(5))
@@ -212,14 +211,27 @@ def test_barrier_stall_falls_back_to_the_last_certified_interval(
     assert func.value(problem.table_at(res.eta_upper + 1e-9)) > func.bound
 
 
-@pytest.mark.parametrize("phases", [
-    *(tuple(np.random.Generator(np.random.Philox(seed)).uniform(
-        0.0, 2.0 * np.pi, 4)) for seed in range(3)),
-    *(_ladder(m) for m in (1, 2, 3, 5, 6)),
-    (0.4,) * 3,
-], ids=lambda p: "m%d_%.3f" % (len(p), sum(p)))
-def test_every_verdict_carries_a_certificate_that_checks(phases):
-    res = experiment_critical_eta(0.2, phases, space="qubit")
+_RANDOM4 = tuple(tuple(np.random.Generator(np.random.Philox(seed)).uniform(
+    0.0, 2.0 * np.pi, 4)) for seed in range(3))
+
+
+def _verdict_case(phases, space="qubit"):
+    name = "m%d_%.3f" % (len(phases), sum(phases))
+    return pytest.param(phases, space,
+                        id=name if space == "qubit" else f"{name}_{space}")
+
+
+@pytest.mark.parametrize("phases, space", [
+    *(_verdict_case(p) for p in (*_RANDOM4, *(_ladder(m) for m in
+                                             (1, 2, 3, 5, 6)), (0.4,) * 3)),
+    # hidden states with weight outside the span of the |alpha_y>, and
+    # functionals bounded by lhs_bound(..., outside=True)
+    _verdict_case(_ladder(4), "fock"),
+    _verdict_case(_RANDOM4[0], "fock"),
+])
+def test_every_verdict_carries_a_certificate_that_checks(phases, space):
+    res = experiment_critical_eta(0.2, phases, space=space)
+    assert res.problem.outside == (space == "fock")
     probes = {*np.linspace(0.0, 1.0, 21), res.eta_star, res.eta_upper,
               0.5 * (res.eta_star + res.eta_upper),
               np.nextafter(res.eta_upper, 2.0), res.eta_star - 1e-3,
@@ -283,7 +295,7 @@ def _family_threshold(r_a):
     """Efficiency at which the (s, t) family meets its full-space bound."""
     ineq = build_probability_inequality(InequalityFamily())
     lo, hi = (evaluate_steering(ineq, joint_probabilities(
-        default_config(eta=eta, r_a=r_a)))[1] for eta in (0.0, 1.0))
+        ModelConfig(eta=eta, r_a=r_a)))[1] for eta in (0.0, 1.0))
     return -lo / (hi - lo)
 
 

@@ -10,12 +10,11 @@ from steering_lab.errors import CutoffError, ValidationError
 from steering_lab.fock_ops import DisplacementSetting
 from steering_lab.inequality import InequalityFamily
 from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
-                                        default_config, format_sweep,
-                                        format_table, joint_probabilities,
-                                        make_state, oracle_probabilities,
-                                        phase_sweep, side_povm,
-                                        theoretical_delta_S, _displacement,
-                                        _lowering)
+                                        format_sweep, format_table,
+                                        joint_probabilities, make_state,
+                                        oracle_probabilities, phase_sweep,
+                                        side_povm, theoretical_delta_S,
+                                        _displacement, _lowering)
 
 # Frozen model outputs at the default configuration (hand-checked against the
 # closed form below and the Fock-space oracle).
@@ -111,7 +110,7 @@ def test_assemblage_matches_literal_partial_trace():
 
 
 def test_joint_probabilities_match_closed_form():
-    cfg = default_config(visibility=0.97)
+    cfg = ModelConfig(visibility=0.97)
     table = joint_probabilities(cfg)
     assert table.probs.shape == (2, 2, 4, 4)
     np.testing.assert_allclose(table.probs.sum(axis=(0, 1)), 1.0, atol=1e-12)
@@ -124,13 +123,13 @@ def test_joint_probabilities_match_closed_form():
 
 
 def test_joint_probabilities_frozen_cell():
-    table = joint_probabilities(default_config())
+    table = joint_probabilities(ModelConfig())
     assert table.probs[0, 0, 0, 0] == pytest.approx(P_PP_00, abs=1e-12)
     assert table.probs[0, 1, 0, 0] == pytest.approx(P_PM_00, abs=1e-12)
 
 
 def test_marginals_do_not_signal():
-    table = joint_probabilities(default_config(visibility=0.9))
+    table = joint_probabilities(ModelConfig(visibility=0.9))
     p = table.probs
     alice_marg = p.sum(axis=1)  # [a, x, y]
     bob_marg = p.sum(axis=0)    # [b, x, y]
@@ -139,7 +138,7 @@ def test_marginals_do_not_signal():
 
 
 def test_phase_sweep_is_an_exact_cosine_peaking_at_zero():
-    cfg = default_config()
+    cfg = ModelConfig()
     phases = np.linspace(0.0, 2.0 * np.pi, 73)
     sweep = phase_sweep(cfg, phases)
     assert sweep.probs.shape == (73, 4)
@@ -159,29 +158,29 @@ def test_phase_sweep_is_an_exact_cosine_peaking_at_zero():
 
 def test_theoretical_margin_frozen_values():
     fam = InequalityFamily()
-    assert theoretical_delta_S(default_config(visibility=0.97), fam) == \
+    assert theoretical_delta_S(ModelConfig(visibility=0.97), fam) == \
         pytest.approx(DELTA_S_V097, abs=1e-12)
-    assert theoretical_delta_S(default_config(), fam) == \
+    assert theoretical_delta_S(ModelConfig(), fam) == \
         pytest.approx(DELTA_S_V1, abs=1e-12)
 
 
 def test_theoretical_margin_requires_matching_family():
     fam = InequalityFamily()
     with pytest.raises(ValidationError):
-        theoretical_delta_S(default_config(r_b=0.2), fam)
+        theoretical_delta_S(ModelConfig(r_b=0.2), fam)
     with pytest.raises(ValidationError):
         theoretical_delta_S(
-            default_config(alice_phases=(0.1, 1.0, 2.0, 3.0)), fam)
+            ModelConfig(alice_phases=(0.1, 1.0, 2.0, 3.0)), fam)
     with pytest.raises(ValidationError):
         theoretical_delta_S(
-            default_config(bob_phases=(0.1, 0.5 * np.pi, np.pi,
+            ModelConfig(bob_phases=(0.1, 0.5 * np.pi, np.pi,
                                        1.5 * np.pi)), fam)
 
 
 def test_oracle_agrees_with_analytic_model():
-    for cfg in (default_config(),
-                default_config(eta=1.0, visibility=0.9),
-                default_config(eta=0.3, r_a=0.15, r_b=0.28,
+    for cfg in (ModelConfig(),
+                ModelConfig(eta=1.0, visibility=0.9),
+                ModelConfig(eta=0.3, r_a=0.15, r_b=0.28,
                                alice_phases=(0.2, 1.3, 3.0, 5.1))):
         got = oracle_probabilities(cfg).probs
         want = joint_probabilities(cfg).probs
@@ -227,13 +226,13 @@ def test_displacement_matches_the_matrix_exponential(r, theta, n_max):
 
 def test_oracle_cutoff_guards():
     with pytest.raises(ValidationError):
-        oracle_probabilities(default_config(), n_max=4)
+        oracle_probabilities(ModelConfig(), n_max=4)
     with pytest.raises(CutoffError):
-        oracle_probabilities(default_config(r_a=0.9), n_max=6)
+        oracle_probabilities(ModelConfig(r_a=0.9), n_max=6)
 
 
 def test_text_formats():
-    cfg = default_config()
+    cfg = ModelConfig()
     table_text = format_table(joint_probabilities(cfg), cfg)
     lines = table_text.strip().splitlines()
     assert len(lines) == 2 + 16
