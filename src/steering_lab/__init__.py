@@ -9,7 +9,10 @@ of the joint click table (one barrier-method conic program that returns a
 hidden-state model and a violated steering functional), with the trusted
 side seen either through its displacement detectors on photon-number space
 or exactly on the 0-1 subspace, optimizes measurement phases, and analyzes
-phase-sweep count data including Monte Carlo error propagation.
+phase-sweep count data including Monte Carlo error propagation. A
+displacement measurement is an amplitude r and a phase theta: the fock_ops
+kernels take both as arrays that broadcast together, and every projector
+and click table of the package is built through them.
 
 Every public name below is importable from the package, but the package
 loads a submodule (and numpy with it) only when one of its names is first
@@ -35,9 +38,8 @@ _EXPORTS = {
         "SingularDecompositionError", "SingularResolutionError",
         "SteeringLabError", "ValidationError"),
     "fock_ops": (
-        "DisplacementSetting", "PauliResolution", "RESOLUTION_PHASES",
-        "coherent_amplitudes", "coherent_tail", "hermitize",
-        "pauli_resolution", "projector_full", "projector_qubit",
+        "RESOLUTION_PHASES", "coherent_amplitudes", "coherent_tail",
+        "hermitize", "pauli_resolution", "projector_full", "projector_qubit",
         "trusted_basis"),
     "inequality": (
         "InequalityFamily", "ProbabilityInequality", "REPORTED_SNAPSHOT",

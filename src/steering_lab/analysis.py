@@ -30,6 +30,8 @@ OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
 GRID_SPACING = 1e-4           # r_B spacing of the cached bound grid
 MC_CHUNK = 2048               # runs per seeded random stream; fixed
+# relative-phase index (x - y) mod 4 of setting pair (x, y) on the ladder
+_RELATIVE = (np.arange(4)[:, None] - np.arange(4)) % 4
 
 
 # --- counts ingestion --------------------------------------------------------
@@ -274,10 +276,7 @@ def extract_setting_table(source, x_phases, mode="from_fit"):
     if totals.min() <= 0.0:
         raise ExtractionError("an extracted distribution has no weight")
     dists = dists / totals[:, None]
-    table = np.empty((2, 2, 4, 4))
-    for x in range(4):
-        for y in range(4):
-            table[:, :, x, y] = dists[(x - y) % 4].reshape(2, 2)
+    table = np.moveaxis(dists[_RELATIVE], -1, 0).reshape(2, 2, 4, 4)
     anchored = tuple((x_phases % TWO_PI).tolist())
     return ProbabilityTable(probs=table, alice_phases=anchored,
                             bob_phases=anchored)
@@ -377,8 +376,7 @@ def _aggregate_coefficients(ineq):
     tables = np.stack([ineq.c_pp, ineq.c_pm, ineq.c_mp, ineq.c_mm], axis=-1)
     agg = np.zeros(tables.shape[:-3] + (4, 4))
     for x in range(4):
-        for y in range(4):
-            agg[..., (x - y) % 4, :] += tables[..., x, y, :]
+        agg[..., _RELATIVE[x], :] += tables[..., x, :, :]
     return agg
 
 

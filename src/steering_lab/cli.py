@@ -119,10 +119,13 @@ def _family(args):
 
 def _with_ladder(args, kwargs):
     """kwargs, with the equally spaced phases of --m as alice_phases when
-    --m is set and --phases is not."""
-    if args.phases is None and args.m is not None:
+    --m is set and --phases is not; both set must agree in length."""
+    if args.m is not None and args.phases is None:
         from .inequality import default_alice_phases
         kwargs["alice_phases"] = default_alice_phases(args.m)
+    elif args.m is not None and len(args.phases) != args.m:
+        raise ValidationError(
+            f"alice_phases needs {args.m} entries, got {len(args.phases)}")
     return kwargs
 
 

@@ -4,18 +4,18 @@ Everything here is dense complex numpy: the relevant dimensions are 2x2 for
 the qubit restriction and at most ~25x25 for truncated photon-number space,
 so closed forms and exact eigen-solvers are the right tools.
 
-Displacement measurements are parameterized by alpha = r * exp(i*theta). The
-no-click outcome of an unbalanced-homodyne detector corresponds to the
-coherent-state projector |alpha><alpha|; its restriction to the 0-1 photon
-subspace is the 2x2 matrix
+A displacement measurement at amplitude r >= 0 and phase theta has as its
+no-click outcome the coherent-state projector |alpha><alpha|, alpha =
+r e^{i theta}; its restriction to the 0-1 photon subspace is the 2x2 matrix
 
     [[e^{-r^2},        e^{-r^2} r e^{-i theta}],
      [e^{-r^2} r e^{i theta},  e^{-r^2} r^2   ]]
 
+The kernels take r and theta as arrays that broadcast together, operator axes
+last, and leave their checks to where the values enter the package.
 The convention throughout the package: outcome +1 means no click.
 """
 
-from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -24,49 +24,24 @@ from .errors import SingularResolutionError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENT2 = np.eye(2, dtype=complex)
-
 # The four local-oscillator phases over which the Pauli resolution is taken.
 RESOLUTION_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 
-@dataclass(frozen=True)
-class DisplacementSetting:
-    """A finite amplitude r >= 0 and a finite phase, stored reduced to [0, 2*pi)."""
-
-    r: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValidationError(
-                f"displacement amplitude must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.theta):
-            raise ValidationError(
-                f"displacement phase must be finite, got {self.theta}")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-        object.__setattr__(self, "r", float(self.r))
-
-    @property
-    def alpha(self):
-        return self.r * np.exp(1j * self.theta)
-
-
 def hermitize(a, tol=1e-10):
-    """Symmetrize (A + A^dag)/2 after checking A was already nearly Hermitian.
+    """Symmetrize (A + A^dag)/2 after checking A was already nearly Hermitian;
+    a stack of matrices is checked and symmetrized matrix by matrix.
 
     Arithmetic chains accumulate rounding drift in the anti-Hermitian part;
     symmetrizing keeps eigen-solvers honest. A genuine asymmetry above tol is
     a logic error upstream, not drift, so it raises instead of being hidden.
     """
     a = np.asarray(a, dtype=complex)
-    asym = np.abs(a - a.conj().T).max()
+    dag = np.swapaxes(a.conj(), -1, -2)
+    asym = np.abs(a - dag).max()
     if asym > tol:
         raise ValidationError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + dag)
 
 
 def _exp(x):
@@ -87,18 +62,13 @@ def _factorial_table(n_max):
     return t
 
 
-def coherent_amplitudes(alpha: DisplacementSetting, n_max: int):
-    """Photon-number components of |alpha> up to n_max.
+def coherent_amplitudes(r, theta, n_max):
+    """Photon-number components of |r e^{i theta}> up to n_max.
 
-    Component n is e^{-r^2/2} r^n e^{i n theta} / sqrt(n!). The squared norm
-    falls short of 1 by the Poisson tail beyond the cutoff.
+    Component n is e^{-r^2/2} r^n e^{i n theta} / sqrt(n!); r and theta
+    broadcast together and the photon number is the last axis. The squared
+    norm falls short of 1 by the Poisson tail beyond the cutoff.
     """
-    return _coherent(alpha.r, alpha.theta, n_max)
-
-
-def _coherent(r, theta, n_max):
-    """coherent_amplitudes at amplitudes r and phases theta broadcast
-    together; the photon number is the last axis."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     n = np.arange(n_max + 1)
@@ -115,19 +85,15 @@ def coherent_tail(r, n_max):
     return max(0.0, 1.0 - head.sum())
 
 
-def projector_full(alpha: DisplacementSetting, n_max: int):
-    """|alpha><alpha| in the truncated photon-number space (rank 1, PSD)."""
-    v = coherent_amplitudes(alpha, n_max)
-    return np.outer(v, v.conj())
+def projector_full(r, theta, n_max):
+    """|alpha><alpha| in the truncated photon-number space (rank 1, PSD),
+    shape (..., n_max + 1, n_max + 1)."""
+    v = coherent_amplitudes(r, theta, n_max)
+    return v[..., :, None] * v[..., None, :].conj()
 
 
-def projector_qubit(alpha: DisplacementSetting):
-    """No-click operator restricted to the 0-1 photon subspace (rank 1)."""
-    return _qubit_projector(alpha.r, alpha.theta)
-
-
-def _qubit_projector(r, theta):
-    """projector_qubit at amplitudes r and phases theta broadcast together,
+def projector_qubit(r, theta):
+    """No-click operator restricted to the 0-1 photon subspace (rank 1),
     shape (..., 2, 2)."""
     e = _exp(-r * r)
     off = e * r * np.exp(-1j * theta)
@@ -139,40 +105,17 @@ def _qubit_projector(r, theta):
     return out
 
 
-@dataclass(frozen=True)
-class PauliResolution:
-    """Coefficients expressing X, Y, Z over four no-click projectors + identity.
-
-    on_projectors[k, y] multiplies the projector at amplitude r and phase
-    RESOLUTION_PHASES[y]; on_identity[k] multiplies the 2x2 identity. Row
-    order is (X, Y, Z). For an array of amplitudes both carry its shape in
-    front, and reconstruct needs a single amplitude.
-    """
-
-    r: float
-    on_projectors: np.ndarray = field(repr=False)
-    on_identity: np.ndarray = field(repr=False)
-
-    def reconstruct(self):
-        """Rebuild the three Pauli matrices from the coefficients."""
-        projs = [projector_qubit(DisplacementSetting(self.r, th))
-                 for th in RESOLUTION_PHASES]
-        out = []
-        for k in range(3):
-            acc = self.on_identity[k] * IDENT2
-            for y in range(4):
-                acc = acc + self.on_projectors[k, y] * projs[y]
-            out.append(acc)
-        return out
-
-
 def pauli_resolution(r):
     """Resolve the Pauli matrices over no-click projectors at phases 0..3pi/2.
 
     X and Y come from phase-opposed projector differences scaled by
     e^{r^2}/(2r); Z uses the phase-0 and phase-pi projectors plus an identity
-    term with denominator 1 - r^2. Singular at r = 0 and for r >= 1. r may
-    be an array of amplitudes.
+    term with denominator 1 - r^2. Singular at r = 0 and for r >= 1.
+
+    Returns (on_projectors, on_identity): on_projectors[k, y] multiplies the
+    projector at amplitude r and phase RESOLUTION_PHASES[y], on_identity[k]
+    the 2x2 identity, with rows (X, Y, Z). An array r puts its shape in
+    front of both.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
@@ -185,14 +128,11 @@ def pauli_resolution(r):
     kz = _exp(r * r) / (1.0 - r * r)
     z0 = (r * r + 1.0) / (r * r - 1.0)
     zero = np.zeros_like(r)
-    on_proj = np.stack([np.stack(row, axis=-1) for row in (
+    return np.stack([np.stack(row, axis=-1) for row in (
         (k, zero, -k, zero),
         (zero, k, zero, -k),
         (kz, zero, kz, zero),
-    )], axis=-2)
-    on_id = np.stack([zero, zero, z0], axis=-1)
-    return PauliResolution(r=float(r) if r.ndim == 0 else r,
-                           on_projectors=on_proj, on_identity=on_id)
+    )], axis=-2), np.stack([zero, zero, z0], axis=-1)
 
 
 def trusted_basis(r_b, space="fock"):

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import (CutoffError, NormalizationError,
                      SingularDecompositionError, ValidationError)
-from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
-                       _coherent, _qubit_projector, pauli_resolution,
-                       projector_full, trusted_basis)
+from .fock_ops import (RESOLUTION_PHASES, TWO_PI, coherent_amplitudes,
+                       pauli_resolution, projector_full, projector_qubit,
+                       trusted_basis)
 
 DEFAULT_S = 0.983
 DEFAULT_T = 0.0656
@@ -229,7 +229,7 @@ def decompose_g(family: InequalityFamily, r_b=None):
         raise SingularDecompositionError(
             f"decomposition needs r_B < 1, got {r_b.max()}")
     try:
-        res = pauli_resolution(r_b)
+        on_proj, on_id = pauli_resolution(r_b)
     except Exception as exc:
         raise SingularDecompositionError(str(exc)) from exc
 
@@ -237,13 +237,13 @@ def decompose_g(family: InequalityFamily, r_b=None):
     g = np.stack([*g_x, g_r])
     # coordinates of each G over (identity, X, Y, Z)
     hz = 0.5 * (g[:, 0, 0].real - g[:, 1, 1].real)
-    on_proj = res.on_projectors[..., None, :, :]
+    on_proj = on_proj[..., None, :, :]
     coefficients = np.empty(r_b.shape + (family.m + 1, 5))
     coefficients[..., :4] = (g[:, 1, 0].real[:, None] * on_proj[..., 0, :]
                              + g[:, 1, 0].imag[:, None] * on_proj[..., 1, :]
                              + hz[:, None] * on_proj[..., 2, :])
     coefficients[..., 4] = (0.5 * (g[:, 0, 0].real + g[:, 1, 1].real)
-                            + hz * res.on_identity[..., None, 2])
+                            + hz * on_id[..., None, 2])
 
     # F grows as t/(2 r_B), and the rounding of the rebuilt G with it
     resid = identity_residual(coefficients, family, r_b)
@@ -272,7 +272,7 @@ def identity_residual(coefficients, family: InequalityFamily, r_b=None):
     With an array r_b (see decompose_g), one residual per stacked F.
     """
     r_b = _amplitudes(family, r_b)[..., None]
-    projs = [_qubit_projector(r_b, th) for th in RESOLUTION_PHASES]
+    projs = [projector_qubit(r_b, th) for th in RESOLUTION_PHASES]
     g_r, g_x = family_matrices(family)
     resid = np.abs(_operators(coefficients, projs) - np.stack([*g_x, g_r]))
     # NaN, not dropped as the builtin max would
@@ -287,9 +287,8 @@ def fullspace_g(coefficients, family: InequalityFamily, n_max):
     """
     if n_max < 2:
         raise ValidationError(f"n_max must be >= 2, got {n_max}")
-    projs = [projector_full(DisplacementSetting(family.bob_amplitude, th),
-                            n_max) for th in RESOLUTION_PHASES]
-    ops = _operators(coefficients, projs)
+    ops = _operators(coefficients, projector_full(
+        family.bob_amplitude, np.array(RESOLUTION_PHASES), n_max))
     return ops[-1], ops[:-1]
 
 
@@ -320,7 +319,8 @@ class ProbabilityInequality(SteeringFunctional):
         n_used = np.zeros(r_b.shape, dtype=int)
         for n in range(3, 25):
             todo = n_used == 0
-            columns = _coherent(r_b[todo][:, None], RESOLUTION_PHASES, n)
+            columns = coherent_amplitudes(r_b[todo][:, None],
+                                          RESOLUTION_PHASES, n)
             gap = np.abs(lhs_bound(self.coefficients[todo],
                                    np.swapaxes(columns, -1, -2), False)
                          - s_max[todo])

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .errors import CutoffError, ValidationError
-from .fock_ops import (RESOLUTION_PHASES, TWO_PI, DisplacementSetting,
-                       coherent_tail, hermitize, projector_qubit)
+from .fock_ops import (RESOLUTION_PHASES, TWO_PI, coherent_tail, hermitize,
+                       projector_qubit)
 from .inequality import (DEFAULT_R_B, InequalityFamily,
                          build_probability_inequality, default_alice_phases,
                          evaluate_steering)
@@ -90,9 +90,10 @@ def make_state(eta, visibility=1.0):
     return rho
 
 
-def side_povm(setting: DisplacementSetting):
-    """Binary POVM of one side: (no-click element, click element)."""
-    plus = projector_qubit(setting)
+def side_povm(r, theta):
+    """Binary POVM of one side at amplitudes r and phases theta broadcast
+    together: (no-click elements, click elements), each (..., 2, 2)."""
+    plus = projector_qubit(r, theta)
     return plus, np.eye(2, dtype=complex) - plus
 
 
@@ -112,35 +113,31 @@ class Assemblage:
         return self.sigma.shape[1]
 
 
-def compute_assemblage(state, alice_settings):
+def compute_assemblage(state, r_a, alice_phases):
     """Conditional trusted-side states for each untrusted outcome and setting.
 
-    Traces the untrusted mode out of (POVM x identity) * state. Verifies the
-    no-signalling structure: the outcome sum is setting-independent and is
-    returned as sigma_r (trace 1).
+    Traces the untrusted mode out of (POVM x identity) * state, with the
+    untrusted side displaced at amplitude r_a and each of alice_phases
+    (checked and reduced as a ModelConfig's). Verifies the no-signalling
+    structure: the outcome sum is setting-independent and is returned as
+    sigma_r (trace 1).
     """
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError(f"state must be 4x4, got {rho.shape}")
-    rho4 = rho.reshape(2, 2, 2, 2)  # [nA, nB, nA', nB']
-    m = len(alice_settings)
-    sigma = np.empty((2, m, 2, 2), dtype=complex)
-    for x, setting in enumerate(alice_settings):
-        for a, povm in enumerate(side_povm(setting)):
-            sigma[a, x] = hermitize(
-                np.einsum('abcd,ca->bd', rho4, povm), tol=1e-9)
+    side = ModelConfig(r_a=r_a, alice_phases=alice_phases)
+    povms = np.stack(side_povm(side.r_a, np.array(side.alice_phases)))
+    sigma = hermitize(np.einsum('abcd,...ca->...bd', rho.reshape(2, 2, 2, 2),
+                                povms), tol=1e-9)
     sums = sigma.sum(axis=0)
     sigma_r = sums[0]
     if np.abs(sums - sigma_r[None]).max() > 1e-12:
         raise ValidationError("outcome sums depend on the setting")
     if abs(np.trace(sigma_r).real - 1.0) > 1e-12:
         raise ValidationError("reduced state trace differs from 1")
-    for a in range(2):
-        for x in range(m):
-            w = np.linalg.eigvalsh(sigma[a, x])
-            if w.min() < -1e-12:
-                raise ValidationError(
-                    f"conditional state ({a},{x}) not PSD (min eig {w.min():.2e})")
+    w = np.linalg.eigvalsh(sigma).min()
+    if w < -1e-12:
+        raise ValidationError(f"conditional state not PSD (min eig {w:.2e})")
     return Assemblage(sigma=sigma, sigma_r=sigma_r)
 
 
@@ -157,29 +154,23 @@ class ProbabilityTable:
         return self.probs.shape[2]
 
 
-def _joint_cell(rho4, povm_a, povm_b):
-    """The four outcome probabilities for one setting pair, from marginals."""
-    p_pp = np.einsum('abcd,ca,db->', rho4, povm_a, povm_b).real
-    p_a = np.einsum('abcd,ca,bd->', rho4, povm_a,
-                    np.eye(povm_b.shape[0])).real
-    p_b = np.einsum('abcd,ac,db->', rho4, np.eye(povm_a.shape[0]),
-                    povm_b).real
-    return np.array([p_pp, p_a - p_pp, p_b - p_pp, 1.0 - p_a - p_b + p_pp])
+def _click_table(rho4, povms_a, povms_b):
+    """p[a, b, x, y] from the no-click elements povms_a[x] and povms_b[y]
+    of the two sides, through the no-click/no-click cell and the marginals.
+    rho4 is the two-mode state with indices [nA, nB, nA', nB']."""
+    p_pp = np.einsum('abcd,xca,ydb->xy', rho4, povms_a, povms_b).real
+    p_a = np.einsum('abcb,xca->x', rho4, povms_a).real[:, None]
+    p_b = np.einsum('abad,ydb->y', rho4, povms_b).real
+    return np.array([[p_pp, p_a - p_pp],
+                     [p_b - p_pp, 1.0 - p_a - p_b + p_pp]])
 
 
 def joint_probabilities(config: ModelConfig):
     """Full table p(a, b | x, y) of the analytic model."""
     rho4 = make_state(config.eta, config.visibility).reshape(2, 2, 2, 2)
-    m = config.m
-    probs = np.empty((2, 2, m, 4))
-    povms_a = [projector_qubit(DisplacementSetting(config.r_a, th))
-               for th in config.alice_phases]
-    povms_b = [projector_qubit(DisplacementSetting(config.r_b, th))
-               for th in config.bob_phases]
-    for x, pa in enumerate(povms_a):
-        for y, pb in enumerate(povms_b):
-            cell = _joint_cell(rho4, pa, pb)
-            probs[:, :, x, y] = cell.reshape(2, 2)
+    probs = _click_table(
+        rho4, projector_qubit(config.r_a, np.array(config.alice_phases)),
+        projector_qubit(config.r_b, np.array(config.bob_phases)))
     _check_table(probs)
     return ProbabilityTable(probs=probs, alice_phases=config.alice_phases,
                             bob_phases=config.bob_phases)
@@ -207,17 +198,16 @@ class SweepTable:
 
 
 def phase_sweep(config: ModelConfig, phases):
-    """Sweep the untrusted side's phase against the trusted side's first phase."""
+    """Sweep the untrusted side's phase against the trusted side's first;
+    phases are checked and reduced mod 2 pi as a ModelConfig's are."""
     phases = np.asarray(list(phases), dtype=float)
-    if phases.size == 0:
-        raise ValidationError("phase list must be non-empty")
+    if phases.size == 0 or not np.all(np.isfinite(phases)):
+        raise ValidationError("phases must be finite and non-empty")
     rho4 = make_state(config.eta, config.visibility).reshape(2, 2, 2, 2)
-    povm_b = projector_qubit(
-        DisplacementSetting(config.r_b, config.bob_phases[0]))
-    rows = np.empty((phases.size, 4))
-    for i, ph in enumerate(phases):
-        povm_a = projector_qubit(DisplacementSetting(config.r_a, ph))
-        rows[i] = _joint_cell(rho4, povm_a, povm_b)
+    probs = _click_table(
+        rho4, projector_qubit(config.r_a, phases % TWO_PI),
+        projector_qubit(config.r_b, np.array(config.bob_phases[:1])))
+    rows = probs[..., 0].reshape(4, -1).T
     if rows.min() < -1e-12:
         raise ValidationError("sweep produced negative probability")
     np.clip(rows, 0.0, 1.0, out=rows)
@@ -258,18 +248,22 @@ def _lowering(dim):
 def _displacement(alpha, n_max):
     """Truncated displacement U = exp(G), G = -alpha a^dag + alpha* a, from
     the eigenvectors of the Hermitian H = iG: U = V diag(exp(-i lambda)) V^dag.
+    An array alpha stacks one U per entry in front.
     """
     a = _lowering(n_max + 1)
+    alpha = np.asarray(alpha)[..., None, None]
     lam, v = np.linalg.eigh(1j * (np.conj(alpha) * a - alpha * a.T))
-    return (v * np.exp(-1j * lam)) @ v.conj().T
+    return ((v * np.exp(-1j * lam)[..., None, :])
+            @ np.swapaxes(v.conj(), -1, -2))
 
 
-def _noclick_full(setting: DisplacementSetting, n_max):
-    """No-click POVM element U^dag |0><0| U: displace by -alpha, project on
-    vacuum. U comes from diagonalizing the displacement generator, a
-    construction path independent of the closed-form coherent expansion."""
-    row = _displacement(setting.alpha, n_max)[0]
-    return np.outer(row.conj(), row)
+def _noclick_full(r, theta, n_max):
+    """No-click POVM element U^dag |0><0| U at amplitudes r and phases theta
+    broadcast together: displace by -alpha, project on vacuum. U comes from
+    diagonalizing the displacement generator, a construction path
+    independent of the closed-form coherent expansion."""
+    row = _displacement(r * np.exp(1j * np.asarray(theta)), n_max)[..., 0, :]
+    return row.conj()[..., :, None] * row[..., None, :]
 
 
 def _loss_kraus(eta, n_max):
@@ -313,16 +307,9 @@ def oracle_probabilities(config: ModelConfig, n_max=10):
     loss = np.einsum('kij,kln->iljn', ks, ks.conj()).reshape(dim ** 2, -1)
     pairs = rho.transpose(0, 2, 1, 3).reshape(dim ** 2, -1)
     rho = (loss @ pairs @ loss.T).reshape((dim,) * 4).transpose(0, 2, 1, 3)
-    m = config.m
-    probs = np.empty((2, 2, m, 4))
-    povms_a = [_noclick_full(DisplacementSetting(config.r_a, th), n_max)
-               for th in config.alice_phases]
-    povms_b = [_noclick_full(DisplacementSetting(config.r_b, th), n_max)
-               for th in config.bob_phases]
-    for x, pa in enumerate(povms_a):
-        for y, pb in enumerate(povms_b):
-            cell = _joint_cell(rho, pa, pb)
-            probs[:, :, x, y] = cell.reshape(2, 2)
+    probs = _click_table(
+        rho, _noclick_full(config.r_a, np.array(config.alice_phases), n_max),
+        _noclick_full(config.r_b, np.array(config.bob_phases), n_max))
     _check_table(probs, tol=1e-7)
     return ProbabilityTable(probs=probs, alice_phases=config.alice_phases,
                             bob_phases=config.bob_phases)
@@ -340,12 +327,10 @@ def _config_header(config: ModelConfig):
 def format_table(table: ProbabilityTable, config: ModelConfig):
     """Probability table as text: one row per setting pair, 12 digits."""
     lines = [_config_header(config), "# x y p_pp p_pm p_mp p_mm"]
-    p = table.probs
-    for x in range(table.m):
-        for y in range(4):
-            vals = " ".join(f"{p[a, b, x, y]:.12g}"
-                            for a in range(2) for b in range(2))
-            lines.append(f"{x + 1} {y + 1} {vals}")
+    cells = table.probs.reshape(4, table.m, 4)     # (a, b) flattened
+    lines += [f"{x + 1} {y + 1} "
+              + " ".join(f"{v:.12g}" for v in cells[:, x, y])
+              for x, y in np.ndindex(table.m, 4)]
     return "\n".join(lines) + "\n"
 
 

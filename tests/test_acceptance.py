@@ -19,8 +19,7 @@ import pytest
 
 from steering_lab.analysis import (MonteCarloConfig, evaluate_record,
                                    monte_carlo, synthesize_counts)
-from steering_lab.fock_ops import (RESOLUTION_PHASES, DisplacementSetting,
-                                   projector_qubit)
+from steering_lab.fock_ops import RESOLUTION_PHASES, projector_qubit
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      comparison_report, decompose_g,
@@ -167,7 +166,7 @@ def _strategy_table(family, strat, trusted_state):
     probs = np.empty((2, 2, family.m, 4))
     q_plus = np.array([
         float(np.real(np.trace(
-            projector_qubit(DisplacementSetting(family.bob_amplitude, th))
+            projector_qubit(family.bob_amplitude, th)
             @ trusted_state)))
         for th in RESOLUTION_PHASES])
     for x in range(family.m):
@@ -200,12 +199,11 @@ def test_criterion_7_lhs_soundness_and_transition(capsys):
     table = result.problem.table_at
     below, model = result.verdict_at(eta_star - 0.02)
     above, functional = result.verdict_at(eta_star + 0.02)
-    settings = [DisplacementSetting(r_a, th) for th in LADDER4]
     g_r, g_x = family_matrices(family)
     bound = qubit_bound(family)
 
     def matrix_functional(eta):
-        assemblage = compute_assemblage(make_state(eta), settings)
+        assemblage = compute_assemblage(make_state(eta), r_a, LADDER4)
         value = np.trace(g_r @ assemblage.sigma_r)
         for x in range(4):
             value += np.trace(g_x[x] @ assemblage.sigma[0, x])

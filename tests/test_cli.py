@@ -1,5 +1,6 @@
 """End-to-end CLI tests, run in process through main(argv)."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -11,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -446,6 +447,57 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
     assert not any("Traceback" in line for line in lines)
 
 
+# the certified gap of the m = 4 ladder at the default r_A, as certify
+# prints it (feasible_at, infeasible_at)
+_LADDER_GAP = ("0.42673737391279021", "0.42673737891278479")
+
+
+@st.composite
+def _decisions(draw):
+    if draw(st.booleans()):
+        return ["optimize", "--m", "4",
+                "--restarts", str(draw(st.integers(1, 3))),
+                "--seed", str(draw(st.integers(0, 3)))]
+    argv = ["certify", "--m", str(draw(st.integers(1, 6)))]
+    eta = draw(st.sampled_from((None, "0", "1") + _LADDER_GAP))
+    return argv + ([] if eta is None else ["--eta", eta])
+
+
+@settings(max_examples=10, deadline=None)
+@given(_decisions())
+# r_A = 0 stalls the barrier method: exit 3 with one line, no traceback
+@example(["certify", "--r-a", "0", "--eta", "0.5"])
+def test_fuzzed_decisions_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, lines)
+    assert len(lines) <= 1, (argv, lines)
+    assert not any("Traceback" in line for line in lines)
+
+
+# what each command needs besides --m and --phases to run
+_RUNNABLE = {"bound": ["--output", "{tmp}/out.txt"], "simulate": [],
+             "sweep": ["--output", "{tmp}/out.txt"],
+             "certify": ["--eta", "0.5"], "analyze": ["{tmp}/counts.txt"],
+             "montecarlo": ["{tmp}/counts.txt", "--runs", "10",
+                            "--output", "{tmp}/out.txt"]}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNNABLE))
+def test_m_and_phases_of_another_length_are_rejected(tmp_path, capsys,
+                                                      command):
+    _write_model_sweep(tmp_path / "counts.txt")
+    extra = [arg.format(tmp=tmp_path) for arg in _RUNNABLE[command]]
+    assert main([command, *extra, "--m", "5", "--phases", "0,1,2,3"]) == 2
+    out, err = _lines(capsys)
+    assert not out
+    assert err == ["ValidationError: alice_phases needs 5 entries, got 4"]
+    # the same phases under a matching --m run
+    assert main([command, *extra, "--m", "4", "--phases", "0,1,2,3"]) == 0
+
+
 def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     commands = [shlex.split(line.partition("#")[0])[1:]
@@ -588,6 +640,26 @@ def test_package_namespace_resolves_every_public_name():
         assert name in dir(steering_lab)
     with pytest.raises(AttributeError):
         steering_lab.no_such_name
+
+
+def test_bench_tracer_names_resolve_on_their_modules():
+    # bench/tracer.py wraps these by name with getattr; its source is read
+    # here, not run
+    source = (Path(__file__).resolve().parents[1] / "bench"
+              / "tracer.py").read_text(encoding="utf-8")
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(source).body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in (
+                  "PREFIXES", "COUNTED", "FOREIGN")}
+    assert set(tables) == {"PREFIXES", "COUNTED", "FOREIGN"}
+    for module in tables["PREFIXES"]:
+        importlib.import_module("steering_lab." + module)
+    for table in ("COUNTED", "FOREIGN"):
+        for module, names in tables[table].items():
+            home = importlib.import_module("steering_lab." + module)
+            for name in names:
+                assert callable(getattr(home, name, None)), (table, name)
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -7,8 +7,8 @@ import pytest
 from steering_lab import inequality
 from steering_lab.errors import (NormalizationError,
                                  SingularDecompositionError, ValidationError)
-from steering_lab.fock_ops import (DisplacementSetting, RESOLUTION_PHASES,
-                                   projector_qubit, trusted_basis)
+from steering_lab.fock_ops import (RESOLUTION_PHASES, projector_qubit,
+                                   trusted_basis)
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      comparison_report, decompose_g,
@@ -124,7 +124,7 @@ def test_decomposition_component_structure():
     assert coeffs[4, 1] == pytest.approx(0.0, abs=1e-15)
     assert coeffs[4, 3] == pytest.approx(0.0, abs=1e-15)
     # rebuild one setting matrix explicitly as an independent route
-    projs = [projector_qubit(DisplacementSetting(fam.bob_amplitude, th))
+    projs = [projector_qubit(fam.bob_amplitude, th)
              for th in RESOLUTION_PHASES]
     g_x = family_matrices(fam)[1][2]
     rebuilt = coeffs[2, 4] * np.eye(2) + sum(
@@ -160,9 +160,8 @@ def test_decomposition_failures_name_their_cause(monkeypatch):
     exact = inequality.pauli_resolution
 
     def skewed(r):
-        res = exact(r)
-        return type(res)(r=res.r, on_projectors=res.on_projectors * (1 + 1e-9),
-                         on_identity=res.on_identity)
+        on_projectors, on_identity = exact(r)
+        return on_projectors * (1 + 1e-9), on_identity
 
     monkeypatch.setattr(inequality, "pauli_resolution", skewed)
     with pytest.raises(SingularDecompositionError,
@@ -196,13 +195,13 @@ def test_fullspace_bound_frozen_values_and_cutoff():
 def test_truncated_columns_are_built_only_when_the_cutoff_is_read(
         monkeypatch):
     calls = []
-    exact = inequality._coherent
+    exact = inequality.coherent_amplitudes
 
     def counted(*args):
         calls.append(args[-1])
         return exact(*args)
 
-    monkeypatch.setattr(inequality, "_coherent", counted)
+    monkeypatch.setattr(inequality, "coherent_amplitudes", counted)
     stack = inequality.stacked_inequality(InequalityFamily(),
                                           np.linspace(0.2, 0.6, 5))
     one = build_probability_inequality(InequalityFamily(bob_amplitude=0.6))
@@ -312,7 +311,7 @@ def _lhs_product_table(family, strat, trusted_state):
     probs = np.empty((2, 2, family.m, 4))
     q_plus = np.array([
         float(np.real(np.trace(
-            projector_qubit(DisplacementSetting(family.bob_amplitude, th))
+            projector_qubit(family.bob_amplitude, th)
             @ trusted_state)))
         for th in RESOLUTION_PHASES])
     for x in range(family.m):

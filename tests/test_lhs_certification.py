@@ -10,7 +10,7 @@ import pytest
 from steering_lab import lhs_certification
 from steering_lab.errors import (IndeterminateFeasibilityError,
                                  ValidationError)
-from steering_lab.fock_ops import DisplacementSetting, coherent_amplitudes
+from steering_lab.fock_ops import coherent_amplitudes
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      deterministic_strategies,
@@ -318,11 +318,10 @@ def test_experiment_program_on_the_qubit_subspace_is_the_assemblage_problem():
     assert verify_hidden_states(res.model, res.problem, res.eta_star) <= 1e-8
     # summed per strategy, the hidden states rebuild the assemblage of the
     # state itself: sigma_{+|x} = sum_k D_k(+|x) X_k and sigma_R = sum_k X_k
-    settings = [DisplacementSetting(0.2, th) for th in LADDER4]
     strat = deterministic_strategies(4).astype(float)
     for eta in (res.eta_star, 0.3):
         _, model = res.verdict_at(eta)
-        assemblage = compute_assemblage(make_state(eta), settings)
+        assemblage = compute_assemblage(make_state(eta), 0.2, LADDER4)
         np.testing.assert_allclose(
             np.einsum('kx,kab->xab', strat, model.blocks),
             assemblage.sigma[0], atol=1e-8)
@@ -333,8 +332,7 @@ def test_experiment_program_on_the_qubit_subspace_is_the_assemblage_problem():
 def test_trusted_basis_reproduces_coherent_state_overlaps():
     basis, outside = trusted_basis(0.217)
     assert outside and basis.shape == (4, 4)
-    cols = np.array([coherent_amplitudes(DisplacementSetting(0.217, th), 30)
-                     for th in LADDER4]).T
+    cols = coherent_amplitudes(0.217, np.array(LADDER4), 30).T
     np.testing.assert_allclose(basis.conj().T @ basis, cols.conj().T @ cols,
                                atol=1e-14)
     qubit, outside = trusted_basis(0.217, space="qubit")
@@ -352,8 +350,7 @@ def test_experiment_certificates_hold_in_photon_number_space(experiment_r20):
     problem = res.problem
     assert verify_hidden_states(res.model, problem, res.eta_star) <= 1e-8
     n_max = 30
-    cols = np.array([coherent_amplitudes(DisplacementSetting(0.217, th),
-                                         n_max) for th in LADDER4]).T
+    cols = coherent_amplitudes(0.217, np.array(LADDER4), n_max).T
     # orthonormal frame of the span, and one state orthogonal to it
     frame = cols @ np.linalg.inv(problem.basis)
     outside = np.linalg.svd(cols.conj().T)[2][-1].conj()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from steering_lab.errors import CutoffError, ValidationError
-from steering_lab.fock_ops import DisplacementSetting
+from steering_lab.fock_ops import TWO_PI
 from steering_lab.inequality import InequalityFamily
 from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
                                         format_sweep, format_table,
@@ -70,17 +70,17 @@ def test_model_config_validation():
 
 
 def test_side_povm_completeness():
-    plus, minus = side_povm(DisplacementSetting(0.3, 1.1))
+    plus, minus = side_povm(0.3, 1.1)
     np.testing.assert_allclose(plus + minus, np.eye(2), atol=1e-15)
     assert np.linalg.eigvalsh(plus).min() >= -1e-15
     assert np.linalg.eigvalsh(minus).min() >= -1e-15
 
 
-def _assemblage_by_loops(state, settings):
+def _assemblage_by_loops(state, r, phases):
     """Literal partial trace over the untrusted mode, element by element."""
-    out = np.empty((2, len(settings), 2, 2), dtype=complex)
-    for x, setting in enumerate(settings):
-        for a, povm in enumerate(side_povm(setting)):
+    out = np.empty((2, len(phases), 2, 2), dtype=complex)
+    for x, phase in enumerate(phases):
+        for a, povm in enumerate(side_povm(r, phase)):
             for i in range(2):
                 for j in range(2):
                     acc = 0.0
@@ -92,12 +92,11 @@ def _assemblage_by_loops(state, settings):
 
 
 def test_assemblage_matches_literal_partial_trace():
-    settings = [DisplacementSetting(0.233, th)
-                for th in (0.0, 0.7, 2.0, 4.4)]
+    phases = (0.0, 0.7, 2.0, 4.4)
     state = make_state(0.52, 0.93)
-    asm = compute_assemblage(state, settings)
+    asm = compute_assemblage(state, 0.233, phases)
     np.testing.assert_allclose(asm.sigma,
-                               _assemblage_by_loops(state, settings),
+                               _assemblage_by_loops(state, 0.233, phases),
                                atol=1e-13)
     assert asm.m == 4
     # no-signalling: outcome sums are the setting-independent reduced state
@@ -106,7 +105,14 @@ def test_assemblage_matches_literal_partial_trace():
                                    asm.sigma_r, atol=1e-13)
     assert np.trace(asm.sigma_r).real == pytest.approx(1.0)
     with pytest.raises(ValidationError):
-        compute_assemblage(np.eye(3), settings)
+        compute_assemblage(np.eye(3), 0.233, phases)
+    # the untrusted setting is checked and reduced as a ModelConfig's
+    for r, bad in ((-0.1, phases), (math.inf, phases), (math.nan, phases),
+                   (0.233, (0.0, math.inf)), (0.233, (math.nan,))):
+        with pytest.raises(ValidationError):
+            compute_assemblage(state, r, bad)
+    turned = compute_assemblage(state, 0.233, [p + TWO_PI for p in phases])
+    np.testing.assert_allclose(turned.sigma, asm.sigma, atol=1e-15)
 
 
 def test_joint_probabilities_match_closed_form():
@@ -154,6 +160,30 @@ def test_phase_sweep_is_an_exact_cosine_peaking_at_zero():
     np.testing.assert_allclose(sweep.probs[:, 0], want, atol=1e-12)
     with pytest.raises(ValidationError):
         phase_sweep(cfg, [])
+
+
+def test_phase_sweep_is_column_zero_of_the_joint_table():
+    # both come from one click-table kernel: equal bit for bit
+    cfg = ModelConfig(eta=0.61, r_a=0.3, r_b=0.25, visibility=0.9,
+                      alice_phases=(0.0, 0.4, 2.5, 5.9, 3.1),
+                      bob_phases=(1.2, 0.1, 2.0, 3.0))
+    sweep = phase_sweep(cfg, cfg.alice_phases)
+    probs = joint_probabilities(cfg).probs
+    np.testing.assert_array_equal(sweep.probs, np.stack(
+        [probs[a, b, :, 0] for a in range(2) for b in range(2)], axis=-1))
+    # phases enter the projectors reduced mod 2 pi, as a ModelConfig's do
+    # (unreduced, dozens of these rows move in the last bit)
+    wide = np.linspace(-50.0, 50.0, 201)
+    turned = phase_sweep(cfg, wide)
+    np.testing.assert_array_equal(turned.probs,
+                                  phase_sweep(cfg, wide % TWO_PI).probs)
+    np.testing.assert_array_equal(turned.phases, wide)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_phase_sweep_rejects_a_non_finite_phase(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        phase_sweep(ModelConfig(), [0.0, 1.0, bad])
 
 
 def test_theoretical_margin_frozen_values():
