@@ -21,9 +21,8 @@ import numpy as np
 from .errors import (ExtractionError, FitError, ParseError, ValidationError,
                      check_seed)
 from .fock_ops import RESOLUTION_PHASES, TWO_PI
-from .inequality import (DEFAULT_R_B, InequalityFamily,
-                         build_probability_inequality, evaluate_steering,
-                         stacked_inequality)
+from .inequality import (InequalityFamily, build_probability_inequality,
+                         evaluate_steering, stacked_inequality)
 from .quantum_model import ProbabilityTable
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
@@ -61,10 +60,6 @@ class CountsRecord:
             raise ValidationError("every row needs a total of at least 1")
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def n_points(self):
-        return self.phases.size
 
 
 def load_counts(path):
@@ -291,12 +286,18 @@ class AnalysisReport:
     table: ProbabilityTable
 
 
+def _check_ladder(family: InequalityFamily):
+    """The relative-phase construction holds on the m = 4 ladder alone."""
+    if family.m != 4 or any(abs(a - b) > 1e-9 for a, b in
+                            zip(family.alice_phases, RESOLUTION_PHASES)):
+        raise ValidationError(f"the relative-phase construction needs the "
+                              f"m = 4 ladder, got {family.alice_phases}")
+
+
 def evaluate_record(record: CountsRecord, family: InequalityFamily,
                     x_phases=RESOLUTION_PHASES, mode="from_fit"):
     """Full pipeline: counts -> fit -> setting table -> S and S - S_max."""
-    if family.m != 4:
-        raise ValidationError(
-            f"the relative-phase construction needs m = 4, got {family.m}")
+    _check_ladder(family)
     fit = fit_cosine(record.phases, probabilities_from_counts(record))
     source = fit if mode == "from_fit" else record
     table = extract_setting_table(source, x_phases, mode=mode)
@@ -311,10 +312,9 @@ def evaluate_record(record: CountsRecord, family: InequalityFamily,
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Resampling controls: run count, the Gaussian spread of the trusted
-    amplitude r_B about its mean (0 holds r_B fixed), and the seed."""
+    amplitude r_B about the family's (0 holds r_B fixed), and the seed."""
 
     runs: int = 200000
-    r_b_mean: float = DEFAULT_R_B
     r_b_sigma: float = 0.005
     seed: int = 0
 
@@ -322,16 +322,9 @@ class MonteCarloConfig:
         if not isinstance(self.runs, int) or self.runs < 1:
             raise ValidationError(f"runs must be a positive integer, got "
                                   f"{self.runs}")
-        for name in ("r_b_mean", "r_b_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got "
-                                      f"{getattr(self, name)}")
-        if self.r_b_mean <= 0.0:
-            raise ValidationError(f"r_b_mean must be positive, got "
-                                  f"{self.r_b_mean}")
-        if self.r_b_sigma < 0.0:
-            raise ValidationError(f"r_b_sigma must be non-negative, got "
-                                  f"{self.r_b_sigma}")
+        if not (self.r_b_sigma >= 0.0 and math.isfinite(self.r_b_sigma)):
+            raise ValidationError(f"r_b_sigma must be finite and "
+                                  f"non-negative, got {self.r_b_sigma}")
         check_seed(self.seed)
 
 
@@ -352,19 +345,11 @@ class MonteCarloResult:
     samples: np.ndarray = field(repr=False)
 
 
-def setting_counts_from_record(record: CountsRecord, x_phases=None):
-    """Reduce a sweep record to the four relative-phase count rows.
-
-    A 4-row pi/2-spaced record is used directly; otherwise x_phases selects
-    the nearest measured rows (within 0.05 rad each).
-    """
-    if x_phases is None:
-        if record.n_points != 4:
-            raise ValidationError(
-                f"record has {record.n_points} rows; pass x_phases to "
-                "select 4 of them")
-        _validate_x_phases(record.phases)
-        return record.counts.copy()
+def setting_counts_from_record(record: CountsRecord,
+                               x_phases=RESOLUTION_PHASES):
+    """The four relative-phase count rows of a sweep record, whatever its
+    length: the rows nearest the pi/2-spaced x_phases, within 0.05 rad each
+    (as 'nearest_point' extraction picks them), else ExtractionError."""
     x_phases = _validate_x_phases(x_phases)
     return record.counts[_nearest_rows(record.phases, x_phases)]
 
@@ -403,17 +388,17 @@ class _BoundGrid:
     """Coefficient rows (see _coefficient_row) on an r_B grid.
 
     The inequality is built on a GRID_SPACING-spaced grid spanning +/- 8
-    sigma around the mean in one stacked pass (stacked_inequality), with
-    every grid point checked as a one-point build is; per-run values are
-    linear interpolations. Draws outside the grid fall back to exact
+    sigma around the family's r_B in one stacked pass (stacked_inequality),
+    with every grid point checked as a one-point build is; per-run values
+    are linear interpolations. Draws outside the grid fall back to exact
     evaluation, again one stacked pass per chunk. The interpolation error
     is probed at off-grid points and reported.
     """
 
-    def __init__(self, family: InequalityFamily, r_b_mean, r_b_sigma):
+    def __init__(self, family: InequalityFamily, r_b_sigma):
         self.family = family
-        lo = max(GRID_SPACING, r_b_mean - 8.0 * r_b_sigma)
-        hi = max(lo, min(0.999, r_b_mean + 8.0 * r_b_sigma))
+        lo = max(GRID_SPACING, family.bob_amplitude - 8.0 * r_b_sigma)
+        hi = max(lo, min(0.999, family.bob_amplitude + 8.0 * r_b_sigma))
         n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
         self.r_grid = lo + GRID_SPACING * np.arange(n)
         self.rows = _coefficient_row(family, self.r_grid)
@@ -446,10 +431,10 @@ class _BoundGrid:
         return float(np.abs(self.lookup(r) - exact).max())
 
 
-def _resample_chunk(rng, n, base_counts, mc):
+def _resample_chunk(rng, n, base_counts, r_b_mean, r_b_sigma):
     """n runs of Poisson-resampled count rows (n, 4, 4) and Gaussian r_B
-    draws, redrawing zero-total rows and non-positive r_B; returns both with
-    the two redraw counts."""
+    draws about r_b_mean, redrawing zero-total rows and non-positive r_B;
+    returns both with the two redraw counts."""
     counts = rng.poisson(base_counts, size=(n, 4, 4))
     zero_redraws = 0
     while True:
@@ -458,52 +443,48 @@ def _resample_chunk(rng, n, base_counts, mc):
             break
         zero_redraws += run.size
         counts[run, row] = rng.poisson(base_counts[row])
-    r_b = rng.normal(mc.r_b_mean, mc.r_b_sigma, size=n)
+    r_b = rng.normal(r_b_mean, r_b_sigma, size=n)
     redraws = 0
     while True:
         bad = np.flatnonzero(r_b <= 0.0)
         if bad.size == 0:
             break
         redraws += bad.size
-        r_b[bad] = rng.normal(mc.r_b_mean, mc.r_b_sigma, size=bad.size)
+        r_b[bad] = rng.normal(r_b_mean, r_b_sigma, size=bad.size)
     return counts, r_b, redraws, zero_redraws
 
 
 def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
-                x_phases=None, threads=1):
+                threads=1):
     """Propagate counting and amplitude uncertainty into S - S_max.
 
-    counts is a CountsRecord (reduced via setting_counts_from_record) or a
-    (4, 4) array of relative-phase rows. Per run every count is
-    Poisson-resampled, r_B is Gaussian-resampled (non-positive draws
-    redrawn and counted), the inequality coefficients and the full-space
-    bound are re-evaluated at the drawn r_B through the bound grid (exactly,
-    once, when r_b_sigma = 0), and S - S_max is recorded. Runs are drawn in
-    fixed MC_CHUNK chunks, each from its own stream keyed on (seed, chunk
-    index), so results depend on the config alone. threads is accepted for
-    compatibility and changes nothing.
+    counts is the (4, 4) array of relative-phase rows (see
+    setting_counts_from_record) and family is on the m = 4 ladder. Per run
+    every count is Poisson-resampled, r_B is Gaussian-resampled about
+    family.bob_amplitude (non-positive draws redrawn and counted), the
+    inequality coefficients and the full-space bound are re-evaluated at the
+    drawn r_B through the bound grid (exactly, once, when r_b_sigma = 0),
+    and S - S_max is recorded. Runs are drawn in fixed MC_CHUNK chunks, each
+    from its own stream keyed on (seed, chunk index), so results depend on
+    the config alone. threads is accepted for compatibility and changes
+    nothing.
     """
-    if family.m != 4:
+    _check_ladder(family)
+    base_counts = np.asarray(counts)
+    if base_counts.shape != (4, 4):
         raise ValidationError(
-            f"the relative-phase construction needs m = 4, got {family.m}")
-    if isinstance(counts, CountsRecord):
-        base_counts = setting_counts_from_record(counts, x_phases)
-    else:
-        base_counts = np.asarray(counts)
-        if base_counts.shape != (4, 4):
-            raise ValidationError(
-                f"setting counts must have shape (4, 4), got "
-                f"{base_counts.shape}")
-        if base_counts.min() < 0:
-            raise ValidationError("counts must be non-negative")
-        if base_counts.sum(axis=1).min() < 1:
-            raise ValidationError("every row needs a total of at least 1")
+            f"setting counts must have shape (4, 4), got "
+            f"{base_counts.shape}")
+    if base_counts.min() < 0:
+        raise ValidationError("counts must be non-negative")
+    if base_counts.sum(axis=1).min() < 1:
+        raise ValidationError("every row needs a total of at least 1")
     base_counts = base_counts.astype(float)
 
-    point = _coefficient_row(family, mc.r_b_mean)
+    point = _coefficient_row(family, family.bob_amplitude)
     point_estimate = float(_margin(
         point, base_counts / base_counts.sum(axis=1, keepdims=True)))
-    grid = (_BoundGrid(family, mc.r_b_mean, mc.r_b_sigma)
+    grid = (_BoundGrid(family, mc.r_b_sigma)
             if mc.r_b_sigma > 0.0 else None)
 
     samples = np.empty(mc.runs)
@@ -513,8 +494,8 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
         stop = min(start + MC_CHUNK, mc.runs)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((mc.seed, chunk))))
-        resampled, r_b, rd, zr = _resample_chunk(rng, stop - start,
-                                                 base_counts, mc)
+        resampled, r_b, rd, zr = _resample_chunk(
+            rng, stop - start, base_counts, family.bob_amplitude, mc.r_b_sigma)
         rows = grid.lookup(r_b) if grid is not None else point
         samples[start:stop] = _margin(
             rows, resampled / resampled.sum(axis=2, keepdims=True))

@@ -104,10 +104,11 @@ def _parse(parser, argv):
 def _given(args, *names, **renamed):
     """Library keyword arguments from the options that were set, so that
     every other parameter keeps the library's default; renamed maps a
-    keyword to the option that feeds it."""
+    keyword to the option that feeds it, and an option the command lacks
+    counts as unset."""
     pairs = [(name, name) for name in names] + list(renamed.items())
-    return {key: getattr(args, dest) for key, dest in pairs
-            if getattr(args, dest) is not None}
+    return {key: getattr(args, dest, None) for key, dest in pairs
+            if getattr(args, dest, None) is not None}
 
 
 def _family(args):
@@ -161,7 +162,7 @@ def cmd_bound(args):
     lines.append(f"export written to {args.output}")
     if args.compare:
         lines.append("")
-        lines.append(comparison_report(family))
+        lines.append(comparison_report())
     print("\n".join(lines))
     return 0
 
@@ -286,14 +287,12 @@ def cmd_analyze(args):
 
 def cmd_montecarlo(args):
     from . import analysis
-    from .fock_ops import RESOLUTION_PHASES
     record = analysis.load_counts(args.counts)
-    mc = analysis.MonteCarloConfig(**_given(args, "runs", "r_b_sigma", "seed",
-                                            r_b_mean="r_b"))
-    x_phases = ((args.x_phases or RESOLUTION_PHASES)
-                if record.n_points != 4 else None)
-    result = analysis.monte_carlo(record, _family(args), mc,
-                                  x_phases=x_phases)
+    mc = analysis.MonteCarloConfig(**_given(args, "runs", "seed", "r_b_sigma"))
+    family = _family(args)
+    counts = analysis.setting_counts_from_record(
+        record, **_given(args, "x_phases"))
+    result = analysis.monte_carlo(counts, family, mc)
     analysis.write_mc_result(args.output, result)
     print("mean=%.17g" % result.mean)
     print("std=%.17g" % result.std)
@@ -381,7 +380,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="counts file -> fits -> setting "
                                        "table -> S - S_max")
     p.add_argument("counts", help="counts file path")
-    _add_common(p, "s", "t", "m", "r_b", "phases", "x_phases")
+    _add_common(p, "s", "t", "r_b", "x_phases")
     p.add_argument("--mode", choices=("from_fit", "nearest_point"),
                    default=None)
     p.set_defaults(func=cmd_analyze)
@@ -389,7 +388,7 @@ def build_parser():
     p = sub.add_parser("montecarlo", help="resampling error estimate of "
                                           "S - S_max")
     p.add_argument("counts", help="counts file path")
-    _add_common(p, "s", "t", "m", "r_b", "phases", "x_phases", "seed")
+    _add_common(p, "s", "t", "r_b", "x_phases", "seed")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--r-b-sigma", dest="r_b_sigma", type=float, default=None)
     p.add_argument("--output", default="mc_results.txt")

@@ -40,12 +40,14 @@ DEFAULT_S = 0.983
 DEFAULT_T = 0.0656
 DEFAULT_R_B = 0.217
 CUTOFF_TOL = 1e-9    # n_max_used: a truncation agreeing this well with S_max
+NORM_TOL = 1e-9      # largest deviation from 1 of an evaluated table cell
 
-# Coefficient values reported elsewhere for s=0.983, t=0.0656, r_B=0.21,
-# kept only as cross-check data for the emitted comparison report. The
-# decomposition identity is the authoritative check on our coefficients;
-# these numbers are known not to match it (see comparison_report).
+# Coefficient values reported elsewhere, with the s, t, r_B they were
+# reported at, kept only as cross-check data for the emitted comparison
+# report. The decomposition identity is the authoritative check on our
+# coefficients; these numbers are known not to match it.
 REPORTED_SNAPSHOT = {
+    "s": 0.983, "t": 0.0656, "r_b": 0.21,
     "c_pp_diag": (0.48, 0.46, 0.43, 0.45),
     "c_pm": 0.07,
     "c_mp_columns": (0.14, 0.0, 0.14, 0.0),
@@ -398,12 +400,12 @@ def stacked_inequality(family: InequalityFamily, r_b):
                                  s_max_qubit=s_max_qubit, r_b=_unstack(r_b))
 
 
-def evaluate_steering(ineq: ProbabilityInequality, probs, norm_tol=1e-9):
+def evaluate_steering(ineq: ProbabilityInequality, probs):
     """Value S of the inequality on a probability table and its margin.
 
     probs is a (2, 2, m, 4) array (or an object exposing one as .probs)
     indexed [a, b, x, y] with index 0 meaning the no-click outcome. Each
-    (x, y) cell must sum to 1 within norm_tol. delta_s > 0 certifies
+    (x, y) cell must sum to 1 within NORM_TOL. delta_s > 0 certifies
     steering.
     """
     p = np.asarray(getattr(probs, "probs", probs), dtype=float)
@@ -412,7 +414,7 @@ def evaluate_steering(ineq: ProbabilityInequality, probs, norm_tol=1e-9):
         raise ValidationError(
             f"probability table shape {p.shape} does not match (2, 2, {m}, 4)")
     totals = p.sum(axis=(0, 1))
-    if np.abs(totals - 1.0).max() > norm_tol:
+    if np.abs(totals - 1.0).max() > NORM_TOL:
         raise NormalizationError(
             f"table cells are not normalized (max deviation "
             f"{np.abs(totals - 1.0).max():.3e})")
@@ -450,23 +452,21 @@ def export_inequality(ineq: ProbabilityInequality, family: InequalityFamily):
     return "\n".join(out) + "\n"
 
 
-def comparison_report(family: InequalityFamily = None):
-    """Text report comparing our evaluated coefficients to reported values.
+def comparison_report():
+    """Text report comparing our coefficients to the reported snapshot, both
+    at the snapshot's own parameters (s=0.983, t=0.0656, r_B=0.21).
 
-    The reported snapshot (diagonal of c^{++}, the constant c^{+-}, the
-    nonzero c^{-+} columns, and c0 at s=0.983, t=0.0656, r_B=0.21) does not
-    match what the closed-form decomposition yields; the decomposition
-    identity is the authoritative check, so the mismatch is documented here
-    rather than asserted anywhere.
+    The reported values (diagonal of c^{++}, the constant c^{+-}, the
+    nonzero c^{-+} columns, and c0) do not match what the closed-form
+    decomposition yields; the decomposition identity is the authoritative
+    check, so the mismatch is documented here rather than asserted anywhere.
     """
-    if family is None:
-        family = InequalityFamily(bob_amplitude=0.21)
-    ineq = build_probability_inequality(family)
     snap = REPORTED_SNAPSHOT
-    rows = []
-    rows.append("coefficient comparison at "
-                f"s={family.s} t={family.t} r_B={family.bob_amplitude}")
-    rows.append(f"{'quantity':<14} {'ours':>12} {'reported':>12} {'match':>7}")
+    family = InequalityFamily(snap["s"], snap["t"], bob_amplitude=snap["r_b"])
+    ineq = build_probability_inequality(family)
+    rows = ["coefficient comparison at "
+            f"s={family.s} t={family.t} r_B={family.bob_amplitude}",
+            f"{'quantity':<14} {'ours':>12} {'reported':>12} {'match':>7}"]
 
     def row(name, ours, reported):
         ok = "yes" if abs(ours - reported) < 5e-3 else "NO"

@@ -22,11 +22,11 @@ returns both certificates: hidden states that reproduce the table at
 eta_star, checked by verify_hidden_states, and a probability-level
 steering functional in the format of the family's inequality
 (inequality.SteeringFunctional), whose exact LHS bound (lhs_bound) is a
-maximum of small eigenvalue problems, violated above eta_upper. A verdict
+maximum of small eigenvalue problems, violated from eta_upper on. A verdict
 at a fixed eta follows from the same solve
 (ExperimentEfficiency.verdict_at): feasible wherever the eta_star model
 extends to a checked model at eta (always up to eta_star), infeasible
-above eta_upper by a margin, indeterminate otherwise.
+from eta_upper on by a margin, indeterminate otherwise.
 
 Measurement phases are optimized by a compass (pattern) search; its
 objective is the closed-form qubit bound of the family adapted to the
@@ -165,8 +165,8 @@ def _product_model(problem: TableProblem):
 class ExperimentEfficiency:
     """Critical efficiency of the joint table, decided from both sides.
 
-    model reproduces problem.table_at(eta_star); functional is violated by
-    the table at every eta above eta_upper (eta_upper - eta_star is the
+    model reproduces problem.table_at(eta_star); functional is violated, by
+    FUNCTIONAL_MARGIN, from eta_upper on (eta_upper - eta_star is the
     certified gap). A value above 1 means no physical efficiency steers.
     """
 
@@ -187,10 +187,12 @@ class ExperimentEfficiency:
         is the eta_star model moved along tangent, which reproduces the
         table exactly and is kept if verify_hidden_states passes it to
         MODEL_TOL (a table on the cone's boundary, such as eta = 1 with one
-        effective setting, is decided this way). 'infeasible' (eta above
-        eta_upper) carries the functional, whose value on that table beats
-        its bound in direct arithmetic by a relative FUNCTIONAL_MARGIN.
-        Otherwise the verdict is 'indeterminate', with no certificate.
+        effective setting, is decided this way). From eta_upper on, where
+        the functional first beats its bound on the table in direct
+        arithmetic by a relative FUNCTIONAL_MARGIN, it is tried instead, and
+        'infeasible' carries it if it wins (rounding can still make it lose
+        a few ulps above). Otherwise the verdict is 'indeterminate', with no
+        certificate.
         """
         if not 0.0 <= eta <= 1.0:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
@@ -202,20 +204,37 @@ class ExperimentEfficiency:
                 + (1.0 - share) * vacuum.blocks,
                 weights=share * self.model.weights
                 + (1.0 - share) * vacuum.weights)
-        if eta <= self.eta_upper:
-            step = eta - self.eta_star
-            model = HiddenStateModel(
-                blocks=self.model.blocks + step * self.tangent.blocks,
-                weights=self.model.weights + step * self.tangent.weights)
-            if verify_hidden_states(model, self.problem, eta) <= MODEL_TOL:
-                return "feasible", model
+        if eta >= self.eta_upper:
+            if _beats_bound(self.functional, self.problem.table_at(eta)):
+                return "infeasible", self.functional
             return "indeterminate", None
-        func = self.functional
-        value = func.value(self.problem.table_at(eta))
-        if value > func.bound + FUNCTIONAL_MARGIN * max(1.0, abs(value),
-                                                        abs(func.bound)):
-            return "infeasible", func
+        step = eta - self.eta_star
+        model = HiddenStateModel(
+            blocks=self.model.blocks + step * self.tangent.blocks,
+            weights=self.model.weights + step * self.tangent.weights)
+        if verify_hidden_states(model, self.problem, eta) <= MODEL_TOL:
+            return "feasible", model
         return "indeterminate", None
+
+
+def _beats_bound(func: SteeringFunctional, table):
+    """Whether table violates func by the relative FUNCTIONAL_MARGIN."""
+    value = func.value(table)
+    return value > func.bound + FUNCTIONAL_MARGIN * max(1.0, abs(value),
+                                                        abs(func.bound))
+
+
+def _first_violation(func: SteeringFunctional, problem, crossing, slope):
+    """First eta at which func beats its bound by FUNCTIONAL_MARGIN (inf if
+    none): from the crossing of its value, of this slope in eta, with the
+    bound, raised in doubling steps until direct arithmetic agrees."""
+    if crossing == math.inf:
+        return crossing
+    upper = crossing + FUNCTIONAL_MARGIN * max(1.0, abs(func.bound)) / slope
+    step = math.ulp(upper)
+    while not _beats_bound(func, problem.table_at(upper)):
+        upper, step = upper + step, 2.0 * step
+    return upper
 
 
 def _max_eta(problem: TableProblem):
@@ -342,8 +361,8 @@ def _max_eta(problem: TableProblem):
                                       bound=lhs_bound(coefficients, basis,
                                                       outside))
             slope_d = float((coefficients * td).sum())
-            eta_upper = (eta + (func.bound - func.value(problem.table_at(eta)))
-                         / slope_d if slope_d > 0.0 else math.inf)
+            crossing = (eta + (func.bound - func.value(problem.table_at(eta)))
+                        / slope_d if slope_d > 0.0 else math.inf)
             model = HiddenStateModel(blocks=hidden(factor), weights=w)
             error = verify_hidden_states(model, problem, eta)
             if error > MODEL_TOL:
@@ -362,9 +381,10 @@ def _max_eta(problem: TableProblem):
             blocks=factor @ d_x @ np.conj(np.swapaxes(factor, 1, 2)),
             weights=w * d_w if outside else np.zeros_like(w))
         certified = ExperimentEfficiency(
-            eta_star=eta, eta_upper=eta_upper, model=model, functional=func,
-            problem=problem, newton_steps=steps, tangent=tangent)
-        gap = eta_upper - eta
+            eta_star=eta, model=model, functional=func, problem=problem,
+            eta_upper=_first_violation(func, problem, crossing, slope_d),
+            newton_steps=steps, tangent=tangent)
+        gap = crossing - eta
         if gap <= GAP_TOL:
             return certified
         t *= min(BARRIER_GROWTH, 2.0 * gap / GAP_TOL)
@@ -396,11 +416,10 @@ def canonical_phases(phases):
     return tuple(rel)
 
 
-def ladder_distance(phases, m=None):
+def ladder_distance(phases):
     """Max circular distance of canonicalized phases from the uniform ladder."""
     rel = np.asarray(canonical_phases(phases))
-    m = rel.size if m is None else m
-    ladder = np.arange(m) * TWO_PI / m
+    ladder = np.arange(rel.size) * TWO_PI / rel.size
     diff = np.abs(rel - ladder)
     return float(np.minimum(diff, TWO_PI - diff).max())
 

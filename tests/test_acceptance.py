@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from steering_lab.analysis import (MonteCarloConfig, evaluate_record,
-                                   monte_carlo, synthesize_counts)
+                                   monte_carlo, setting_counts_from_record,
+                                   synthesize_counts)
 from steering_lab.fock_ops import RESOLUTION_PHASES, projector_qubit
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
@@ -282,9 +283,8 @@ def test_criterion_10_pipeline_end_to_end(capsys):
     probs = phase_sweep(config, phases).probs
     record = synthesize_counts(phases, probs, 1_000_000, seed=12)
     estimate = evaluate_record(record, family).delta_s
-    mc = monte_carlo(record, family,
-                     MonteCarloConfig(runs=2000, r_b_sigma=0.0, seed=12),
-                     x_phases=LADDER4)
+    mc = monte_carlo(setting_counts_from_record(record, LADDER4), family,
+                     MonteCarloConfig(runs=2000, r_b_sigma=0.0, seed=12))
     truth = theoretical_delta_S(config, family)
     gap = abs(estimate - truth)
     ok = gap <= 3.0 * mc.std

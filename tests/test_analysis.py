@@ -21,6 +21,10 @@ from steering_lab.quantum_model import (ModelConfig, joint_probabilities,
                                         phase_sweep, theoretical_delta_S)
 
 LADDER4 = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
+# four phases, but not the ladder the data are scored against: any other
+# set, the ladder relabelled, or the ladder rotated by one step
+OFF_LADDER4 = ((0.0, 1.0, 2.0, 3.0), (0.5 * np.pi, 0.0, np.pi, 1.5 * np.pi),
+               tuple(p + 0.5 * np.pi for p in LADDER4))
 
 
 def _model_sweep(n_points, **overrides):
@@ -41,7 +45,7 @@ def test_counts_round_trip(tmp_path):
     back = load_counts(path)
     np.testing.assert_array_equal(back.phases, phases)
     np.testing.assert_array_equal(back.counts, counts)
-    assert back.n_points == 50
+    assert back.phases.size == 50
 
 
 @pytest.mark.parametrize("line,offending", [
@@ -224,8 +228,12 @@ def test_full_pipeline_recovers_the_theoretical_margin():
     assert report.s_value == pytest.approx(want + 1.0008400711084255,
                                            abs=1e-7)
     assert report.delta_s > 0.0
-    with pytest.raises(ValidationError):
-        evaluate_record(record, InequalityFamily(m=5))
+    assert evaluate_record(record, InequalityFamily(
+        alice_phases=LADDER4)).delta_s == report.delta_s
+    for family in (InequalityFamily(m=5),
+                   *(InequalityFamily(alice_phases=p) for p in OFF_LADDER4)):
+        with pytest.raises(ValidationError, match="m = 4 ladder"):
+            evaluate_record(record, family)
 
 
 # --- Monte Carlo ----------------------------------------------------------------
@@ -241,17 +249,20 @@ def test_setting_counts_selection():
     counts4 = _model_setting_counts()
     record = CountsRecord(phases=np.array(LADDER4), counts=counts4)
     np.testing.assert_array_equal(setting_counts_from_record(record), counts4)
+    # rows are picked by one rule, nearest the setting phases, whatever the
+    # record's length: four rows off the ladder have no row near pi/2
     bad_spacing = CountsRecord(phases=np.array([0.0, 1.0, 2.0, 3.0]),
                                counts=counts4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ExtractionError):
         setting_counts_from_record(bad_spacing)
+    with pytest.raises(ValidationError):
+        setting_counts_from_record(record, (0.0, 1.0, 2.0, 3.0))
     phases = np.linspace(0.0, 2.0 * np.pi, 73)
     sweep_counts = np.tile(counts4[:1], (73, 1))
     sweep = CountsRecord(phases=phases, counts=sweep_counts)
-    with pytest.raises(ValidationError):
-        setting_counts_from_record(sweep)
     rows = setting_counts_from_record(sweep, LADDER4)
     assert rows.shape == (4, 4)
+    np.testing.assert_array_equal(setting_counts_from_record(sweep), rows)
     # both nearest-row searches name the setting and the closest distance
     sparse = CountsRecord(phases=np.array(LADDER4) + 0.3, counts=counts4)
     for reduce in (lambda: setting_counts_from_record(sparse, LADDER4),
@@ -308,9 +319,9 @@ def test_monte_carlo_amplitude_noise_widens_the_spread():
 
 
 def test_monte_carlo_counts_redraws():
-    family = InequalityFamily()
+    family = InequalityFamily(bob_amplitude=0.002)
     counts = np.tile([[1, 0, 0, 0]], (4, 1))
-    mc = MonteCarloConfig(runs=100, r_b_mean=0.002, r_b_sigma=0.002, seed=2)
+    mc = MonteCarloConfig(runs=100, r_b_sigma=0.002, seed=2)
     res = monte_carlo(counts, family, mc)
     assert res.redraws > 0
     assert res.zero_total_redraws > 0
@@ -337,27 +348,49 @@ def test_monte_carlo_input_validation():
         monte_carlo(np.ones((3, 4)), family, mc)
     with pytest.raises(ValidationError):
         monte_carlo(np.zeros((4, 4)), family, mc)
-    with pytest.raises(ValidationError):
-        monte_carlo(np.ones((4, 4)), InequalityFamily(m=5), mc)
+    for family in (InequalityFamily(m=5),
+                   *(InequalityFamily(alice_phases=p) for p in OFF_LADDER4)):
+        with pytest.raises(ValidationError, match="m = 4 ladder"):
+            monte_carlo(np.ones((4, 4)), family, mc)
     with pytest.raises(ValidationError):
         MonteCarloConfig(runs=0)
-    with pytest.raises(ValidationError):
-        MonteCarloConfig(r_b_mean=0.0)
     with pytest.raises(ValidationError):
         MonteCarloConfig(r_b_sigma=-0.1)
     with pytest.raises(ValidationError):
         MonteCarloConfig(seed=-1)
-    for name in ("r_b_mean", "r_b_sigma"):
-        for value in (math.inf, math.nan):
-            with pytest.raises(ValidationError, match=name):
-                MonteCarloConfig(**{name: value})
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="r_b_sigma"):
+            MonteCarloConfig(r_b_sigma=value)
+    # r_B's mean is the family's amplitude, checked where the family is made
+    with pytest.raises(ValidationError, match="bob_amplitude"):
+        InequalityFamily(bob_amplitude=0.0)
+
+
+def test_monte_carlo_centres_on_the_family_amplitude():
+    counts = _model_setting_counts(events=200000)
+    mc = MonteCarloConfig(runs=50, r_b_sigma=0.0, seed=1)
+    table = extract_setting_table(
+        CountsRecord(phases=np.array(LADDER4), counts=counts), LADDER4,
+        mode="nearest_point")
+    estimates = {}
+    for r_b in (0.217, 0.3):
+        family = InequalityFamily(bob_amplitude=r_b)
+        res = monte_carlo(counts, family, mc)
+        want = evaluate_steering(build_probability_inequality(family),
+                                 table)[1]
+        assert res.point_estimate == pytest.approx(want, abs=1e-12)
+        estimates[r_b] = res.point_estimate
+    assert abs(estimates[0.3] - estimates[0.217]) > 1e-3
+    # the drawn amplitudes straddle the family's, so the grid does too
+    grid = analysis._BoundGrid(InequalityFamily(bob_amplitude=0.3), 0.005)
+    assert grid.r_grid[0] < 0.3 < grid.r_grid[-1]
 
 
 def test_bound_grid_evaluates_exactly_off_its_ends():
     # the grid starts at r_B = 1e-4; a draw half a step below it lies off
     # the grid and must not be extrapolated
     family = InequalityFamily(bob_amplitude=0.002)
-    grid = analysis._BoundGrid(family, 0.002, 0.002)
+    grid = analysis._BoundGrid(family, 0.002)
     assert grid.r_grid[0] == pytest.approx(1e-4)
     rows = grid.lookup(np.array([5e-5, 0.002, 5e-5]))
     exact = analysis._coefficient_row(family, 5e-5)
@@ -367,7 +400,7 @@ def test_bound_grid_evaluates_exactly_off_its_ends():
         rows[1], analysis._coefficient_row(family, 0.002), atol=1e-6)
     # a mean past the 0.999 ceiling leaves a one-point grid, not an empty one
     family = InequalityFamily(bob_amplitude=0.9995)
-    grid = analysis._BoundGrid(family, 0.9995, 1e-5)
+    grid = analysis._BoundGrid(family, 1e-5)
     assert grid.r_grid.size == 1
     np.testing.assert_array_equal(grid.lookup(np.array([0.9995]))[0],
                                   analysis._coefficient_row(family, 0.9995))
@@ -380,7 +413,7 @@ def test_stacked_grid_rows_equal_one_point_builds(mean):
     # build_probability_inequality at its r_B (at 0.002 the grid starts at
     # the 1e-4 floor)
     family = InequalityFamily(bob_amplitude=mean)
-    grid = analysis._BoundGrid(family, mean, 0.005)
+    grid = analysis._BoundGrid(family, 0.005)
     n = grid.r_grid.size
     for i in sorted({*range(0, n, 97), n // 2, n - 1}):
         r_b = float(grid.r_grid[i])
@@ -402,7 +435,7 @@ def test_monte_carlo_samples_are_margins_of_their_resampled_tables():
     res = monte_carlo(counts, family, mc)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
     resampled, r_b, _, _ = analysis._resample_chunk(
-        rng, 40, counts.astype(float), mc)
+        rng, 40, counts.astype(float), family.bob_amplitude, mc.r_b_sigma)
     for i in range(0, 40, 8):
         table = extract_setting_table(
             CountsRecord(phases=np.array(LADDER4), counts=resampled[i]),
@@ -455,9 +488,9 @@ def test_heavy_tail_histogram_has_at_most_root_runs_bins():
     interquartile range against a wide span, where the Freedman-Diaconis
     rule asks for more bins than there are runs."""
     runs = 2000
-    res = monte_carlo(_model_setting_counts(), InequalityFamily(),
-                      MonteCarloConfig(runs=runs, r_b_mean=0.002,
-                                       r_b_sigma=0.002, seed=1))
+    res = monte_carlo(_model_setting_counts(),
+                      InequalityFamily(bob_amplitude=0.002),
+                      MonteCarloConfig(runs=runs, r_b_sigma=0.002, seed=1))
     cap = math.ceil(math.sqrt(runs))
     assert np.histogram(res.samples, bins="fd")[0].size > runs
     assert res.binning == "square-root"
@@ -495,9 +528,9 @@ def test_histogram_gaussian_is_none_or_finite_and_never_raises():
     spike[20] = 500
     twin = np.zeros(41)
     twin[[5, 6, 7, 33, 34, 35]] = [40, 90, 40, 50, 100, 50]
-    heavy = monte_carlo(_model_setting_counts(), InequalityFamily(),
-                        MonteCarloConfig(runs=2000, r_b_mean=0.002,
-                                         r_b_sigma=0.002, seed=1))
+    heavy = monte_carlo(_model_setting_counts(),
+                        InequalityFamily(bob_amplitude=0.002),
+                        MonteCarloConfig(runs=2000, r_b_sigma=0.002, seed=1))
     cases = [(x, spike), (x, np.full(41, 7.0)),
              (x[:4], np.array([3.0, 9.0, 8.0, 2.0])), (x, twin),
              (_mids(heavy), heavy.bin_counts)]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from steering_lab.analysis import load_counts, write_counts
-from steering_lab.cli import main
+from steering_lab.cli import build_parser, main
 from steering_lab.quantum_model import ModelConfig, phase_sweep
 
 QUBIT_BOUND_DEFAULT = "1.0002063393115832"
@@ -65,6 +65,17 @@ def test_bound_compare_appends_report(tmp_path, capsys):
                  "--compare"]) == 0
     out, _ = _lines(capsys)
     assert any("reported" in line for line in out)
+
+
+@pytest.mark.parametrize("r_b", [[], ["--r-b", "0.217"], ["--r-b", "0.3"]])
+def test_bound_compare_is_taken_at_the_snapshot_parameters(tmp_path, capsys,
+                                                           r_b):
+    # the reported values were taken at r_B = 0.21: the report compares
+    # there, whatever amplitude the bound itself is built at
+    assert main(["bound", "--output", str(tmp_path / "i.txt"), "--compare",
+                 *r_b]) == 0
+    out, _ = _lines(capsys)
+    assert "coefficient comparison at s=0.983 t=0.0656 r_B=0.21" in out
 
 
 def test_bound_rejects_bad_parameters(capsys):
@@ -132,7 +143,7 @@ def test_sweep_sampling_emits_loadable_counts(tmp_path, capsys):
     assert main(["sweep", "--sample", "2000", "--seed", "4",
                  "--output", str(out_file)]) == 0
     record = load_counts(out_file)
-    assert record.n_points == 50
+    assert record.phases.size == 50
     assert record.counts.sum() > 0
 
 
@@ -165,6 +176,17 @@ def test_certify_critical_efficiency(capsys):
     gap = float(kv["infeasible_at"]) - eta_star
     assert 0.0 < gap <= 1e-8
     assert float(kv["bracket_width"]) == pytest.approx(gap, rel=1e-6)
+
+
+@pytest.mark.parametrize("r_a", ["0.2", "0.233"])
+def test_certify_printed_ends_give_their_own_verdicts(capsys, r_a):
+    assert main(["certify", "--r-a", r_a]) == 0
+    kv = _kv(_lines(capsys)[0])
+    for end, verdict in (("feasible_at", "feasible (unsteerable)"),
+                         ("infeasible_at", "infeasible (steerable)")):
+        assert main(["certify", "--r-a", r_a, "--eta", kv[end]]) == 0
+        out, _ = _lines(capsys)
+        assert out[0] == verdict, (end, kv[end])
 
 
 def test_certify_visibility_raises_the_critical_efficiency(capsys):
@@ -209,6 +231,28 @@ def test_analyze_detects_steering(tmp_path, capsys):
     assert kv["steerable"] == "yes"
     assert float(kv["delta_s"]) == pytest.approx(0.002953518415892198,
                                                  abs=1e-6)
+
+
+def test_montecarlo_picks_setting_rows_as_analyze_does(tmp_path, capsys):
+    # four rows on the ladder; setting phases a quarter step away have no
+    # row near them, under either command
+    path = tmp_path / "four.txt"
+    path.write_text("".join("%r 1000 500 400 100\n" % (k * np.pi / 2)
+                            for k in range(4)))
+    x_phases = ",".join(repr(0.5 + k * np.pi / 2) for k in range(4))
+    errors = []
+    for argv in (["analyze", str(path), "--mode", "nearest_point"],
+                 ["montecarlo", str(path), "--runs", "10",
+                  "--output", str(tmp_path / "mc.txt")]):
+        assert main([*argv, "--x-phases", x_phases]) == 3
+        out, err = _lines(capsys)
+        assert not out and len(err) == 1
+        errors.append(err[0])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("ExtractionError: no sweep sample within")
+    # the ladder's own rows serve both
+    assert main(["montecarlo", str(path), "--runs", "10",
+                 "--output", str(tmp_path / "mc.txt")]) == 0
 
 
 def test_montecarlo_writes_results(tmp_path, capsys):
@@ -355,15 +399,21 @@ _VALUES = {
     "runs": st.integers(-1, 40).map(str),
 }
 _VALUES["x_phases"] = _VALUES["phases"]
-_OPTIONS = {
-    "bound": ("s", "t", "m", "r_b", "phases"),
-    "simulate": ("eta", "r_a", "r_b", "m", "visibility", "phases"),
-    "sweep": ("eta", "r_a", "r_b", "m", "visibility", "phases", "seed",
-              "points", "start", "stop", "sample"),
-    "analyze": ("s", "t", "m", "r_b", "phases", "x_phases", "mode"),
-    "montecarlo": ("s", "t", "m", "r_b", "phases", "x_phases", "seed",
-                   "r_b_sigma"),
-}
+
+
+def _parser_options():
+    """The options that take a value, by command, as build_parser declares
+    them: certify and optimize have their own fuzz test below, and the
+    output path and the switches that only add output (--compare,
+    --oracle) are left out."""
+    return {command: tuple(action.dest for action in sub._actions
+                           if action.option_strings and action.nargs != 0
+                           and action.dest != "output")
+            for command, sub in build_parser().commands.items()
+            if command not in ("certify", "optimize")}
+
+
+_OPTIONS = _parser_options()
 # Where a command reads its counts file and writes its output: one that
 # works, a missing file or directory, a directory in place of a file, and
 # a file that is not UTF-8.
@@ -391,10 +441,10 @@ _NOT_UTF8 = b"\xff\xfe0.5 1 2 3 4\n"
 def _invocations(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     names = draw(st.lists(st.sampled_from(_OPTIONS[command]), unique=True))
+    if command == "montecarlo" and "runs" not in names:
+        names.append("runs")       # the default 200000 runs take too long
     flags = ["--%s=%s" % (name.replace("_", "-"), draw(_VALUES[name]))
              for name in names]
-    if command == "montecarlo":
-        flags.append("--runs=%s" % draw(_VALUES["runs"]))
     counts = rows = None
     if command in ("analyze", "montecarlo"):
         counts = draw(st.sampled_from(_COUNTS_SOURCES))
@@ -424,6 +474,9 @@ def _counts_argument(tmp, source, rows):
 @settings(max_examples=300, deadline=None)
 @given(_invocations())
 def test_fuzzed_invocations_exit_cleanly(invocation):
+    # an option the parser gained without a value strategy fails here
+    assert {name for names in _OPTIONS.values() for name in names} \
+        <= set(_VALUES)
     command, flags, (counts, rows), output, config = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -449,7 +502,7 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
 
 # the certified gap of the m = 4 ladder at the default r_A, as certify
 # prints it (feasible_at, infeasible_at)
-_LADDER_GAP = ("0.42673737391279021", "0.42673737891278479")
+_LADDER_GAP = ("0.42673737391279021", "0.42673737901278563")
 
 
 @st.composite
@@ -480,9 +533,11 @@ def test_fuzzed_decisions_exit_cleanly(argv):
 # what each command needs besides --m and --phases to run
 _RUNNABLE = {"bound": ["--output", "{tmp}/out.txt"], "simulate": [],
              "sweep": ["--output", "{tmp}/out.txt"],
-             "certify": ["--eta", "0.5"], "analyze": ["{tmp}/counts.txt"],
-             "montecarlo": ["{tmp}/counts.txt", "--runs", "10",
-                            "--output", "{tmp}/out.txt"]}
+             "certify": ["--eta", "0.5"]}
+# the data commands, which score counts against the m = 4 ladder only
+_DATA = {"analyze": ["{tmp}/counts.txt"],
+         "montecarlo": ["{tmp}/counts.txt", "--runs", "10",
+                        "--output", "{tmp}/out.txt"]}
 
 
 @pytest.mark.parametrize("command", sorted(_RUNNABLE))
@@ -496,6 +551,20 @@ def test_m_and_phases_of_another_length_are_rejected(tmp_path, capsys,
     assert err == ["ValidationError: alice_phases needs 5 entries, got 4"]
     # the same phases under a matching --m run
     assert main([command, *extra, "--m", "4", "--phases", "0,1,2,3"]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(_DATA))
+def test_data_commands_reject_ladder_options(tmp_path, capsys, command):
+    _write_model_sweep(tmp_path / "counts.txt")
+    extra = [arg.format(tmp=tmp_path) for arg in _DATA[command]]
+    rotated = ",".join(repr(k * np.pi / 2) for k in (1, 2, 3, 0))
+    for options in (["--phases", "0,1,2,3"], ["--phases", rotated],
+                    ["--m", "5", "--phases", "0,1,2,3"]):
+        assert main([command, *extra, *options]) == 2
+        out, err = _lines(capsys)
+        assert not out
+        assert len(err) == 1 and err[0].startswith("ValidationError: ")
+    assert main([command, *extra]) == 0
 
 
 def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):

@@ -241,10 +241,10 @@ def test_every_verdict_carries_a_certificate_that_checks(phases, space):
         verdict, certificate = res.verdict_at(eta)
         seen.add(verdict)
         if verdict == "feasible":
-            assert eta <= res.eta_upper
+            assert eta < res.eta_upper
             assert verify_hidden_states(certificate, res.problem, eta) <= 1e-9
         elif verdict == "infeasible":
-            assert eta > res.eta_upper
+            assert eta >= res.eta_upper
             value = certificate.value(res.problem.table_at(eta))
             assert value > certificate.bound + 1e-10 * max(
                 1.0, abs(value), abs(certificate.bound))
@@ -255,6 +255,8 @@ def test_every_verdict_carries_a_certificate_that_checks(phases, space):
     assert "feasible" in seen
     if res.eta_upper + 1e-7 <= 1.0:
         assert "infeasible" in seen
+        # eta_upper is the first infeasible efficiency
+        assert res.verdict_at(res.eta_upper)[0] == "infeasible"
     with pytest.raises(ValidationError):
         res.verdict_at(1.5)
 
