@@ -5,11 +5,12 @@ measurements on path-entangled single photons, computes their unsteerable
 bounds (qubit closed form, and exact on photon-number space through the
 Gram matrix of the trusted coherent states), simulates the lossy
 experiment, certifies (un)steerability by computing the critical efficiency
-of the joint click table (one barrier-method conic program that returns a
-hidden-state model and a violated steering functional), with the trusted
-side seen either through its displacement detectors on photon-number space
-or exactly on the 0-1 subspace, optimizes measurement phases, and analyzes
-phase-sweep count data including Monte Carlo error propagation. A
+of the joint click table (one conic program, solved by a primal-dual
+interior-point method, that returns a hidden-state model and a violated
+steering functional), with the trusted side seen either through its
+displacement detectors on photon-number space or exactly on the 0-1
+subspace, optimizes measurement phases, and analyzes phase-sweep count
+data including Monte Carlo error propagation. A
 displacement measurement is an amplitude r and a phase theta: the fock_ops
 kernels take both as arrays that broadcast together, and every projector
 and click table of the package is built through them.

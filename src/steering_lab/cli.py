@@ -49,7 +49,13 @@ _COMMAND_LINE_ONLY = ("command", "config", "func", "compare", "oracle",
 
 
 class _CliParser(argparse.ArgumentParser):
-    """argparse variant keeping the single-line error contract."""
+    """argparse variant keeping the single-line error contract. Options
+    match by their full names only, so a prefix such as --m is an error
+    where no option of that name exists, not the option it abbreviates;
+    subparsers are built by this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -249,7 +255,7 @@ def cmd_certify(args):
     else:
         print("indeterminate")
         detail = "certified_gap=%.3e" % (result.eta_upper - result.eta_star)
-    print("iterations=%d" % result.newton_steps)
+    print("iterations=%d" % result.iterations)
     print(detail)
     return 0
 

@@ -57,7 +57,8 @@ class ExtractionError(SteeringLabError):
 
 
 class IndeterminateFeasibilityError(SteeringLabError):
-    """The LHS barrier method stalled before certifying a narrow interval."""
+    """The LHS solver ran out of iterations before certifying a narrow
+    interval."""
 
 
 def check_seed(seed):

@@ -17,7 +17,7 @@ assemblage problem.
 
 The table is exactly linear in the efficiency eta, so the critical
 efficiency eta* (the largest eta with an LHS model) is one conic program,
-maximized directly by a barrier method with no bisection. The solve
+solved by a primal-dual interior-point method with no bisection. The solve
 returns both certificates: hidden states that reproduce the table at
 eta_star, checked by verify_hidden_states, and a probability-level
 steering functional in the format of the family's inequality
@@ -36,7 +36,7 @@ one stacked call rates a whole pattern of candidates. The reported eta* is
 always the critical efficiency of the actual candidate phases.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -52,10 +52,7 @@ from .quantum_model import DEFAULT_R_A, ModelConfig, joint_probabilities
 GAP_TOL = 1e-8            # width of the certified eta interval
 MODEL_TOL = 1e-9          # largest verify_hidden_states error of a model
 FUNCTIONAL_MARGIN = 1e-10  # relative margin a functional must win by
-FALLBACK_GAP = 1e-6       # widest interval returned when the barrier stalls
-CENTERING_TOL = 1e-2      # Newton decrement that ends a centering
-BARRIER_GROWTH = 10.0
-NEWTON_CAP = 2000
+ITERATION_CAP = 100       # primal-dual iterations of one solve
 PATTERN_STEP = 0.3        # rad, first step of the phase search
 PATTERN_TOL = 1e-3        # rad, step below which the phase search stops
 PATTERN_CAP = 2000        # iterations of one phase search
@@ -165,9 +162,9 @@ def _product_model(problem: TableProblem):
 class ExperimentEfficiency:
     """Critical efficiency of the joint table, decided from both sides.
 
-    model reproduces problem.table_at(eta_star); functional is violated, by
-    FUNCTIONAL_MARGIN, from eta_upper on (eta_upper - eta_star is the
-    certified gap). A value above 1 means no physical efficiency steers.
+    model reproduces problem.table_at(eta_star) to MODEL_TOL; functional is
+    violated, by FUNCTIONAL_MARGIN, from eta_upper on (eta_upper - eta_star
+    is the certified gap). A value above 1 means no physical efficiency steers.
     """
 
     eta_star: float
@@ -175,7 +172,7 @@ class ExperimentEfficiency:
     model: HiddenStateModel
     functional: SteeringFunctional
     problem: TableProblem
-    newton_steps: int
+    iterations: int
     tangent: HiddenStateModel = field(repr=False)
 
     def verdict_at(self, eta):
@@ -184,15 +181,12 @@ class ExperimentEfficiency:
         'feasible' carries a HiddenStateModel of the table at eta. Up to
         eta_star it is the eta_star model mixed with the product model of
         the eta = 0 table, PSD by construction. Inside the certified gap it
-        is the eta_star model moved along tangent, which reproduces the
-        table exactly and is kept if verify_hidden_states passes it to
-        MODEL_TOL (a table on the cone's boundary, such as eta = 1 with one
-        effective setting, is decided this way). From eta_upper on, where
-        the functional first beats its bound on the table in direct
-        arithmetic by a relative FUNCTIONAL_MARGIN, it is tried instead, and
-        'infeasible' carries it if it wins (rounding can still make it lose
-        a few ulps above). Otherwise the verdict is 'indeterminate', with no
-        certificate.
+        is the eta_star model moved along tangent, kept if
+        verify_hidden_states passes it to MODEL_TOL (a table on the cone's
+        boundary, such as eta = 1 with one effective setting, is decided
+        this way). From eta_upper on, where the functional beats its bound
+        by FUNCTIONAL_MARGIN and a rounding unit, 'infeasible' carries it
+        if it wins. Otherwise the verdict is 'indeterminate', with none.
         """
         if not 0.0 <= eta <= 1.0:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
@@ -217,42 +211,47 @@ class ExperimentEfficiency:
         return "indeterminate", None
 
 
-def _beats_bound(func: SteeringFunctional, table):
-    """Whether table violates func by the relative FUNCTIONAL_MARGIN."""
-    value = func.value(table)
-    return value > func.bound + FUNCTIONAL_MARGIN * max(1.0, abs(value),
-                                                        abs(func.bound))
+def _beats_bound(func: SteeringFunctional, table, spare=0):
+    """Whether table violates func by the relative FUNCTIONAL_MARGIN, and
+    by spare rounding units of func.value (eps sum |F M| each) besides."""
+    terms = func.coefficients * _marginals(table)
+    value = float(terms.sum())
+    return value > (func.bound + spare * np.finfo(float).eps
+                    * float(np.abs(terms).sum()) + FUNCTIONAL_MARGIN
+                    * max(1.0, abs(value), abs(func.bound)))
 
 
-def _first_violation(func: SteeringFunctional, problem, crossing, slope):
-    """First eta at which func beats its bound by FUNCTIONAL_MARGIN (inf if
-    none): from the crossing of its value, of this slope in eta, with the
-    bound, raised in doubling steps until direct arithmetic agrees."""
-    if crossing == math.inf:
-        return crossing
-    upper = crossing + FUNCTIONAL_MARGIN * max(1.0, abs(func.bound)) / slope
+def _first_violation(func: SteeringFunctional, problem, eta, slope):
+    """First eta from which func beats its bound by FUNCTIONAL_MARGIN and a
+    rounding unit of func.value (its rounding stays under half a unit, so no
+    larger eta reads otherwise): from its crossing, in doubling steps."""
+    upper = eta + (func.bound - func.value(problem.table_at(eta)) + (
+        FUNCTIONAL_MARGIN * max(1.0, abs(func.bound)))) / slope
     step = math.ulp(upper)
-    while not _beats_bound(func, problem.table_at(upper)):
+    while not _beats_bound(func, problem.table_at(upper), spare=1):
         upper, step = upper + step, 2.0 * step
     return upper
 
 
 def _max_eta(problem: TableProblem):
-    """Barrier method for max eta s.t. sum_k c_k phi(X_k, w_k)^T = M(eta).
+    """Primal-dual interior-point method for max eta s.t. A(X, w) = b + eta d.
 
-    c_k = (D_k(+|x), 1) are the strategy rows and phi(X, w) = (b_y^dag X b_y,
-    tr X + w) the trusted-side functionals, reduced to an orthonormal basis
-    of their span. Infeasible-start Newton on -t eta - sum log det X_k -
-    sum log w_k; every centering ends with a certified interval, and t
-    grows until the interval is narrower than GAP_TOL. The last growth is
-    capped to land the gap near GAP_TOL / 2, short of the large t at which
-    Newton steps stall. Should a centering still fail (step cap, eta past a
-    proven upper bound, or hidden states off the table), the last certified
-    interval is returned if it is at most FALLBACK_GAP wide. Each certified
-    iterate carries a tangent: the change per unit eta of its hidden states
-    that follows the table with the least relative change, F_k D_k F_k^dag,
-    so X_k + s F_k D_k F_k^dag stays PSD for small s even where X_k is
-    nearly singular.
+    A(X, w) = sum_k c_k phi(X_k, w_k)^T over PSD X_k and w_k >= 0: c_k =
+    (D_k(+|x), 1) are the strategy rows, phi(X, w) = (b_y^dag X b_y, tr X +
+    w) the trusted-side functionals reduced to a basis of their span. The
+    dual y (min y^T b s.t. S = A*(y) PSD, y^T d = -1) is a steering
+    functional. Nesterov-Todd scaling W = R R^dag, R^-1 X R^-dag = R^dag S R
+    = Lambda diagonal (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998), and
+    Mehrotra's predictor-corrector from an infeasible start, as in CVXOPT's
+    cone solvers (Vandenberghe, 2010); X and S are held as factors that each
+    step multiplies by a Cholesky factor of a definite matrix. Below a
+    duality gap of GAP_TOL / 10 (margins and rounding, not the iterate, then
+    set the interval) an iterate is taken if its hidden states pass
+    verify_hidden_states at eta_star (eta moved to where y values their own
+    table) and y, bounded by lhs_bound, is violated from an eta_upper with
+    0 < eta_upper - eta_star <= GAP_TOL; the solve raises after ITERATION_CAP.
+    The tangent F_k D_k F_k^dag (a QR in the final factor F) follows the
+    table per unit eta with the least relative change.
     """
     basis, outside = problem.basis, problem.outside
     dim, n = basis.shape
@@ -261,30 +260,24 @@ def _max_eta(problem: TableProblem):
     # functionals as real vectors over (Re X, Im X, w), then reduced
     mats = np.concatenate([np.einsum('ay,by->yab', basis, basis.conj()),
                            np.eye(dim)[None]])
-    outs = np.zeros(n + 1)
-    outs[n] = 1.0 if outside else 0.0
+    outs = np.eye(n + 1)[n] * outside
     phi = np.hstack([mats.real.reshape(n + 1, -1),
                      mats.imag.reshape(n + 1, -1), outs[:, None]])
     u, sv, _ = np.linalg.svd(phi, full_matrices=True)
     rank = int((sv > 1e-12 * sv[0]).sum())
     red, perp = u[:, :rank], u[:, rank:]
-    t0, td = _marginals(problem.table_vacuum), _marginals(problem.table_steered)
-    td = td - t0
-    if max(np.abs(t0 @ perp).max(initial=0.0),
-           np.abs(td @ perp).max(initial=0.0)) > 1e-9:
+    t0 = _marginals(problem.table_vacuum)
+    td = _marginals(problem.table_steered) - t0
+    if np.abs(np.concatenate([t0, td]) @ perp).max(initial=0.0) > 1e-9:
         raise ValidationError("the table lies outside what any hidden state "
                               "on this trusted-side space can produce")
     mats = np.einsum('jk,jab->kab', red, mats)
     outs = outs @ red
     target0, target_d = (t0 @ red).ravel(), (td @ red).ravel()
-    size = target0.size
+    size, coords = target0.size, n_strat * 2 * dim * dim
 
-    def amap(x, w):
-        vals = np.einsum('kab,lba->lk', mats, x).real + w[:, None] * outs
-        return (rows.T @ vals).ravel()
-
-    def hidden(factor):
-        return factor @ np.conj(np.swapaxes(factor, 1, 2))
+    def dagger(a):
+        return np.conj(np.swapaxes(a, -1, -2))
 
     def jacobian(factor, w):
         """Constraints' derivative in scaled coordinates F D F^dag, w d_w."""
@@ -297,97 +290,104 @@ def _max_eta(problem: TableProblem):
                 'li,k,l->ikl', rows, outs, w).reshape(size, -1)])
         return jac
 
-    coords = n_strat * 2 * dim * dim
-
     def scaled_change(move):
-        """Hermitian D_k and d_w of a move in scaled coordinates."""
-        parts = move[:coords].reshape(n_strat, 2, dim, dim)
-        d = parts[:, 0] + 1j * parts[:, 1]
-        return 0.5 * (d + np.conj(np.swapaxes(d, 1, 2))), move[coords:]
+        """Hermitian D_k and d_w of moves (last axis) in scaled coordinates."""
+        parts = move[..., :coords].reshape(move.shape[:-1]
+                                           + (n_strat, 2, dim, dim))
+        d = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+        return 0.5 * (d + dagger(d)), move[..., coords:]
 
-    # X_k = F_k F_k^dag; each step multiplies F_k by a Cholesky factor of
-    # a definite matrix, so rounding can never make a hidden state indefinite
-    share = 1.0 / (n_strat * (dim + outside))
-    factor = np.broadcast_to(math.sqrt(share) * np.eye(dim, dtype=complex),
-                             (n_strat, dim, dim)).copy()
-    w = np.full(n_strat, share if outside else 0.0)
-    eta, t, steps, feasible = 0.0, 1.0, 0, False
-    certified = None
-    while True:
-        stall = None
-        while True:
-            if steps >= NEWTON_CAP:
-                stall = f"more than {NEWTON_CAP} Newton steps"
-                break
-            steps += 1
-            # Newton step in scaled coordinates X + F D F^dag, w (1 + d_w):
-            # it is the minimum-norm solution of the linearized constraints
-            # plus a multiple of the eta direction; with jac^T = Q R that is
-            # Q R^-T applied to both right-hand sides
-            ortho, tri = np.linalg.qr(jacobian(factor, w).T)
-            rhs = target0 + eta * target_d - 2.0 * amap(hidden(factor), w)
-            z = np.linalg.solve(tri.T, np.column_stack([rhs, target_d]))
-            p, q = (ortho @ z).T
-            d_eta = (t - p @ q) / (q @ q)
-            move = p + d_eta * q
-            change, d_w = scaled_change(move)
-            delta = np.eye(dim) + change
-            rel = np.linalg.eigvalsh(delta).ravel()
-            if outside:
-                rel = np.append(rel, 1.0 + d_w)
-            decrement = math.sqrt(float(rel @ rel))
-            if feasible:
-                # damped Newton on a self-concordant function: stays inside
-                # the cones and decreases it, with no line search
-                step = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-            else:
-                step = min(1.0, 0.99 / max(-float(rel.min()), 1e-300))
-            factor = factor @ np.linalg.cholesky(np.eye(dim) + step * delta)
-            if outside:
-                w = w * (1.0 + step * (1.0 + d_w))
-            eta += step * d_eta
-            feasible = feasible or step == 1.0
-            if certified is not None and eta > certified.eta_upper:
-                stall = f"eta={eta:.9f} passed its proven upper bound"
-                break
-            if feasible and decrement <= CENTERING_TOL:
-                break
-        if stall is None:
-            # least-squares dual of the last step, from its factor:
-            # jac^T nu = -move with move = Q (z_p + d_eta z_q)
-            nu = -np.linalg.solve(tri, z @ (1.0, d_eta)).reshape(-1, rank)
-            coefficients = -(nu / t) @ red.T
-            func = SteeringFunctional(coefficients=coefficients,
-                                      bound=lhs_bound(coefficients, basis,
-                                                      outside))
-            slope_d = float((coefficients * td).sum())
-            crossing = (eta + (func.bound - func.value(problem.table_at(eta)))
-                        / slope_d if slope_d > 0.0 else math.inf)
-            model = HiddenStateModel(blocks=hidden(factor), weights=w)
-            error = verify_hidden_states(model, problem, eta)
-            if error > MODEL_TOL:
-                stall = (f"hidden states miss the table at eta={eta:.9f} "
-                         f"by {error:.2e}")
-        if stall is not None:
-            if (certified is not None
-                    and certified.eta_upper - certified.eta_star
-                    <= FALLBACK_GAP):
-                return replace(certified, newton_steps=steps)
-            raise IndeterminateFeasibilityError(
-                f"barrier method stalled at t={t:.3e}: {stall}")
-        ortho, tri = np.linalg.qr(jacobian(factor, w).T)
-        d_x, d_w = scaled_change(ortho @ np.linalg.solve(tri.T, target_d))
-        tangent = HiddenStateModel(
-            blocks=factor @ d_x @ np.conj(np.swapaxes(factor, 1, 2)),
-            weights=w * d_w if outside else np.zeros_like(w))
-        certified = ExperimentEfficiency(
-            eta_star=eta, model=model, functional=func, problem=problem,
-            eta_upper=_first_violation(func, problem, crossing, slope_d),
-            newton_steps=steps, tangent=tangent)
-        gap = crossing - eta
-        if gap <= GAP_TOL:
-            return certified
-        t *= min(BARRIER_GROWTH, 2.0 * gap / GAP_TOL)
+    def vector(blocks, d_w):    # inverse of scaled_change on Hermitian D
+        return np.concatenate([np.stack([blocks.real, blocks.imag],
+                                        axis=1).ravel(), d_w])
+
+    def direction(rc, scale):
+        """Moves dx, ds, T dy and d_eta of J dx - d_eta d = scale r_p, ds =
+        J^T dy + scale r_d, d^T dy = scale r_e, dx + ds = rc (J^T = Q T)."""
+        g = rc - scale * res_d
+        z = ortho.T @ g - scale * solved_p
+        d_eta = (solved_d @ z - scale * res_e) / (solved_d @ solved_d)
+        z -= d_eta * solved_d
+        dx = g - ortho @ z
+        return np.stack([dx, rc - dx]), z, d_eta
+
+    def relative(moves):
+        """Lambda^-1/2 D Lambda^-1/2 and d_w / lambda of the moves, and the
+        least eigenvalue: a step s keeps the cones iff 1 + s least > 0."""
+        blocks, d_w = scaled_change(moves)
+        blocks = blocks / np.sqrt(lam[:, :, None] * lam[:, None, :])
+        return blocks, d_w / lam_w, min(float(np.linalg.eigvalsh(
+            blocks).min()), (d_w / lam_w).min(initial=math.inf))
+
+    def certified(iterations):
+        coefficients = -y.reshape(-1, rank) @ red.T
+        func = SteeringFunctional(coefficients, lhs_bound(coefficients,
+                                                          basis, outside))
+        slope = float((coefficients * td).sum())
+        if slope <= 0.0:
+            return None
+        eta_star = eta + (y @ res_p) / slope
+        eta_upper = _first_violation(func, problem, eta_star, slope)
+        lx, w = factors[0], weights[0]
+        pad = np.zeros(0 if outside else n_strat)
+        model = HiddenStateModel(lx @ dagger(lx), np.append(w, pad))
+        if not (eta_star < eta_upper <= eta_star + GAP_TOL and
+                verify_hidden_states(model, problem, eta_star) <= MODEL_TOL):
+            return None
+        ortho, tri = np.linalg.qr(jacobian(lx, w).T)
+        move, d_w = scaled_change(ortho @ np.linalg.solve(tri.T, target_d))
+        return ExperimentEfficiency(
+            eta_star=eta_star, eta_upper=eta_upper, model=model,
+            functional=func, problem=problem, iterations=iterations,
+            tangent=HiddenStateModel(lx @ move @ dagger(lx),
+                                     np.append(w * d_w, pad)))
+
+    # factors F_k, G_k of X_k = F_k F_k^dag and S_k = G_k G_k^dag; weights
+    # w_k outside and their slacks v_k (none if the problem bars them)
+    nu = n_strat * (dim + outside)
+    eye = np.eye(dim)
+    factors = np.repeat([[eye / math.sqrt(nu)], [eye]], n_strat, axis=1) + 0j
+    weights = np.outer([1.0 / nu, 1.0], np.ones(n_strat if outside else 0))
+    y, eta = np.zeros(size), 0.0
+    for iterations in range(ITERATION_CAP + 1):
+        # NT scaling from G^dag F = U Lambda V^dag: R = F V Lambda^-1/2 and
+        # sqrt(w / v); in its coordinates X and S are both Lambda
+        left, lam, right = np.linalg.svd(dagger(factors[1]) @ factors[0])
+        rotations = np.stack([dagger(right), left])
+        lam_w = np.sqrt(weights[0] * weights[1])
+        lam_vec = vector(lam[..., None] * eye, lam_w)
+        jac = jacobian(factors[0] @ rotations[0] / np.sqrt(lam)[:, None, :],
+                       np.sqrt(weights[0] / weights[1]))
+        res_p = target0 + eta * target_d - jac @ lam_vec
+        gap = float(lam_vec @ lam_vec)
+        if gap <= 0.1 * GAP_TOL and (result := certified(iterations)):
+            return result
+        res_d, res_e = jac.T @ y - lam_vec, -1.0 - target_d @ y
+        ortho, tri = np.linalg.qr(jac.T)
+        solved_p, solved_d = np.linalg.solve(tri.T, np.column_stack(
+            [res_p, target_d])).T
+        # predictor: the affine move, whose reach sets the centering
+        moves, _, _ = direction(-lam_vec, 1.0)
+        reach = min(1.0, 1.0 / max(-relative(moves)[2], 1e-300))
+        sigma = min(1.0, max(0.0, 1.0 - reach + reach * reach
+                             * (moves[0] @ moves[1]) / gap)) ** 3
+        # corrector: lambda o (dx + ds) = sigma mu e - lambda o lambda -
+        # dx_a o ds_a, elementwise for the diagonal lambda
+        blocks, (wx, ws) = scaled_change(moves)
+        cross = blocks[0] @ blocks[1]
+        cross = (cross + dagger(cross)) / (lam[:, :, None] + lam[:, None, :])
+        mu = sigma * gap / nu
+        moves, z, d_eta = direction(vector(
+            (mu / lam - lam)[..., None] * eye - cross,
+            (mu - lam_w * lam_w - wx * ws) / lam_w), 1.0 - sigma)
+        blocks, d_w, least = relative(moves)
+        step = min(1.0, 0.99 / max(-least, 1e-300))
+        factors = factors @ rotations @ np.linalg.cholesky(eye + step * blocks)
+        weights = weights * (1.0 + step * d_w)
+        y = y + step * np.linalg.solve(tri, z)
+        eta += step * d_eta
+    raise IndeterminateFeasibilityError(f"no certified interval after "
+                                        f"{ITERATION_CAP} iterations")
 
 
 def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
@@ -397,11 +397,11 @@ def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
     The trusted side is seen only through its four displacement detectors,
     acting on photon-number space (space='fock', exact through the Gram
     matrix of the coherent states) or on the 0-1 subspace (space='qubit',
-    the assemblage problem). Solved directly by a barrier method, no
-    bisection; the answer carries hidden states at eta_star and a steering
-    functional violated above eta_upper, normally within GAP_TOL of
-    eta_star and never more than FALLBACK_GAP above it. The defaults are
-    the reference amplitude r_A = 0.233 and the m = 4 ladder.
+    the assemblage problem). Solved directly by a primal-dual interior-point
+    method, no bisection; the answer carries hidden states at eta_star and a
+    steering functional violated from eta_upper on, at most GAP_TOL above
+    eta_star, or the solve raises IndeterminateFeasibilityError. The
+    defaults are the reference amplitude r_A = 0.233 and the m = 4 ladder.
     """
     return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space,
                                             visibility))

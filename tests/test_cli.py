@@ -201,12 +201,42 @@ def test_certify_visibility_raises_the_critical_efficiency(capsys):
 
 
 def test_certify_decides_on_a_thin_interior(capsys):
-    """Near r_A = 0 the LHS set has a thin interior and the barrier's
-    Newton systems are ill-conditioned; a least-squares solve with a
-    singular-value cut stalled here at t = 1e8."""
-    assert main(["certify", "--r-a", "1e-3"]) == 0
+    """Near r_A = 0 the LHS set has an interior of width O(r_A^2), and the
+    Newton systems of an interior-point method are ill-conditioned."""
+    for r_a in ("5e-4", "1e-3", "2e-3", "3e-3"):
+        assert main(["certify", "--r-a", r_a]) == 0
+        out, _ = _lines(capsys)
+        assert 0.0 < float(_kv(out)["bracket_width"]) <= 1e-8, r_a
+
+
+def test_certify_at_r_a_zero_decides_that_nothing_steers(capsys):
+    """At r_A = 0 every setting is the same measurement. The table has an
+    LHS model up to eta = 1 exactly, where a trusted conditional state turns
+    singular, and the LHS set has no interior: the certified interval holds
+    1, and eta = 1 itself reads feasible."""
+    assert main(["certify", "--r-a", "0"]) == 0
+    kv = _kv(_lines(capsys)[0])
+    assert float(kv["feasible_at"]) <= 1.0 <= float(kv["infeasible_at"])
+    assert 0.0 < float(kv["bracket_width"]) <= 1e-8
+    assert main(["certify", "--r-a", "0", "--eta", "1"]) == 0
     out, _ = _lines(capsys)
-    assert 0.0 < float(_kv(out)["bracket_width"]) <= 1e-8
+    assert out[0] == "feasible (unsteerable)"
+    # below the thin-interior range the solve may run out of iterations,
+    # which ends in one line and exit 3
+    code = main(["certify", "--r-a", "1e-4"])
+    out, err = _lines(capsys)
+    assert (code, len(err)) in ((0, 0), (3, 1))
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "nearest_point"),
+                                         ("--mo", "from_fit")])
+def test_option_prefixes_are_not_taken_as_abbreviations(tmp_path, capsys,
+                                                        flag, value):
+    counts = _write_model_sweep(tmp_path / "sweep.txt")
+    assert main(["analyze", str(counts), flag, value]) == 2
+    out, err = _lines(capsys)
+    assert not out
+    assert err == [f"ValidationError: unrecognized arguments: {flag} {value}"]
 
 
 def test_optimize_is_reproducible(capsys):
@@ -502,7 +532,7 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
 
 # the certified gap of the m = 4 ladder at the default r_A, as certify
 # prints it (feasible_at, infeasible_at)
-_LADDER_GAP = ("0.42673737391279021", "0.42673737901278563")
+_LADDER_GAP = ("0.4267373781442953", "0.42673737844208903")
 
 
 @st.composite
@@ -512,13 +542,16 @@ def _decisions(draw):
                 "--restarts", str(draw(st.integers(1, 3))),
                 "--seed", str(draw(st.integers(0, 3)))]
     argv = ["certify", "--m", str(draw(st.integers(1, 6)))]
+    # the solver's edges: no interior at r_A = 0, a thin one at 1e-3
+    r_a = draw(st.sampled_from((None, "0", "1e-3", "0.2", "0.233", "0.9")))
     eta = draw(st.sampled_from((None, "0", "1") + _LADDER_GAP))
-    return argv + ([] if eta is None else ["--eta", eta])
+    return argv + ([] if r_a is None else ["--r-a", r_a]) + (
+        [] if eta is None else ["--eta", eta])
 
 
 @settings(max_examples=10, deadline=None)
 @given(_decisions())
-# r_A = 0 stalls the barrier method: exit 3 with one line, no traceback
+# r_A = 0: the LHS set has no interior, and eta* = 1 exactly
 @example(["certify", "--r-a", "0", "--eta", "0.5"])
 def test_fuzzed_decisions_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()

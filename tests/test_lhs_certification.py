@@ -1,9 +1,8 @@
 """Tests for LHS certification, critical efficiency, and phase optimization."""
 
 from dataclasses import replace
-from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -26,6 +25,8 @@ from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
 
 LADDER4 = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 LADDER5 = tuple(i * 2.0 * np.pi / 5.0 for i in range(5))
+_RANDOM4 = tuple(tuple(np.random.Generator(np.random.Philox(seed)).uniform(
+    0.0, 2.0 * np.pi, 4)) for seed in range(3))
 
 # Assemblage critical efficiencies on the ladder (experiment_critical_eta
 # with space="qubit"), certified to a gap below 1e-8. Each lies inside the
@@ -107,23 +108,24 @@ def _phase_sets(draw):
 
 
 @settings(max_examples=15, deadline=None)
-@given(phases=_phase_sets(), r_a=st.floats(0.01, 0.9))
-def test_every_assemblage_verdict_checks_by_arithmetic(phases, r_a):
-    res = experiment_critical_eta(r_a, phases, space="qubit")
+@given(phases=_phase_sets(), r_a=st.floats(0.01, 0.9),
+       space=st.just("qubit"))
+# hidden states with weight outside the span of the |alpha_y>, and
+# functionals bounded by lhs_bound(..., outside=True)
+@example(phases=LADDER5, r_a=0.05, space="fock")
+@example(phases=_RANDOM4[1], r_a=0.5, space="fock")
+@example(phases=(0.3, 2.0, 2.1, 4.4, 5.9), r_a=0.233, space="fock")
+@example(phases=_RANDOM4[2], r_a=0.9, space="fock")
+def test_every_assemblage_verdict_checks_by_arithmetic(phases, r_a, space):
+    res = experiment_critical_eta(r_a, phases, space=space)
     problem, func = res.problem, res.functional
+    assert problem.outside == (space == "fock")
     assert verify_hidden_states(res.model, problem,
                                 res.eta_star) <= lhs_certification.MODEL_TOL
     assert func.bound == lhs_bound(func.coefficients, problem.basis,
                                    problem.outside)
     assert func.value(problem.table_at(res.eta_upper + 1e-6)) > func.bound
-    gap = res.eta_upper - res.eta_star
-    assert 0.0 < gap <= lhs_certification.FALLBACK_GAP
-    if gap > lhs_certification.GAP_TOL:
-        # so wide an interval must come from the stall fallback: without
-        # it, the same solve stalls
-        with mock.patch.object(lhs_certification, "FALLBACK_GAP", 0.0), \
-                pytest.raises(IndeterminateFeasibilityError):
-            _max_eta(problem)
+    assert 0.0 < res.eta_upper - res.eta_star <= lhs_certification.GAP_TOL
 
 
 def test_verify_certificate_flags_corruption(assemblage_r233):
@@ -191,28 +193,23 @@ def test_more_settings_lower_the_critical_efficiency():
     assert res5.eta_star < ETA_STAR_R20
 
 
-def test_barrier_stall_falls_back_to_the_last_certified_interval(
-        monkeypatch):
+def test_a_solve_out_of_iterations_certifies_nothing(monkeypatch):
     problem = TableProblem.from_model(0.2, LADDER4, space="qubit")
-    # no centering finished: nothing is certified
-    monkeypatch.setattr(lhs_certification, "NEWTON_CAP", 5)
-    with pytest.raises(IndeterminateFeasibilityError):
+    monkeypatch.setattr(lhs_certification, "ITERATION_CAP", 2)
+    with pytest.raises(IndeterminateFeasibilityError,
+                       match="after 2 iterations"):
         _max_eta(problem)
-    # a gap target out of reach: the barrier stalls, and the last
-    # certified interval comes back with both certificates
-    monkeypatch.setattr(lhs_certification, "NEWTON_CAP", 2000)
-    monkeypatch.setattr(lhs_certification, "GAP_TOL", 1e-14)
-    res = _max_eta(problem)
-    assert res.eta_upper - res.eta_star <= lhs_certification.FALLBACK_GAP
-    assert (ASSEMBLAGE_BRACKET_R20[0] <= res.eta_star <= res.eta_upper
-            <= ASSEMBLAGE_BRACKET_R20[1])
-    assert verify_hidden_states(res.model, problem, res.eta_star) <= 1e-9
-    func = res.functional
-    assert func.value(problem.table_at(res.eta_upper + 1e-9)) > func.bound
 
 
-_RANDOM4 = tuple(tuple(np.random.Generator(np.random.Philox(seed)).uniform(
-    0.0, 2.0 * np.pi, 4)) for seed in range(3))
+@pytest.mark.parametrize("space, sizes", [("qubit", range(1, 9)),
+                                          ("fock", range(1, 6))])
+def test_ladder_solves_stay_within_fifty_iterations(space, sizes):
+    for m in sizes:
+        for r_a in (0.2, 0.233):
+            res = experiment_critical_eta(r_a, _ladder(m), space=space)
+            assert res.iterations <= 50, (m, r_a)
+            gap = res.eta_upper - res.eta_star
+            assert 0.0 < gap <= lhs_certification.GAP_TOL, (m, r_a)
 
 
 def _verdict_case(phases, space="qubit"):
@@ -232,31 +229,33 @@ def _verdict_case(phases, space="qubit"):
 def test_every_verdict_carries_a_certificate_that_checks(phases, space):
     res = experiment_critical_eta(0.2, phases, space=space)
     assert res.problem.outside == (space == "fock")
-    probes = {*np.linspace(0.0, 1.0, 21), res.eta_star, res.eta_upper,
-              0.5 * (res.eta_star + res.eta_upper),
-              np.nextafter(res.eta_upper, 2.0), res.eta_star - 1e-3,
-              res.eta_upper + 1e-7}
+    # eta_upper and the floats just above it: rounding of the functional's
+    # value must not turn any of them back to "indeterminate"
+    above = [res.eta_upper]
+    for _ in range(8):
+        above.append(np.nextafter(above[-1], 2.0))
+    probes = {*np.linspace(0.0, 1.0, 21), res.eta_star, *above,
+              0.5 * (res.eta_star + res.eta_upper), res.eta_star - 1e-3,
+              res.eta_upper + 1e-12, res.eta_upper + 1e-7}
     seen = set()
     for eta in sorted(e for e in probes if 0.0 <= e <= 1.0):
         verdict, certificate = res.verdict_at(eta)
         seen.add(verdict)
-        if verdict == "feasible":
-            assert eta < res.eta_upper
-            assert verify_hidden_states(certificate, res.problem, eta) <= 1e-9
-        elif verdict == "infeasible":
-            assert eta >= res.eta_upper
+        if eta >= res.eta_upper:
+            # eta_upper is the first infeasible efficiency, and every
+            # efficiency above it reads infeasible too
+            assert verdict == "infeasible", eta - res.eta_upper
             value = certificate.value(res.problem.table_at(eta))
             assert value > certificate.bound + 1e-10 * max(
                 1.0, abs(value), abs(certificate.bound))
+        elif verdict == "feasible":
+            assert verify_hidden_states(certificate, res.problem, eta) <= 1e-9
         else:
-            # the certified gap, and rounding units just above it
-            assert res.eta_star < eta < res.eta_upper + 1e-7
-            assert certificate is None
+            # the certified gap
+            assert verdict == "indeterminate"
+            assert res.eta_star < eta and certificate is None
     assert "feasible" in seen
-    if res.eta_upper + 1e-7 <= 1.0:
-        assert "infeasible" in seen
-        # eta_upper is the first infeasible efficiency
-        assert res.verdict_at(res.eta_upper)[0] == "infeasible"
+    assert ("infeasible" in seen) == (res.eta_upper <= 1.0)
     with pytest.raises(ValidationError):
         res.verdict_at(1.5)
 
