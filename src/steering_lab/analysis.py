@@ -23,7 +23,6 @@ from .errors import (ExtractionError, FitError, ParseError, ValidationError,
 from .fock_ops import RESOLUTION_PHASES, TWO_PI
 from .inequality import (InequalityFamily, build_probability_inequality,
                          evaluate_steering, stacked_inequality)
-from .quantum_model import ProbabilityTable
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
@@ -186,7 +185,7 @@ def fit_cosine(phases, probs):
     """
     phases = np.asarray(phases, dtype=float)
     probs = np.asarray(probs, dtype=float)
-    if phases.size < 4 or np.unique(phases).size < 4:
+    if phases.size < 4 or len(set(phases.ravel().tolist())) < 4:
         raise ValidationError(
             f"at least 4 distinct phases required, got {phases.size}")
     if probs.shape != (phases.size, 4):
@@ -252,6 +251,7 @@ def extract_setting_table(source, x_phases, mode="from_fit"):
     takes the closest measured sweep row (within 0.05 rad) of a
     CountsRecord. Each cell is clipped to be non-negative and normalized.
     """
+    from .quantum_model import ProbabilityTable
     x_phases = _validate_x_phases(x_phases)
     if mode == "from_fit":
         if not isinstance(source, CosineFit):
@@ -283,7 +283,7 @@ class AnalysisReport:
     s_max: float
     delta_s: float
     fit: CosineFit
-    table: ProbabilityTable
+    table: "ProbabilityTable"
 
 
 def _check_ladder(family: InequalityFamily):
@@ -387,12 +387,12 @@ def _margin(rows, dists):
 class _BoundGrid:
     """Coefficient rows (see _coefficient_row) on an r_B grid.
 
-    The inequality is built on a GRID_SPACING-spaced grid spanning +/- 8
-    sigma around the family's r_B in one stacked pass (stacked_inequality),
-    with every grid point checked as a one-point build is; per-run values
-    are linear interpolations. Draws outside the grid fall back to exact
-    evaluation, again one stacked pass per chunk. The interpolation error
-    is probed at off-grid points and reported.
+    The grid is GRID_SPACING-spaced over +/- 8 sigma around the family's
+    r_B; a row is NaN until a lookup's draws reach it, and each lookup
+    builds the rows it lacks in one stacked pass (stacked_inequality, each
+    point checked as a one-point build is). Per-run values are linear
+    interpolations, and draws off the grid are evaluated exactly, again one
+    stacked pass per chunk. The interpolation error is probed and reported.
     """
 
     def __init__(self, family: InequalityFamily, r_b_sigma):
@@ -401,7 +401,13 @@ class _BoundGrid:
         hi = max(lo, min(0.999, family.bob_amplitude + 8.0 * r_b_sigma))
         n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
         self.r_grid = lo + GRID_SPACING * np.arange(n)
-        self.rows = _coefficient_row(family, self.r_grid)
+        self.rows = np.full((n, 18), np.nan)
+
+    def cover(self, first, last):
+        """Build the rows first..last (grid indices) still NaN."""
+        todo = first + np.flatnonzero(np.isnan(self.rows[first:last + 1, 0]))
+        if todo.size:
+            self.rows[todo] = _coefficient_row(self.family, self.r_grid[todo])
 
     def lookup(self, r_b):
         """Coefficient rows (n, 18) at the r_B values of a 1-D array: linear
@@ -411,6 +417,8 @@ class _BoundGrid:
         i = np.floor((r_b - self.r_grid[0]) / GRID_SPACING)
         inside = (i >= 0) & (i < self.r_grid.size - 1)
         k = i[inside].astype(np.intp)
+        if k.size:
+            self.cover(k.min(), k.max() + 1)
         w = ((r_b[inside] - self.r_grid[k]) / GRID_SPACING)[:, None]
         rows[inside] = (1.0 - w) * self.rows[k] + w * self.rows[k + 1]
         if not inside.all():
@@ -524,7 +532,7 @@ def _bin_count(samples):
     heavy tail gives a tiny IQR against a wide range, so the first rule
     alone can ask for far more bins than samples."""
     cap = math.isqrt(samples.size - 1) + 1
-    q75, q25 = np.percentile(samples, [75, 25])
+    q75, q25 = _quartiles(samples)
     width = 2.0 * (q75 - q25) * samples.size ** (-1.0 / 3.0)
     if not width:
         return 1, "freedman-diaconis"
@@ -532,6 +540,19 @@ def _bin_count(samples):
     if n_fd <= cap:
         return n_fd, "freedman-diaconis"
     return cap, "square-root"
+
+
+def _quartiles(samples):
+    """np.percentile(samples, [75, 25]) bit for bit from two samples on (one
+    sample is both), without the np.unique call that loads numpy.ma: the
+    'linear' method's index n q + (1 - q) - 1, partition and two-sided lerp."""
+    n = samples.size
+    index = [n * q + (1 - q) - 1 for q in (0.75, 0.25)]
+    ends = [(k, min(k + 1, n - 1)) for k in map(math.floor, index)]
+    part = np.partition(samples, sorted({0, n - 1, *sum(ends, ())}))
+    lerp = [(part[k], part[j], v - k) for v, (k, j) in zip(index, ends)]
+    return [b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+            for a, b, t in lerp]
 
 
 def curve_fit(x, y):

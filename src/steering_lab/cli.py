@@ -26,7 +26,8 @@ package module, main parses argv before it imports numpy (so --help and
 every parse error end without it), and each command imports the modules it
 runs. Unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
 set, that numpy import starts OpenBLAS on one thread: on the package's
-small matrices its worker threads cost more than they save.
+small matrices its worker threads cost more than they save. No command
+loads numpy.ma, and run (the program entry) skips the shutdown GC pass.
 """
 
 import argparse
@@ -93,7 +94,17 @@ def _parse(parser, argv):
     """Parse argv; with --config, parse it again with the file's entries as
     defaults of the top-level parser (--threads) and of the active
     subcommand's parser, so a flag still beats its entry."""
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ValidationError:
+        # argparse takes the value of an unknown option for the command
+        top = _CliParser(add_help=False)
+        for name in ("--config", "--threads"):
+            top.add_argument(name, nargs="?")
+        rest = top.parse_known_args(argv)[1]
+        if rest and rest[0].startswith("-"):
+            raise ValidationError("unrecognized arguments: " + rest[0])
+        raise
     if args.config is None:
         return args
     entries = {key: value
@@ -441,5 +452,13 @@ def main(argv=None):
         return _VALIDATION_EXIT
 
 
+def run():
+    """Program entry: main, then gc.freeze() to skip the shutdown GC pass."""
+    code = main()
+    import gc
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,6 +2,8 @@
 
 import math
 
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -144,6 +146,17 @@ def test_fit_rejects_rank_deficient_phase_designs():
         fit_cosine(phases, probs)
     with pytest.raises(ValidationError):
         fit_cosine(np.array([0.0, 1.0, 2.0, 2.0]), probs)
+
+
+@pytest.mark.parametrize("phases", [
+    [2.0, 0.0, 1.0, 2.0, 0.0, 1.0],
+    [0.0, -0.0, 1.0, 2.0],
+    [3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 1.0],
+])
+def test_fit_needs_four_distinct_phases(phases):
+    probs = np.tile([[0.3, 0.3, 0.2, 0.2]], (len(phases), 1))
+    with pytest.raises(ValidationError, match="4 distinct phases"):
+        fit_cosine(np.array(phases), probs)
 
 
 def test_fit_flags_out_of_range_cosines():
@@ -415,6 +428,7 @@ def test_stacked_grid_rows_equal_one_point_builds(mean):
     family = InequalityFamily(bob_amplitude=mean)
     grid = analysis._BoundGrid(family, 0.005)
     n = grid.r_grid.size
+    grid.cover(0, n - 1)
     for i in sorted({*range(0, n, 97), n // 2, n - 1}):
         r_b = float(grid.r_grid[i])
         ineq = build_probability_inequality(
@@ -424,6 +438,36 @@ def test_stacked_grid_rows_equal_one_point_builds(mean):
         np.testing.assert_allclose(grid.rows[i], one, rtol=1e-15, atol=0)
     if mean == 0.002:
         assert grid.r_grid[0] == pytest.approx(1e-4)
+
+
+@pytest.mark.parametrize("sigma", [0.0005, 0.005, 0.02])
+def test_lazy_grid_gives_the_samples_of_the_whole_grid(monkeypatch, sigma):
+    # the grid builds only the rows the draws reach; samples and the probed
+    # interpolation error must be those of a grid built whole up front
+    counts = _model_setting_counts(events=20000)
+    mc = MonteCarloConfig(runs=3 * analysis.MC_CHUNK + 5, r_b_sigma=sigma,
+                          seed=3)
+    grids = []
+
+    class Recorded(analysis._BoundGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    class Whole(analysis._BoundGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.cover(0, self.r_grid.size - 1)
+
+    monkeypatch.setattr(analysis, "_BoundGrid", Recorded)
+    lazy = monte_carlo(counts, InequalityFamily(), mc)
+    monkeypatch.setattr(analysis, "_BoundGrid", Whole)
+    whole = monte_carlo(counts, InequalityFamily(), mc)
+    np.testing.assert_array_equal(lazy.samples, whole.samples)
+    assert lazy.grid_error == whole.grid_error
+    assert format_mc_result(lazy) == format_mc_result(whole)
+    (grid,) = grids
+    assert 0 < np.count_nonzero(~np.isnan(grid.rows[:, 0])) < grid.r_grid.size
 
 
 def test_monte_carlo_samples_are_margins_of_their_resampled_tables():
@@ -500,6 +544,26 @@ def test_heavy_tail_histogram_has_at_most_root_runs_bins():
     assert sum(int(r[2]) for r in rows) == runs
     assert float(rows[0][0]) == res.samples.min()
     assert float(rows[-1][1]) == res.samples.max()
+
+
+_SAMPLES = arrays(
+    np.float64, st.integers(1, 5000),
+    elements=st.one_of(st.floats(-1e300, 1e300),
+                       st.sampled_from([0.0, -0.0, 1.0, 2.5])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SAMPLES)
+# the upper quartile falls halfway between the top two samples, where the
+# two sides of numpy's lerp round differently
+@example(np.array([-1e6, 2.3643249400513432e-07, 9.009273926518706e-05]))
+def test_quartiles_equal_numpy_percentile(samples):
+    # bit for bit from two samples on; at one, equal up to a zero's sign
+    got = np.array(analysis._quartiles(samples))
+    want = np.percentile(samples, [75, 25])
+    np.testing.assert_array_equal(got, want)
+    if samples.size > 1:
+        assert got.tobytes() == want.tobytes()
 
 
 def _mids(res):

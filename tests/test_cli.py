@@ -368,6 +368,19 @@ def test_unknown_flags_exit_2(capsys):
     assert err[0].startswith("ValidationError:")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--thr", "2", "bound"], "--thr"),
+    (["--conf", "x", "bound"], "--conf"),
+])
+def test_unknown_top_level_options_are_named(capsys, argv, option):
+    # argparse sets the unknown option aside and would report the word after
+    # it as an invalid command
+    assert main(argv) == 2
+    out, err = _lines(capsys)
+    assert out == []
+    assert err == [f"ValidationError: unrecognized arguments: {option}"]
+
+
 @pytest.mark.parametrize("command, entry", [
     (["simulate"], "eta=abc"),
     (["montecarlo", "COUNTS", "--runs", "10", "--output", "OUT"],
@@ -706,11 +719,32 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
     (["bound"], 0, "steering_lab.lhs_certification steering_lab.analysis"),
     (["certify", "--r-a", "0.2", "--eta", "0.3"], 0,
      "steering_lab.analysis"),
+    # numpy.ma comes in through np.unique, np.percentile among its callers
+    (["analyze", "sweep.txt"], 0, "numpy.ma"),
+    (["analyze", "sweep.txt", "--mode", "nearest_point"], 0, "numpy.ma"),
+    (["montecarlo", "sweep.txt", "--runs", "3000", "--r-b-sigma", "0.005"],
+     0, "numpy.ma steering_lab.quantum_model"),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     got, modules, _ = _report_main(tmp_path, argv)
     assert got == code
     assert not set(absent.split()) & set(modules)
+
+
+def test_program_entry_prints_what_main_prints(tmp_path, capsys,
+                                               monkeypatch):
+    # `python -m steering_lab.cli` leaves main through run, which freezes the
+    # collector before the exit; the output and exit code stay main's
+    monkeypatch.chdir(tmp_path)
+    assert main(["bound"]) == 0
+    out, err = capsys.readouterr()
+    written = (tmp_path / "inequality.txt").read_bytes()
+    (tmp_path / "inequality.txt").unlink()
+    proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", "bound")
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (out, err)
+    assert (tmp_path / "inequality.txt").read_bytes() == written
 
 
 def test_package_import_loads_no_numpy(tmp_path):
