@@ -64,9 +64,10 @@ class CountsRecord:
 def load_counts(path):
     """Parse a counts file into a CountsRecord.
 
-    Malformed rows, negative counts, zero-total rows and non-ascending
-    phases raise ParseError carrying the offending line number; a file that
-    is not UTF-8 raises ValidationError naming it.
+    Malformed rows, negative counts, rows totalling 0 or more than 2**62
+    (half the int64 range, so that a Poisson resample of the row fits it
+    too) and non-ascending phases raise ParseError carrying the offending
+    line number; a file that is not UTF-8 raises ValidationError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,6 +102,8 @@ def load_counts(path):
             row.append(value)
         if sum(row) < 1:
             raise ParseError("row total must be at least 1", line=lineno)
+        if sum(row) > 2 ** 62:
+            raise ParseError("row total must be at most 2**62", line=lineno)
         if phases and phase <= phases[-1]:
             raise ParseError(
                 f"phase {phase!r} does not ascend past {phases[-1]!r}",
@@ -218,6 +221,8 @@ def _validate_x_phases(x_phases):
     if x_phases.shape != (4,):
         raise ValidationError(f"x_phases must hold 4 values, got "
                               f"{x_phases.shape}")
+    if not np.isfinite(x_phases).all():
+        raise ValidationError(f"x_phases must be finite, got {x_phases.tolist()}")
     if np.abs(np.diff(x_phases) - np.pi / 2).max() > 1e-6:
         raise ValidationError(
             "x_phases must be spaced pi/2 apart (within 1e-6) for the "
@@ -441,8 +446,10 @@ class _BoundGrid:
 
 def _resample_chunk(rng, n, base_counts, r_b_mean, r_b_sigma):
     """n runs of Poisson-resampled count rows (n, 4, 4) and Gaussian r_B
-    draws about r_b_mean, redrawing zero-total rows and non-positive r_B;
-    returns both with the two redraw counts."""
+    draws about r_b_mean, redrawing zero-total rows and r_B outside (0, 1),
+    where the bound exists; returns both with the two redraw counts. More
+    than 100 r_B redraws per run means almost no draw lands inside, and
+    raises ValidationError instead of drawing on."""
     counts = rng.poisson(base_counts, size=(n, 4, 4))
     zero_redraws = 0
     while True:
@@ -454,28 +461,30 @@ def _resample_chunk(rng, n, base_counts, r_b_mean, r_b_sigma):
     r_b = rng.normal(r_b_mean, r_b_sigma, size=n)
     redraws = 0
     while True:
-        bad = np.flatnonzero(r_b <= 0.0)
+        bad = np.flatnonzero((r_b <= 0.0) | (r_b >= 1.0))
         if bad.size == 0:
             break
         redraws += bad.size
+        if redraws > 100 * n:
+            raise ValidationError(
+                f"r_B draws about {r_b_mean} with sigma {r_b_sigma} fall "
+                "outside (0, 1) on nearly every try; narrow r_b_sigma")
         r_b[bad] = rng.normal(r_b_mean, r_b_sigma, size=bad.size)
     return counts, r_b, redraws, zero_redraws
 
 
-def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig,
-                threads=1):
+def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
     """Propagate counting and amplitude uncertainty into S - S_max.
 
     counts is the (4, 4) array of relative-phase rows (see
     setting_counts_from_record) and family is on the m = 4 ladder. Per run
     every count is Poisson-resampled, r_B is Gaussian-resampled about
-    family.bob_amplitude (non-positive draws redrawn and counted), the
+    family.bob_amplitude (draws outside (0, 1) redrawn and counted), the
     inequality coefficients and the full-space bound are re-evaluated at the
     drawn r_B through the bound grid (exactly, once, when r_b_sigma = 0),
     and S - S_max is recorded. Runs are drawn in fixed MC_CHUNK chunks, each
     from its own stream keyed on (seed, chunk index), so results depend on
-    the config alone. threads is accepted for compatibility and changes
-    nothing.
+    the config alone.
     """
     _check_ladder(family)
     base_counts = np.asarray(counts)

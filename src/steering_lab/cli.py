@@ -19,15 +19,13 @@ operation, which numpy raises as FloatingPointError inside a command
 instead of warning). A reader that closes stdout early ends the command
 quietly with exit 1. All randomized commands take --seed and are
 reproducible. --threads is accepted and checked to be an integer but
-changes nothing: no command starts worker threads.
+changes nothing: no command starts worker threads or sets a thread count.
 
 Start-up follows the command: this module loads neither numpy nor another
 package module, main parses argv before it imports numpy (so --help and
 every parse error end without it), and each command imports the modules it
-runs. Unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
-set, that numpy import starts OpenBLAS on one thread: on the package's
-small matrices its worker threads cost more than they save. No command
-loads numpy.ma, and run (the program entry) skips the shutdown GC pass.
+runs. No command loads numpy.ma, and run (the program entry) skips the
+shutdown GC pass.
 """
 
 import argparse
@@ -40,8 +38,6 @@ from .errors import ParseError, SteeringLabError, ValidationError
 _VALIDATION_EXIT = 2
 _COMPUTATION_EXIT = 3
 _CLOSED_STDOUT_EXIT = 1
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
 
 # Namespace entries a config file may not set: the parser's own, mode
 # switches and output destinations.
@@ -414,20 +410,10 @@ def build_parser():
     return parser
 
 
-def _import_numpy():
-    """numpy; its first import in the process runs OpenBLAS on one thread
-    unless the user has chosen a thread count (see the module docstring)."""
-    if "numpy" not in sys.modules and not any(
-            name in os.environ for name in _BLAS_THREAD_VARS):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    import numpy
-    return numpy
-
-
 def main(argv=None):
     try:
         args = _parse(build_parser(), argv)
-        np = _import_numpy()
+        import numpy as np
         # the first overflow, division by zero or invalid operation ends
         # the command as its one error line, not as warnings beside it
         with np.errstate(divide="raise", over="raise", invalid="raise"):

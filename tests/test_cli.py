@@ -7,10 +7,12 @@ import io
 import json
 import os
 from pathlib import Path
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
+import time
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -28,6 +30,12 @@ FULL_BOUND_R20 = "1.0007083333333333"
 def _lines(capsys):
     out, err = capsys.readouterr()
     return out.splitlines(), err.splitlines()
+
+
+def _nan_tokens(lines):
+    """The values printed as nan in key=value output lines."""
+    return [tok for line in lines for tok in re.split(r"[\s=]+", line)
+            if tok == "nan"]
 
 
 def _kv(lines):
@@ -424,6 +432,81 @@ def test_non_finite_input_is_rejected(capsys, argv):
     assert err[0].startswith("ValidationError:")
 
 
+_SCORING = [["analyze"], ["analyze", "--mode", "nearest_point"],
+            ["montecarlo", "--runs", "300"]]
+
+
+def _scoring_argv(tmp_path, command, counts, *options):
+    """argv of a _SCORING command on a counts file; montecarlo writes its
+    results under tmp_path."""
+    argv = [command[0], str(counts), *command[1:], *options]
+    if command[0] == "montecarlo":
+        argv += ["--output", str(tmp_path / "mc.txt")]
+    return argv
+
+
+@pytest.mark.parametrize("x_phases", ["nan,1,2,3", "0,1,2,nan"])
+@pytest.mark.parametrize("command", _SCORING)
+def test_non_finite_x_phases_are_rejected(tmp_path, capsys, command,
+                                          x_phases):
+    # NaN passes every comparison, the pi/2 spacing check's included
+    counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    assert main(_scoring_argv(tmp_path, command, counts, "--x-phases",
+                              x_phases)) == 2
+    out, err = _lines(capsys)
+    assert not out
+    assert len(err) == 1
+    assert err[0].startswith("ValidationError: x_phases must be finite")
+
+
+@pytest.mark.parametrize("total, code", [(2 ** 62, 0), (2 ** 62 + 1, 2),
+                                         (2 ** 63, 2)])
+@pytest.mark.parametrize("command", _SCORING)
+def test_counts_files_hold_row_totals_up_to_two_to_the_62(
+        tmp_path, capsys, command, total, code):
+    # a larger total overflows int64 or the Poisson resampler; the ladder
+    # rows carry it, so montecarlo resamples it
+    path = tmp_path / "counts.txt"
+    path.write_text("".join("%r %d 1 1 1\n" % (k * np.pi / 2, n)
+                            for k, n in enumerate((total - 3, 5, 2 ** 40, 7))))
+    assert main(_scoring_argv(tmp_path, command, path)) == code
+    out, err = _lines(capsys)
+    if code:
+        assert not out
+        assert err == ["ParseError: line 1: row total must be at most 2**62"]
+    else:
+        assert not err
+        assert not _nan_tokens(out)
+
+
+@pytest.mark.parametrize("r_b", [["--r-b", "0.9", "--r-b-sigma", "0.05"],
+                                 ["--r-b-sigma", "0.3"]])
+def test_montecarlo_redraws_r_b_at_or_past_one(tmp_path, capsys, r_b):
+    # the bound needs r_B < 1; such draws are redrawn as r_B <= 0 ones are
+    counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    assert main(["montecarlo", str(counts), "--runs", "2000", *r_b,
+                 "--output", str(tmp_path / "mc.txt")]) == 0
+    out, err = _lines(capsys)
+    assert not err
+    assert int(_kv(out)["redraws"]) > 0
+    assert not _nan_tokens(out)
+
+
+def test_montecarlo_stops_when_r_b_draws_rarely_land_inside(tmp_path,
+                                                            capsys):
+    # about 4e-7 of these draws fall in (0, 1): redrawing until all do
+    # would not end
+    counts = _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    start = time.monotonic()
+    code = main(["montecarlo", str(counts), "--r-b", "0.5", "--r-b-sigma",
+                 "1e6", "--runs", "100", "--output", str(tmp_path / "m")])
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    out, err = _lines(capsys)
+    assert not out
+    assert len(err) == 1 and err[0].startswith("ValidationError: r_B draws")
+
+
 _FLOAT = st.one_of(st.sampled_from((np.inf, -np.inf, np.nan)),
                   st.floats(-2.0, 2.0), st.floats())
 _FLOATS = _FLOAT.map(repr)
@@ -516,6 +599,10 @@ def _counts_argument(tmp, source, rows):
 
 @settings(max_examples=300, deadline=None)
 @given(_invocations())
+# NaN setting phases, which pass the pi/2 spacing check's comparison
+@example(("analyze", ["--x-phases=nan,1,2,3"], ("model", None), None, None))
+@example(("montecarlo", ["--x-phases=0,1,2,nan", "--runs=10"],
+          ("model", None), "file", None))
 def test_fuzzed_invocations_exit_cleanly(invocation):
     # an option the parser gained without a value strategy fails here
     assert {name for names in _OPTIONS.values() for name in names} \
@@ -541,6 +628,9 @@ def test_fuzzed_invocations_exit_cleanly(invocation):
     assert code in (0, 2, 3), (argv, lines)
     assert len(lines) <= 1, (argv, lines)
     assert not any("Traceback" in line for line in lines)
+    # a scoring command that succeeds scores finite numbers
+    if code == 0 and command in ("analyze", "montecarlo"):
+        assert not _nan_tokens(out.getvalue().splitlines()), argv
 
 
 # the certified gap of the m = 4 ladder at the default r_A, as certify
@@ -626,10 +716,6 @@ def test_readme_examples_run_in_order(tmp_path, capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                     "MKL_NUM_THREADS")
-
-
 def _fresh_env(**overrides):
     """The environment of a new interpreter on the package sources, with
     numpy's warnings written to stderr rather than recorded by pytest; an
@@ -651,16 +737,15 @@ def _fresh_python(cwd, *args, **env):
 
 
 # Runs main on argv in a fresh interpreter and prints, as its last line,
-# the exit code, the loaded modules and the OpenBLAS thread setting.
+# the exit code and the loaded modules.
 _REPORT_MAIN = """
-import json, os, sys
+import json, sys
 from steering_lab.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(sys.modules),
-                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
@@ -727,7 +812,7 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
-    got, modules, _ = _report_main(tmp_path, argv)
+    got, modules = _report_main(tmp_path, argv)
     assert got == code
     assert not set(absent.split()) & set(modules)
 
@@ -753,18 +838,21 @@ def test_package_import_loads_no_numpy(tmp_path):
     assert proc.stdout.strip() == "False", proc.stderr
 
 
-@pytest.mark.parametrize("env, threads", [
-    ({}, "1"),
-    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
-    ({"OMP_NUM_THREADS": "2"}, None),
-    ({"MKL_NUM_THREADS": "2"}, None),
-])
-def test_blas_runs_one_thread_unless_the_user_chose(tmp_path, env, threads):
-    unset = dict.fromkeys(_BLAS_THREAD_VARS)
-    code, modules, got = _report_main(tmp_path, ["simulate"],
-                                      **{**unset, **env})
-    assert code == 0 and "numpy" in modules
-    assert got == threads
+def test_cli_sets_no_blas_thread_count(tmp_path):
+    # a fresh process, so that main is the one to import numpy; BLAS keeps
+    # its own default thread count
+    script = "\n".join([
+        "import os, sys",
+        "from steering_lab.cli import main",
+        "before = dict(os.environ)",
+        "assert main(['simulate']) == 0 and 'numpy' in sys.modules",
+        "print(dict(os.environ) == before,",
+        "      os.environ.get('OPENBLAS_NUM_THREADS'))",
+    ])
+    proc = _fresh_python(tmp_path, "-c", script, OPENBLAS_NUM_THREADS=None,
+                         OMP_NUM_THREADS=None, MKL_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True None"
 
 
 def test_package_namespace_resolves_every_public_name():
