@@ -838,9 +838,11 @@ def test_package_import_loads_no_numpy(tmp_path):
     assert proc.stdout.strip() == "False", proc.stderr
 
 
-def test_cli_sets_no_blas_thread_count(tmp_path):
-    # a fresh process, so that main is the one to import numpy; BLAS keeps
-    # its own default thread count
+def _blas_threads_after_simulate(cwd, **env):
+    """Run `simulate` through main in a fresh process, so that main is the
+    one to import numpy, with the BLAS thread variables unset but for env;
+    the last line says whether os.environ came out unchanged and what
+    OPENBLAS_NUM_THREADS then holds."""
     script = "\n".join([
         "import os, sys",
         "from steering_lab.cli import main",
@@ -849,10 +851,27 @@ def test_cli_sets_no_blas_thread_count(tmp_path):
         "print(dict(os.environ) == before,",
         "      os.environ.get('OPENBLAS_NUM_THREADS'))",
     ])
-    proc = _fresh_python(tmp_path, "-c", script, OPENBLAS_NUM_THREADS=None,
-                         OMP_NUM_THREADS=None, MKL_NUM_THREADS=None)
+    unset = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                           "MKL_NUM_THREADS"])
+    proc = _fresh_python(cwd, "-c", script, **{**unset, **env})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "True None"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_sets_no_blas_thread_count(tmp_path):
+    # BLAS keeps its own default thread count
+    assert _blas_threads_after_simulate(tmp_path) == "True None"
+
+
+@pytest.mark.parametrize("env, threads", [
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, "2", id="env1-2"),
+    pytest.param({"OMP_NUM_THREADS": "2"}, None, id="env2-None"),
+    pytest.param({"MKL_NUM_THREADS": "2"}, None, id="env3-None"),
+])
+def test_blas_runs_one_thread_unless_the_user_chose(tmp_path, env, threads):
+    # the thread count the user chose is the one BLAS reads: the CLI neither
+    # rewrites OPENBLAS_NUM_THREADS nor sets it beside OMP_ or MKL_NUM_THREADS
+    assert _blas_threads_after_simulate(tmp_path, **env) == "True %s" % threads
 
 
 def test_package_namespace_resolves_every_public_name():
