@@ -1,11 +1,11 @@
 """Experimental data pipeline.
 
 Ingests phase-sweep click counts, estimates probabilities, fits each outcome
-pair to a cosine, extracts the 4x4 setting table through the relative-phase
-permutation construction, evaluates the inequality margin S - S_max, and
-propagates counting and local-oscillator-amplitude uncertainty by Monte
-Carlo resampling, drawn as whole arrays in fixed chunks of runs with one
-seeded random stream per chunk.
+pair to a cosine, extracts the four distributions of the relative-phase
+permutation construction, scores S - S_max by one kernel (_margin) for both
+analyze and the Monte Carlo, which propagates counting and local-oscillator
+amplitude uncertainty by resampling, drawn as whole arrays in fixed chunks
+of runs with one seeded random stream per chunk.
 
 Counts file format: UTF-8, line oriented; full-line comments start with '#';
 data lines are `phase_radians N_pp N_pm N_mp N_mm` whitespace separated with
@@ -22,7 +22,7 @@ from .errors import (ExtractionError, FitError, ParseError, ValidationError,
                      check_seed)
 from .fock_ops import RESOLUTION_PHASES, TWO_PI
 from .inequality import (InequalityFamily, build_probability_inequality,
-                         evaluate_steering, stacked_inequality)
+                         stacked_inequality)
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
@@ -137,8 +137,10 @@ def probabilities_from_counts(record: CountsRecord):
 def synthesize_counts(phases, probs, events_per_point, seed=0):
     """Poisson-sample a counts record from per-phase outcome probabilities.
 
-    Each count is drawn as Poisson(events_per_point * p); a row that comes
-    out all-zero is redrawn so the record invariant (total >= 1) holds.
+    Each count is drawn as Poisson(events_per_point * p), all-zero rows
+    redrawn as the Monte Carlo redraws them. Up to 2**61 events per point
+    every mean suits rng.poisson and a row total stays below load_counts'
+    2**62 (by 2**30 standard deviations), so no int64 sum wraps.
     """
     phases = np.asarray(phases, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -146,15 +148,25 @@ def synthesize_counts(phases, probs, events_per_point, seed=0):
         raise ValidationError(
             f"probability array shape {probs.shape} does not match "
             f"{phases.size} phases x 4 outcomes")
-    if events_per_point <= 0:
-        raise ValidationError("events_per_point must be positive")
+    if not 0 < events_per_point <= 2 ** 61:
+        raise ValidationError(f"events_per_point must be in (0, 2**61], "
+                              f"got {events_per_point}")
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(check_seed(seed))))
-    counts = rng.poisson(events_per_point * probs)
-    for i in range(phases.size):
-        while counts[i].sum() < 1:
-            counts[i] = rng.poisson(events_per_point * probs[i])
+    means = events_per_point * probs
+    counts = rng.poisson(means)
+    _redraw_empty_rows(rng, counts, means)
     return CountsRecord(phases=phases, counts=counts)
+
+
+def _redraw_empty_rows(rng, counts, means):
+    """Redraw all-zero rows of Poisson counts (last axis), row i from
+    means[i], in place until none is left; returns the rows redrawn."""
+    redraws = 0
+    while (index := np.nonzero(counts.sum(axis=-1) == 0))[0].size:
+        redraws += index[0].size
+        counts[index] = rng.poisson(means[index[-1]])
+    return redraws
 
 
 # --- cosine fitting ----------------------------------------------------------
@@ -246,38 +258,43 @@ def _nearest_rows(phases, x_phases):
     return dist.argmin(axis=1)
 
 
-def extract_setting_table(source, x_phases, mode="from_fit"):
-    """Build the 4x4 setting table from sweep data.
-
-    With both sides' phases on the same pi/2-spaced ladder the joint
-    distribution depends only on the relative phase, so cell (x, y) is the
-    sweep distribution at relative phase index (x - y) mod 4. mode
-    'from_fit' evaluates a CosineFit at the four x_phases; 'nearest_point'
-    takes the closest measured sweep row (within 0.05 rad) of a
-    CountsRecord. Each cell is clipped to be non-negative and normalized.
-    """
-    from .quantum_model import ProbabilityTable
+def _setting_distributions(source, x_phases, mode):
+    """The four relative-phase distributions (4, 4), row j at x_phases[j]:
+    mode 'from_fit' evaluates a CosineFit there, 'nearest_point' takes the
+    nearest count rows of a CountsRecord (as setting_counts_from_record
+    does). Each row is clipped to be non-negative and normalized, once."""
     x_phases = _validate_x_phases(x_phases)
     if mode == "from_fit":
         if not isinstance(source, CosineFit):
             raise ValidationError("mode 'from_fit' needs a CosineFit source")
-        dists = np.array([source.evaluate(ph) for ph in x_phases])
+        rows = np.array([source.evaluate(ph) for ph in x_phases])
     elif mode == "nearest_point":
         if not isinstance(source, CountsRecord):
             raise ValidationError(
                 "mode 'nearest_point' needs a CountsRecord source")
-        dists = probabilities_from_counts(source)[
-            _nearest_rows(source.phases, x_phases)]
+        rows = setting_counts_from_record(source, x_phases)
     else:
         raise ValidationError(
             f"mode must be 'from_fit' or 'nearest_point', got {mode!r}")
-    dists = np.clip(dists, 0.0, None)
-    totals = dists.sum(axis=1)
+    rows = np.clip(rows.astype(float), 0.0, None)
+    totals = rows.sum(axis=1)
     if totals.min() <= 0.0:
         raise ExtractionError("an extracted distribution has no weight")
-    dists = dists / totals[:, None]
+    return rows / totals[:, None]
+
+
+def extract_setting_table(source, x_phases, mode="from_fit"):
+    """Build the 4x4 setting table from sweep data.
+
+    With both sides' phases on the same pi/2-spaced ladder the joint
+    distribution depends only on the relative phase, so cell (x, y) is
+    distribution (x - y) mod 4 of _setting_distributions (mode 'from_fit'
+    or 'nearest_point').
+    """
+    from .quantum_model import ProbabilityTable
+    dists = _setting_distributions(source, x_phases, mode)
     table = np.moveaxis(dists[_RELATIVE], -1, 0).reshape(2, 2, 4, 4)
-    anchored = tuple((x_phases % TWO_PI).tolist())
+    anchored = tuple((np.asarray(x_phases, dtype=float) % TWO_PI).tolist())
     return ProbabilityTable(probs=table, alice_phases=anchored,
                             bob_phases=anchored)
 
@@ -288,28 +305,18 @@ class AnalysisReport:
     s_max: float
     delta_s: float
     fit: CosineFit
-    table: "ProbabilityTable"
-
-
-def _check_ladder(family: InequalityFamily):
-    """The relative-phase construction holds on the m = 4 ladder alone."""
-    if family.m != 4 or any(abs(a - b) > 1e-9 for a, b in
-                            zip(family.alice_phases, RESOLUTION_PHASES)):
-        raise ValidationError(f"the relative-phase construction needs the "
-                              f"m = 4 ladder, got {family.alice_phases}")
 
 
 def evaluate_record(record: CountsRecord, family: InequalityFamily,
                     x_phases=RESOLUTION_PHASES, mode="from_fit"):
-    """Full pipeline: counts -> fit -> setting table -> S and S - S_max."""
-    _check_ladder(family)
+    """Full pipeline: counts -> fit -> distributions -> S and S - S_max."""
     fit = fit_cosine(record.phases, probabilities_from_counts(record))
-    source = fit if mode == "from_fit" else record
-    table = extract_setting_table(source, x_phases, mode=mode)
-    ineq = build_probability_inequality(family)
-    s_value, delta_s = evaluate_steering(ineq, table)
-    return AnalysisReport(s_value=s_value, s_max=ineq.s_max, delta_s=delta_s,
-                          fit=fit, table=table)
+    dists = _setting_distributions(fit if mode == "from_fit" else record,
+                                   x_phases, mode)
+    row = _coefficient_row(family)
+    delta_s = float(_margin(row, dists))
+    return AnalysisReport(s_value=delta_s + float(row[7]),
+                          s_max=float(row[7]), delta_s=delta_s, fit=fit)
 
 
 # --- Monte Carlo error estimation --------------------------------------------
@@ -359,45 +366,46 @@ def setting_counts_from_record(record: CountsRecord,
     return record.counts[_nearest_rows(record.phases, x_phases)]
 
 
-def _aggregate_coefficients(ineq):
-    """Sum inequality coefficients over the (x, y) cells sharing each
-    relative-phase index, so S = sum_j agg[j] . d_j + c0 for tables built by
-    the permutation construction."""
-    tables = np.stack([ineq.c_pp, ineq.c_pm, ineq.c_mp, ineq.c_mm], axis=-1)
-    agg = np.zeros(tables.shape[:-3] + (4, 4))
-    for x in range(4):
-        agg[..., _RELATIVE[x], :] += tables[..., x, :, :]
-    return agg
-
-
-def _coefficient_row(family: InequalityFamily, r_b):
-    """Exact coefficient row at r_B: the 16 aggregated coefficients
-    (relative-phase index major), c0 and s_max. An array of r_B gives one
-    row per entry from one stacked build."""
-    ineq = stacked_inequality(family, r_b)
-    agg = _aggregate_coefficients(ineq)
-    return np.concatenate([agg.reshape(agg.shape[:-2] + (16,)),
-                           np.stack([ineq.c0, ineq.s_max], axis=-1)],
-                          axis=-1)
+def _coefficient_row(family: InequalityFamily, r_b=None):
+    """The 8 numbers of _margin at r_B read off the inequality's F and bound:
+    G_j = sum of F[x, y] over (x - y) mod 4 = j, A = sum_x F[x, 4], B =
+    sum_y F[4, y], c = F[4, 4] and S_max; the family's own build at its r_B
+    when r_b is None, else one row per r_B from one stacked build. The
+    relative-phase construction holds on the m = 4 ladder alone."""
+    if family.m != 4 or any(abs(a - b) > 1e-9 for a, b in
+                            zip(family.alice_phases, RESOLUTION_PHASES)):
+        raise ValidationError(f"the relative-phase construction needs the "
+                              f"m = 4 ladder, got {family.alice_phases}")
+    ineq = (build_probability_inequality(family) if r_b is None
+            else stacked_inequality(family, r_b))
+    f = ineq.coefficients
+    return np.stack([*(f[..., :4, :4][..., _RELATIVE == j].sum(axis=-1)
+                       for j in range(4)),
+                     f[..., :4, 4].sum(axis=-1), f[..., 4, :4].sum(axis=-1),
+                     f[..., 4, 4], np.asarray(ineq.bound)], axis=-1)
 
 
 def _margin(rows, dists):
-    """S - S_max from coefficient rows (..., 18) and relative-phase
-    distributions (..., 4, 4)."""
-    flat = dists.reshape(dists.shape[:-2] + (16,))
-    return (rows[..., :16] * flat).sum(axis=-1) + rows[..., 16] \
-        - rows[..., 17]
+    """S - S_max from rows (..., 8) of _coefficient_row and distributions
+    d_j (..., 4, 4): on the ladder S = sum_j G_j d_j[++] + A a + B b + c,
+    a = mean_j d_j[++] + d_j[+-] = p_A(+|x), b likewise p_B(+|y)."""
+    pp = dists[..., 0]
+    a = (pp + dists[..., 1]).mean(axis=-1)
+    b = (pp + dists[..., 2]).mean(axis=-1)
+    return ((rows[..., :4] * pp).sum(axis=-1) + rows[..., 4] * a
+            + rows[..., 5] * b + rows[..., 6]) - rows[..., 7]
 
 
 class _BoundGrid:
-    """Coefficient rows (see _coefficient_row) on an r_B grid.
+    """Rows of 8 numbers (_coefficient_row) on an r_B grid.
 
     The grid is GRID_SPACING-spaced over +/- 8 sigma around the family's
     r_B; a row is NaN until a lookup's draws reach it, and each lookup
     builds the rows it lacks in one stacked pass (stacked_inequality, each
     point checked as a one-point build is). Per-run values are linear
     interpolations, and draws off the grid are evaluated exactly, again one
-    stacked pass per chunk. The interpolation error is probed and reported.
+    stacked pass per chunk. grid_error is the largest interpolation error
+    of the 8 numbers at off-grid points straddling the mean (probe_error).
     """
 
     def __init__(self, family: InequalityFamily, r_b_sigma):
@@ -406,7 +414,7 @@ class _BoundGrid:
         hi = max(lo, min(0.999, family.bob_amplitude + 8.0 * r_b_sigma))
         n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
         self.r_grid = lo + GRID_SPACING * np.arange(n)
-        self.rows = np.full((n, 18), np.nan)
+        self.rows = np.full((n, 8), np.nan)
 
     def cover(self, first, last):
         """Build the rows first..last (grid indices) still NaN."""
@@ -415,10 +423,10 @@ class _BoundGrid:
             self.rows[todo] = _coefficient_row(self.family, self.r_grid[todo])
 
     def lookup(self, r_b):
-        """Coefficient rows (n, 18) at the r_B values of a 1-D array: linear
+        """Coefficient rows (n, 8) at the r_B values of a 1-D array: linear
         interpolation between grid points, one exact evaluation per distinct
         value off the grid."""
-        rows = np.empty((r_b.size, 18))
+        rows = np.empty((r_b.size, 8))
         i = np.floor((r_b - self.r_grid[0]) / GRID_SPACING)
         inside = (i >= 0) & (i < self.r_grid.size - 1)
         k = i[inside].astype(np.intp)
@@ -432,7 +440,7 @@ class _BoundGrid:
         return rows
 
     def probe_error(self):
-        """Max interpolation error of s_max and coefficients at off-grid
+        """Max interpolation error of the 8 numbers of a row at off-grid
         points straddling the mean."""
         n = self.r_grid.size
         base = [b for b in (n // 2 - 1, n // 2, n // 2 + 1) if 0 <= b < n - 1]
@@ -451,13 +459,7 @@ def _resample_chunk(rng, n, base_counts, r_b_mean, r_b_sigma):
     than 100 r_B redraws per run means almost no draw lands inside, and
     raises ValidationError instead of drawing on."""
     counts = rng.poisson(base_counts, size=(n, 4, 4))
-    zero_redraws = 0
-    while True:
-        run, row = np.nonzero(counts.sum(axis=2) == 0)
-        if run.size == 0:
-            break
-        zero_redraws += run.size
-        counts[run, row] = rng.poisson(base_counts[row])
+    zero_redraws = _redraw_empty_rows(rng, counts, base_counts)
     r_b = rng.normal(r_b_mean, r_b_sigma, size=n)
     redraws = 0
     while True:
@@ -486,7 +488,6 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
     from its own stream keyed on (seed, chunk index), so results depend on
     the config alone.
     """
-    _check_ladder(family)
     base_counts = np.asarray(counts)
     if base_counts.shape != (4, 4):
         raise ValidationError(

@@ -216,8 +216,6 @@ def cmd_sweep(args):
             args.points) / args.points
     sweep = phase_sweep(config, phases)
     if args.sample is not None:
-        if args.sample < 1:
-            raise ValidationError("sample size must be at least 1")
         from . import analysis
         record = analysis.synthesize_counts(
             sweep.phases, sweep.probs, args.sample, **_given(args, "seed"))

@@ -175,8 +175,8 @@ def trusted_basis(r_b, space="fock"):
         sums = sums + weights[:, start:start + 4]
     norms[small] = sums
     # for x >= 1 the same sums in closed form, (1/4) sum_j i^{-jk} e^{x (i^j - 1)}
-    powers = np.array([1.0, 1j, -1.0, -1j])
-    norms[~small] = np.fft.fft(
-        np.exp(x[~small][:, None] * (powers - 1.0)), axis=-1).real / 4.0
+    if not small.all():     # numpy.fft loads only if some x needs it
+        norms[~small] = np.fft.fft(np.exp(x[~small][:, None] * (np.array(
+            [1.0, 1j, -1.0, -1j]) - 1.0)), axis=-1).real / 4.0
     return np.sqrt(norms)[..., :, None] * np.exp(
         1j * np.outer(k, RESOLUTION_PHASES)), True

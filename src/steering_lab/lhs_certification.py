@@ -89,8 +89,7 @@ class TableProblem:
             eta=eta, r_a=r_a, r_b=r_b, alice_phases=tuple(alice_phases),
             bob_phases=RESOLUTION_PHASES, visibility=visibility)).probs
             for eta in (0.0, 1.0)]
-        return cls(table_vacuum=tables[0], table_steered=tables[1],
-                   basis=basis, outside=outside)
+        return cls(*tables, basis, outside)
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,8 @@ def verify_hidden_states(model: HiddenStateModel, problem: TableProblem, eta):
     mismatch = float(np.abs(_lhs_table(model, problem)
                             - problem.table_at(eta)).max())
     psd_deficit = -float(np.linalg.eigvalsh(model.blocks).min())
-    weights = model.weights
-    weight_fault = (-float(weights.min()) if problem.outside
-                    else float(np.abs(weights).max()))
+    weight_fault = (-float(model.weights.min()) if problem.outside
+                    else float(np.abs(model.weights).max()))
     return max(mismatch, psd_deficit, weight_fault, 0.0)
 
 
@@ -194,10 +192,8 @@ class ExperimentEfficiency:
             share = eta / self.eta_star if eta < self.eta_star else 1.0
             vacuum = _product_model(self.problem)
             return "feasible", HiddenStateModel(
-                blocks=share * self.model.blocks
-                + (1.0 - share) * vacuum.blocks,
-                weights=share * self.model.weights
-                + (1.0 - share) * vacuum.weights)
+                share * self.model.blocks + (1.0 - share) * vacuum.blocks,
+                share * self.model.weights + (1.0 - share) * vacuum.weights)
         if eta >= self.eta_upper:
             if _beats_bound(self.functional, self.problem.table_at(eta)):
                 return "infeasible", self.functional
@@ -249,9 +245,11 @@ def _max_eta(problem: TableProblem):
     set the interval) an iterate is taken if its hidden states pass
     verify_hidden_states at eta_star (eta moved to where y values their own
     table) and y, bounded by lhs_bound, is violated from an eta_upper with
-    0 < eta_upper - eta_star <= GAP_TOL; the solve raises after ITERATION_CAP.
-    The tangent F_k D_k F_k^dag (a QR in the final factor F) follows the
-    table per unit eta with the least relative change.
+    0 < eta_upper - eta_star <= GAP_TOL. The solve raises after ITERATION_CAP,
+    or below a gap of GAP_TOL once y's rounding unit in eta (eps sum |F M| /
+    slope) exceeds GAP_TOL, as float64 then holds no such interval. The
+    tangent F_k D_k F_k^dag (a QR in the final factor F) follows the table
+    per unit eta with the least relative change.
     """
     basis, outside = problem.basis, problem.outside
     dim, n = basis.shape
@@ -321,12 +319,19 @@ def _max_eta(problem: TableProblem):
 
     def certified(iterations):
         coefficients = -y.reshape(-1, rank) @ red.T
-        func = SteeringFunctional(coefficients, lhs_bound(coefficients,
-                                                          basis, outside))
         slope = float((coefficients * td).sum())
         if slope <= 0.0:
             return None
         eta_star = eta + (y @ res_p) / slope
+        unit = np.finfo(float).eps * float(np.abs(coefficients * _marginals(
+            problem.table_at(eta_star))).sum()) / slope
+        if unit > GAP_TOL:
+            raise IndeterminateFeasibilityError(
+                f"rounding unit {unit:.2e} in eta exceeds GAP_TOL {GAP_TOL:g}")
+        if gap > 0.1 * GAP_TOL:
+            return None
+        func = SteeringFunctional(coefficients, lhs_bound(coefficients,
+                                                          basis, outside))
         eta_upper = _first_violation(func, problem, eta_star, slope)
         lx, w = factors[0], weights[0]
         pad = np.zeros(0 if outside else n_strat)
@@ -360,7 +365,7 @@ def _max_eta(problem: TableProblem):
                        np.sqrt(weights[0] / weights[1]))
         res_p = target0 + eta * target_d - jac @ lam_vec
         gap = float(lam_vec @ lam_vec)
-        if gap <= 0.1 * GAP_TOL and (result := certified(iterations)):
+        if gap <= GAP_TOL and (result := certified(iterations)):
             return result
         res_d, res_e = jac.T @ y - lam_vec, -1.0 - target_d @ y
         ortho, tri = np.linalg.qr(jac.T)
@@ -403,8 +408,11 @@ def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
     eta_star, or the solve raises IndeterminateFeasibilityError. The
     defaults are the reference amplitude r_A = 0.233 and the m = 4 ladder.
     """
-    return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space,
-                                            visibility))
+    try:
+        return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space,
+                                                visibility))
+    except IndeterminateFeasibilityError as exc:
+        raise IndeterminateFeasibilityError(f"r_A={r_a}: {exc}") from None
 
 
 # --- phase optimization ------------------------------------------------------
@@ -412,8 +420,7 @@ def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
 def canonical_phases(phases):
     """Rotation/relabeling-invariant form: subtract the first, sort ascending."""
     arr = np.asarray(phases, dtype=float)
-    rel = np.sort((arr - arr[0]) % TWO_PI)
-    return tuple(rel)
+    return tuple(np.sort((arr - arr[0]) % TWO_PI))
 
 
 def ladder_distance(phases):
@@ -487,26 +494,19 @@ def optimize_phases(r_a=DEFAULT_R_A, m=4, restarts=10, seed=0):
     rng = np.random.Generator(np.random.Philox(check_seed(seed)))
     family = InequalityFamily(m=m)
 
-    def surrogate(phases):
-        return qubit_bound(family, phases)
-
     def critical(phases):
         return experiment_critical_eta(r_a, phases, space="qubit").eta_star
 
-    records = []
-    best = None
+    records, best = [], None
     for _ in range(restarts):
         start = rng.uniform(0.0, TWO_PI, size=m)
-        end = _pattern_search(surrogate, start)
-        eta_start = critical(tuple(start))
-        eta_end = critical(tuple(end % TWO_PI))
-        rec = RestartRecord(start_phases=tuple(start),
-                            end_phases=tuple(end % TWO_PI),
-                            eta_star_start=eta_start, eta_star_end=eta_end)
+        end = _pattern_search(lambda p: qubit_bound(family, p), start)
+        rec = RestartRecord(tuple(start), tuple(end % TWO_PI),
+                            critical(tuple(start)),
+                            critical(tuple(end % TWO_PI)))
         records.append(rec)
-        for phases, eta in ((rec.start_phases, eta_start),
-                            (rec.end_phases, eta_end)):
+        for phases, eta in ((rec.start_phases, rec.eta_star_start),
+                            (rec.end_phases, rec.eta_star_end)):
             if best is None or eta < best[1]:
                 best = (phases, eta)
-    return PhaseOptimum(phases=best[0], eta_star=best[1],
-                        restarts=tuple(records))
+    return PhaseOptimum(*best, tuple(records))

@@ -117,6 +117,19 @@ def test_synthesize_counts_statistics_and_determinism():
         synthesize_counts(phases, probs, 0)
 
 
+def test_synthesize_counts_bounds_the_events_per_point():
+    # a row drawn about 2**61 events stays far inside load_counts' 2**62;
+    # past the bound the int64 row sum could wrap (it once made the
+    # empty-row redraw loop forever) and rng.poisson refuses means > ~9.2e18
+    phases, probs, _ = _model_sweep(8)
+    record = synthesize_counts(phases, probs, 2 ** 61, seed=1)
+    assert 0 < record.counts.sum(axis=1).min()
+    assert record.counts.sum(axis=1).max() <= 2 ** 62
+    for events in (2 ** 61 + 1, 9999999999999999999, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="events_per_point"):
+            synthesize_counts(phases, probs, events)
+
+
 # --- cosine fitting ------------------------------------------------------------
 
 def test_fit_recovers_exact_cosine_parameters():
@@ -219,6 +232,27 @@ def test_nearest_point_extraction_matches_measured_rows():
                           counts=counts[:4])
     with pytest.raises(ExtractionError):
         extract_setting_table(sparse, LADDER4, mode="nearest_point")
+
+
+_ROWS = arrays(np.int64, (4, 4), elements=st.integers(0, 10 ** 6)).filter(
+    lambda rows: rows.sum(axis=1).min() > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ROWS, st.floats(1e-3, 0.99))
+def test_kernel_scores_as_the_general_functional(rows, r_b):
+    # the 8 numbers per r_B against the general path: the setting table of
+    # the permutation construction, scored by F and S_max of a one-point build
+    record = CountsRecord(phases=np.array(LADDER4), counts=rows)
+    family = InequalityFamily(bob_amplitude=r_b)
+    ineq = build_probability_inequality(family)
+    table = extract_setting_table(record, LADDER4, mode="nearest_point")
+    want = ineq.value(table.probs) - ineq.bound
+    got = analysis._margin(
+        analysis._coefficient_row(family, r_b),
+        analysis._setting_distributions(record, LADDER4, "nearest_point"))
+    scale = np.abs(ineq.coefficients).sum() + abs(ineq.bound)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * scale
 
 
 def test_extraction_argument_validation():
@@ -436,19 +470,21 @@ def test_bound_grid_evaluates_exactly_off_its_ends():
 
 @pytest.mark.parametrize("mean", [0.002, 0.217, 0.6])
 def test_stacked_grid_rows_equal_one_point_builds(mean):
-    # the grid is one stacked build; each row must be the row of a one-point
-    # build_probability_inequality at its r_B (at 0.002 the grid starts at
-    # the 1e-4 floor)
+    # the grid is one stacked build; each row must be the 8 numbers read off
+    # the F and S_max of a one-point build_probability_inequality at its r_B
+    # (at 0.002 the grid starts at the 1e-4 floor)
     family = InequalityFamily(bob_amplitude=mean)
     grid = analysis._BoundGrid(family, 0.005)
     n = grid.r_grid.size
     grid.cover(0, n - 1)
+    assert grid.rows.shape == (n, 8)
     for i in sorted({*range(0, n, 97), n // 2, n - 1}):
         r_b = float(grid.r_grid[i])
         ineq = build_probability_inequality(
             InequalityFamily(bob_amplitude=r_b))
-        one = np.concatenate([analysis._aggregate_coefficients(ineq).ravel(),
-                              [ineq.c0, ineq.s_max]])
+        f = ineq.coefficients
+        one = [sum(f[x, (x - j) % 4] for x in range(4)) for j in range(4)]
+        one += [f[:4, 4].sum(), f[4, :4].sum(), f[4, 4], ineq.s_max]
         np.testing.assert_allclose(grid.rows[i], one, rtol=1e-15, atol=0)
     if mean == 0.002:
         assert grid.r_grid[0] == pytest.approx(1e-4)

@@ -236,6 +236,18 @@ def test_certify_at_r_a_zero_decides_that_nothing_steers(capsys):
     assert (code, len(err)) in ((0, 0), (3, 1))
 
 
+def test_certify_names_the_rounding_floor(capsys):
+    # below r_A ~ 3.5e-4 the functional's rounding unit alone is wider than
+    # the certified interval may be: one line says so, at once
+    start = time.monotonic()
+    assert main(["certify", "--r-a", "1e-4"]) == 3
+    assert time.monotonic() - start < 1.0
+    out, err = _lines(capsys)
+    assert not out and len(err) == 1
+    assert re.fullmatch(r"IndeterminateFeasibilityError: r_A=0\.0001: rounding "
+                        r"unit \S+ in eta exceeds GAP_TOL 1e-08", err[0])
+
+
 @pytest.mark.parametrize("flag, value", [("--m", "nearest_point"),
                                          ("--mo", "from_fit")])
 def test_option_prefixes_are_not_taken_as_abbreviations(tmp_path, capsys,
@@ -291,6 +303,49 @@ def test_montecarlo_picks_setting_rows_as_analyze_does(tmp_path, capsys):
     # the ladder's own rows serve both
     assert main(["montecarlo", str(path), "--runs", "10",
                  "--output", str(tmp_path / "mc.txt")]) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("r_b", [[], ["--r-b", "0.3"]])
+def test_analyze_prints_the_montecarlo_point_estimate(tmp_path, capsys,
+                                                      seed, r_b):
+    # one kernel scores both commands: the same rows at the same r_B give
+    # the same digits
+    counts = tmp_path / "counts.txt"
+    assert main(["sweep", "--points", "60", "--sample", "20000", "--seed",
+                 str(seed), "--output", str(counts)]) == 0
+    assert main(["analyze", str(counts), "--mode", "nearest_point",
+                 *r_b]) == 0
+    delta_s = _kv(_lines(capsys)[0])["delta_s"]
+    assert main(["montecarlo", str(counts), "--runs", "10",
+                 "--output", str(tmp_path / "mc.txt"), *r_b]) == 0
+    saved = _kv((tmp_path / "mc.txt").read_text().splitlines())
+    assert saved["point_estimate"] == delta_s
+
+
+@pytest.mark.parametrize("sample, code", [(9999999999999999999, 2),
+                                          (2 ** 61 + 1, 2), (2 ** 61, 0),
+                                          (0, 2)])
+def test_sweep_sample_is_bounded_by_two_to_the_61(tmp_path, capsys, sample,
+                                                  code):
+    # past 2**61 a row total could pass load_counts' 2**62; the int64 row
+    # sum of the first value once wrapped negative and the redraw of empty
+    # rows never ended
+    path = tmp_path / "counts.txt"
+    start = time.monotonic()
+    assert main(["sweep", "--points", "8", "--sample", str(sample),
+                 "--output", str(path)]) == code
+    assert time.monotonic() - start < 1.0
+    out, err = _lines(capsys)
+    if code:
+        assert not out
+        assert err == ["ValidationError: events_per_point must be in "
+                       f"(0, 2**61], got {sample}"]
+        return
+    for mode in ("from_fit", "nearest_point"):
+        assert main(["analyze", str(path), "--mode", mode]) == 0
+    out, err = _lines(capsys)
+    assert not err and not _nan_tokens(out)
 
 
 def test_montecarlo_writes_results(tmp_path, capsys):
@@ -518,7 +573,11 @@ _VALUES = {
     "m": st.integers(-2, 8).map(str),
     "phases": st.lists(_FLOAT, max_size=6).map(
         lambda xs: ",".join(map(repr, xs))),
-    "seed": _INTS, "points": _INTS, "sample": _INTS,
+    "seed": _INTS, "points": _INTS,
+    # around the 2**61 bound, load_counts' 2**62 and int64's end
+    "sample": st.one_of(_INTS, st.sampled_from(
+        (2 ** 61, 2 ** 61 + 1, 2 ** 62, 2 ** 63, 9999999999999999999)).map(
+            str)),
     "mode": st.sampled_from(("from_fit", "nearest_point", "fit")),
     # a wide r_B spread builds a bound grid of up to 10^4 points per draw
     "r_b_sigma": st.sampled_from(("0", "0.005", "-1", "nan", "inf")),
@@ -603,6 +662,9 @@ def _counts_argument(tmp, source, rows):
 @example(("analyze", ["--x-phases=nan,1,2,3"], ("model", None), None, None))
 @example(("montecarlo", ["--x-phases=0,1,2,nan", "--runs=10"],
           ("model", None), "file", None))
+# an int64 row sum that wrapped negative once made this loop forever
+@example(("sweep", ["--sample=9999999999999999999"], (None, None), "file",
+          None))
 def test_fuzzed_invocations_exit_cleanly(invocation):
     # an option the parser gained without a value strategy fails here
     assert {name for names in _OPTIONS.values() for name in names} \
@@ -809,6 +871,14 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
     (["analyze", "sweep.txt", "--mode", "nearest_point"], 0, "numpy.ma"),
     (["montecarlo", "sweep.txt", "--runs", "3000", "--r-b-sigma", "0.005"],
      0, "numpy.ma steering_lab.quantum_model"),
+    # numpy.fft serves only trusted amplitudes r_B >= 1
+    (["bound"], 0, "numpy.fft"),
+    # analyze scores the four distributions without building a table
+    (["analyze", "sweep.txt"], 0, "steering_lab.quantum_model numpy.fft"),
+    (["analyze", "sweep.txt", "--mode", "nearest_point"], 0,
+     "steering_lab.quantum_model numpy.fft"),
+    (["montecarlo", "sweep.txt", "--runs", "3000", "--r-b-sigma", "0.005"],
+     0, "numpy.fft"),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)

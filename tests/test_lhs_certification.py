@@ -1,6 +1,8 @@
 """Tests for LHS certification, critical efficiency, and phase optimization."""
 
 from dataclasses import replace
+import re
+import time
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -199,6 +201,22 @@ def test_a_solve_out_of_iterations_certifies_nothing(monkeypatch):
     with pytest.raises(IndeterminateFeasibilityError,
                        match="after 2 iterations"):
         _max_eta(problem)
+
+
+@pytest.mark.parametrize("r_a", [3e-4, 2e-4, 1e-4, 5e-5])
+def test_a_rounding_unit_past_the_gap_ends_the_solve_at_once(r_a):
+    # in qubit space one rounding unit of the separating functional, about
+    # 1.2e-15 / r_A^2 in eta, exceeds GAP_TOL below r_A ~ 3.5e-4: no interval
+    # that narrow exists in float64, and the solve says so without running
+    # to ITERATION_CAP; in Fock space the unit stays small and it decides
+    start = time.perf_counter()
+    floor = re.escape(f"r_A={r_a}: rounding unit ") + r"\S+ in eta exceeds"
+    with pytest.raises(IndeterminateFeasibilityError,
+                       match=floor + " GAP_TOL 1e-08$"):
+        experiment_critical_eta(r_a, space="qubit")
+    assert time.perf_counter() - start < 0.5
+    res = experiment_critical_eta(r_a)
+    assert 0.0 < res.eta_upper - res.eta_star <= lhs_certification.GAP_TOL
 
 
 @pytest.mark.parametrize("space, sizes", [("qubit", range(1, 9)),
