@@ -4,8 +4,9 @@ Ingests phase-sweep click counts, estimates probabilities, fits each outcome
 pair to a cosine, extracts the four distributions of the relative-phase
 permutation construction, scores S - S_max by one kernel (_margin) for both
 analyze and the Monte Carlo, which propagates counting and local-oscillator
-amplitude uncertainty by resampling, drawn as whole arrays in fixed chunks
-of runs with one seeded random stream per chunk.
+amplitude uncertainty by resampling (the bound at each drawn amplitude
+interpolated, _BoundInterpolant), drawn as whole arrays in fixed chunks of
+runs with one seeded random stream per chunk.
 
 Counts file format: UTF-8, line oriented; full-line comments start with '#';
 data lines are `phase_radians N_pp N_pm N_mp N_mm` whitespace separated with
@@ -20,13 +21,12 @@ import numpy as np
 
 from .errors import (ExtractionError, FitError, ParseError, ValidationError,
                      check_seed)
-from .fock_ops import RESOLUTION_PHASES, TWO_PI
-from .inequality import (InequalityFamily, build_probability_inequality,
-                         stacked_inequality)
+from .fock_ops import RESOLUTION_PHASES, TWO_PI, trusted_basis
+from .inequality import (InequalityFamily, _strategy_values,
+                         build_probability_inequality, stacked_inequality)
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
-GRID_SPACING = 1e-4           # r_B spacing of the cached bound grid
 MC_CHUNK = 2048               # runs per seeded random stream; fixed
 # relative-phase index (x - y) mod 4 of setting pair (x, y) on the ladder
 _RELATIVE = (np.arange(4)[:, None] - np.arange(4)) % 4
@@ -314,9 +314,9 @@ def evaluate_record(record: CountsRecord, family: InequalityFamily,
     dists = _setting_distributions(fit if mode == "from_fit" else record,
                                    x_phases, mode)
     row = _coefficient_row(family)
-    delta_s = float(_margin(row, dists))
-    return AnalysisReport(s_value=delta_s + float(row[7]),
-                          s_max=float(row[7]), delta_s=delta_s, fit=fit)
+    delta_s, s_max = float(_margin(row, dists)), float(row[7:].max())
+    return AnalysisReport(s_value=delta_s + s_max, s_max=s_max,
+                          delta_s=delta_s, fit=fit)
 
 
 # --- Monte Carlo error estimation --------------------------------------------
@@ -342,6 +342,8 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """S - S_max over the runs; grid_error: _BoundInterpolant.error or 0."""
+
     mean: float
     std: float
     runs: int
@@ -367,11 +369,12 @@ def setting_counts_from_record(record: CountsRecord,
 
 
 def _coefficient_row(family: InequalityFamily, r_b=None):
-    """The 8 numbers of _margin at r_B read off the inequality's F and bound:
-    G_j = sum of F[x, y] over (x - y) mod 4 = j, A = sum_x F[x, 4], B =
-    sum_y F[4, y], c = F[4, 4] and S_max; the family's own build at its r_B
-    when r_b is None, else one row per r_B from one stacked build. The
-    relative-phase construction holds on the m = 4 ladder alone."""
+    """The 23 numbers of _margin at r_B read off the inequality's F: G_j =
+    sum of F[x, y] over (x - y) mod 4 = j, A = sum_x F[x, 4], B = sum_y
+    F[4, y], c = F[4, 4] and the 16 branches of S_max (_strategy_values);
+    the family's own build at its r_B when r_b is None, else one row per
+    r_B from one stacked build. The relative-phase construction holds on
+    the m = 4 ladder alone."""
     if family.m != 4 or any(abs(a - b) > 1e-9 for a, b in
                             zip(family.alice_phases, RESOLUTION_PHASES)):
         raise ValidationError(f"the relative-phase construction needs the "
@@ -379,77 +382,73 @@ def _coefficient_row(family: InequalityFamily, r_b=None):
     ineq = (build_probability_inequality(family) if r_b is None
             else stacked_inequality(family, r_b))
     f = ineq.coefficients
+    branches = _strategy_values(f, *trusted_basis(ineq.r_b))
     return np.stack([*(f[..., :4, :4][..., _RELATIVE == j].sum(axis=-1)
                        for j in range(4)),
                      f[..., :4, 4].sum(axis=-1), f[..., 4, :4].sum(axis=-1),
-                     f[..., 4, 4], np.asarray(ineq.bound)], axis=-1)
+                     f[..., 4, 4], *np.moveaxis(branches, -1, 0)], axis=-1)
 
 
 def _margin(rows, dists):
-    """S - S_max from rows (..., 8) of _coefficient_row and distributions
+    """S - S_max from rows (..., 23) of _coefficient_row and distributions
     d_j (..., 4, 4): on the ladder S = sum_j G_j d_j[++] + A a + B b + c,
     a = mean_j d_j[++] + d_j[+-] = p_A(+|x), b likewise p_B(+|y)."""
     pp = dists[..., 0]
     a = (pp + dists[..., 1]).mean(axis=-1)
     b = (pp + dists[..., 2]).mean(axis=-1)
     return ((rows[..., :4] * pp).sum(axis=-1) + rows[..., 4] * a
-            + rows[..., 5] * b + rows[..., 6]) - rows[..., 7]
+            + rows[..., 5] * b + rows[..., 6]) - rows[..., 7:].max(axis=-1)
 
 
-class _BoundGrid:
-    """Rows of 8 numbers (_coefficient_row) on an r_B grid.
+class _BoundInterpolant:
+    """Rows of _coefficient_row at the r_B draws of a Monte Carlo.
 
-    The grid is GRID_SPACING-spaced over +/- 8 sigma around the family's
-    r_B; a row is NaN until a lookup's draws reach it, and each lookup
-    builds the rows it lacks in one stacked pass (stacked_inequality, each
-    point checked as a one-point build is). Per-run values are linear
-    interpolations, and draws off the grid are evaluated exactly, again one
-    stacked pass per chunk. grid_error is the largest interpolation error
-    of the 8 numbers at off-grid points straddling the mean (probe_error).
+    Each number times r_B (1 - r_B^2) is smooth on the window [max(1e-4, mu
+    - 8 sigma), min(0.999, mu + 8 sigma)], a branch of S_max through the
+    kinks of their maximum too, and is interpolated barycentrically (Berrut
+    & Trefethen, SIAM Review 46, 2004) on the first nested Chebyshev-Lobatto
+    set of 9, 17, ..., 129 nodes whose error at 32 probes halfway between
+    nodes (all one stacked build), |interpolated - exact| / max(1, |exact
+    row|), is at most 1e-12: error. Draws on a node or off the window, and
+    all draws when it holds no distinct nodes, are evaluated exactly.
     """
 
     def __init__(self, family: InequalityFamily, r_b_sigma):
-        self.family = family
-        lo = max(GRID_SPACING, family.bob_amplitude - 8.0 * r_b_sigma)
-        hi = max(lo, min(0.999, family.bob_amplitude + 8.0 * r_b_sigma))
-        n = int(math.ceil((hi - lo) / GRID_SPACING)) + 1
-        self.r_grid = lo + GRID_SPACING * np.arange(n)
-        self.rows = np.full((n, 8), np.nan)
-
-    def cover(self, first, last):
-        """Build the rows first..last (grid indices) still NaN."""
-        todo = first + np.flatnonzero(np.isnan(self.rows[first:last + 1, 0]))
-        if todo.size:
-            self.rows[todo] = _coefficient_row(self.family, self.r_grid[todo])
+        self.family, self.nodes, self.error = family, None, 0.0
+        lo = max(1e-4, family.bob_amplitude - 8.0 * r_b_sigma)
+        hi = min(0.999, family.bob_amplitude + 8.0 * r_b_sigma)
+        r = (lo + hi) / 2 + (lo - hi) / 2 * np.cos(np.linspace(0, np.pi, 257))
+        nodes, probes = r[::2], r[1::8]
+        if not np.all(np.diff(nodes) > 0.0):
+            return
+        rows = _coefficient_row(family, np.concatenate([nodes, probes]))
+        scale = np.maximum(1.0, np.abs(rows[129:]).max(axis=1))
+        values = rows[:129].T * (nodes * (1.0 - nodes * nodes))
+        for step in (16, 8, 4, 2, 1):
+            self.nodes, self.scaled = nodes[::step], values[:, ::step]
+            # the Chebyshev-Lobatto weights: (-1)^j, halved at both ends
+            self.weights = np.resize([1.0, -1.0], self.nodes.size)
+            self.weights[[0, -1]] *= 0.5
+            self.error = float((np.abs(self.lookup(probes) - rows[129:]).max(
+                axis=1) / scale).max())
+            if self.error <= 1e-12:
+                break
 
     def lookup(self, r_b):
-        """Coefficient rows (n, 8) at the r_B values of a 1-D array: linear
-        interpolation between grid points, one exact evaluation per distinct
-        value off the grid."""
-        rows = np.empty((r_b.size, 8))
-        i = np.floor((r_b - self.r_grid[0]) / GRID_SPACING)
-        inside = (i >= 0) & (i < self.r_grid.size - 1)
-        k = i[inside].astype(np.intp)
-        if k.size:
-            self.cover(k.min(), k.max() + 1)
-        w = ((r_b[inside] - self.r_grid[k]) / GRID_SPACING)[:, None]
-        rows[inside] = (1.0 - w) * self.rows[k] + w * self.rows[k + 1]
+        """Coefficient rows (n, 23) at the r_B values of a 1-D array."""
+        # draws run along the last axis, so every reduction is over rows
+        rows = np.empty((23, r_b.size))
+        inside = np.zeros(r_b.size, dtype=bool)
+        if self.nodes is not None:
+            diff = self.nodes[:, None] - r_b
+            inside = (diff[0] < 0) & (diff[-1] > 0) & (diff != 0).all(axis=0)
+            c = self.weights[:, None] / np.where(inside, diff, 1.0)
+            c /= np.where(inside, c.sum(axis=0) * r_b * (1.0 - r_b * r_b), 1.0)
+            rows = self.scaled @ c
         if not inside.all():
             values, which = np.unique(r_b[~inside], return_inverse=True)
-            rows[~inside] = _coefficient_row(self.family, values)[which]
-        return rows
-
-    def probe_error(self):
-        """Max interpolation error of the 8 numbers of a row at off-grid
-        points straddling the mean."""
-        n = self.r_grid.size
-        base = [b for b in (n // 2 - 1, n // 2, n // 2 + 1) if 0 <= b < n - 1]
-        r = (self.r_grid[base][:, None]
-             + np.array([0.25, 0.5, 0.75]) * GRID_SPACING).ravel()
-        if r.size == 0:
-            return 0.0
-        exact = _coefficient_row(self.family, r)
-        return float(np.abs(self.lookup(r) - exact).max())
+            rows[:, ~inside] = _coefficient_row(self.family, values)[which].T
+        return rows.T
 
 
 def _resample_chunk(rng, n, base_counts, r_b_mean, r_b_sigma):
@@ -483,7 +482,7 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
     every count is Poisson-resampled, r_B is Gaussian-resampled about
     family.bob_amplitude (draws outside (0, 1) redrawn and counted), the
     inequality coefficients and the full-space bound are re-evaluated at the
-    drawn r_B through the bound grid (exactly, once, when r_b_sigma = 0),
+    drawn r_B through _BoundInterpolant (exactly, once, when r_b_sigma = 0),
     and S - S_max is recorded. Runs are drawn in fixed MC_CHUNK chunks, each
     from its own stream keyed on (seed, chunk index), so results depend on
     the config alone.
@@ -502,8 +501,7 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
     point = _coefficient_row(family, family.bob_amplitude)
     point_estimate = float(_margin(
         point, base_counts / base_counts.sum(axis=1, keepdims=True)))
-    grid = (_BoundGrid(family, mc.r_b_sigma)
-            if mc.r_b_sigma > 0.0 else None)
+    grid = _BoundInterpolant(family, mc.r_b_sigma) if mc.r_b_sigma else None
 
     samples = np.empty(mc.runs)
     redraws = 0
@@ -531,7 +529,7 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
         bin_edges=bin_edges, bin_counts=bin_counts.astype(np.int64),
         binning=binning, gaussian_fit=gaussian,
         redraws=redraws, zero_total_redraws=zero_redraws,
-        grid_error=grid.probe_error() if grid is not None else 0.0,
+        grid_error=grid.error if grid is not None else 0.0,
         point_estimate=point_estimate, samples=samples)
 
 

@@ -13,8 +13,8 @@ command-line only.
 
 Every command exits 0 on success; failures print a single line
 `<ErrorClass>: <message>` to stderr and exit 2 (validation/parse errors,
-and a file that cannot be read or written) or 3 (computation errors,
-including a floating-point overflow, division by zero or invalid
+and a file that cannot be read or written) or 3 (computation errors: a
+MemoryError, or a floating-point overflow, division by zero or invalid
 operation, which numpy raises as FloatingPointError inside a command
 instead of warning). A reader that closes stdout early ends the command
 quietly with exit 1. All randomized commands take --seed and are
@@ -423,6 +423,9 @@ def main(argv=None):
         return _VALIDATION_EXIT
     except (SteeringLabError, FloatingPointError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return _COMPUTATION_EXIT
+    except MemoryError as exc:      # numpy raises a private subclass
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return _COMPUTATION_EXIT
     except BrokenPipeError:
         # the reader has gone; what is left goes to devnull, so the flush

@@ -201,14 +201,17 @@ def lhs_bound(coefficients, basis, outside):
     Leading axes of coefficients and basis broadcast together and give one
     bound each: one stacked eigensolve serves a whole grid of amplitudes.
     """
+    return _unstack(_strategy_values(coefficients, basis, outside).max(axis=-1))
+
+
+def _strategy_values(coefficients, basis, outside):
+    """lhs_bound per strategy: the 2^m values on the last axis."""
     n = basis.shape[-1]
     g = _strategy_rows(coefficients.shape[-2] - 1) @ coefficients
     ops = np.einsum('...ay,...ky,...by->...kab', basis, g[..., :n],
                     basis.conj())
     top = np.linalg.eigvalsh(ops)[..., -1]
-    if outside:
-        top = np.maximum(top, 0.0)
-    return _unstack((top + g[..., n]).max(axis=-1))
+    return (np.maximum(top, 0.0) if outside else top) + g[..., n]
 
 
 def _amplitudes(family, r_b):

@@ -241,7 +241,7 @@ _ROWS = arrays(np.int64, (4, 4), elements=st.integers(0, 10 ** 6)).filter(
 @settings(max_examples=60, deadline=None)
 @given(_ROWS, st.floats(1e-3, 0.99))
 def test_kernel_scores_as_the_general_functional(rows, r_b):
-    # the 8 numbers per r_B against the general path: the setting table of
+    # the numbers per r_B against the general path: the setting table of
     # the permutation construction, scored by F and S_max of a one-point build
     record = CountsRecord(phases=np.array(LADDER4), counts=rows)
     family = InequalityFamily(bob_amplitude=r_b)
@@ -331,7 +331,7 @@ def test_monte_carlo_is_deterministic():
     np.testing.assert_array_equal(res1.samples, res2.samples)
     assert res1.mean == res2.mean and res1.std == res2.std
     assert res1.bin_counts.sum() == 300
-    assert res1.grid_error < 1e-6
+    assert res1.grid_error < 1e-12
 
 
 def test_monte_carlo_mean_tracks_the_point_estimate():
@@ -442,102 +442,81 @@ def test_monte_carlo_centres_on_the_family_amplitude():
         assert res.point_estimate == pytest.approx(want, abs=1e-12)
         estimates[r_b] = res.point_estimate
     assert abs(estimates[0.3] - estimates[0.217]) > 1e-3
-    # the drawn amplitudes straddle the family's, so the grid does too
-    grid = analysis._BoundGrid(InequalityFamily(bob_amplitude=0.3), 0.005)
-    assert grid.r_grid[0] < 0.3 < grid.r_grid[-1]
 
 
 def test_bound_grid_evaluates_exactly_off_its_ends():
-    # the grid starts at r_B = 1e-4; a draw half a step below it lies off
-    # the grid and must not be extrapolated
+    # the window starts at r_B = 1e-4; a draw below it lies off the window
+    # and must not be extrapolated
     family = InequalityFamily(bob_amplitude=0.002)
-    grid = analysis._BoundGrid(family, 0.002)
-    assert grid.r_grid[0] == pytest.approx(1e-4)
+    grid = analysis._BoundInterpolant(family, 0.002)
+    assert grid.nodes[0] == pytest.approx(1e-4)
     rows = grid.lookup(np.array([5e-5, 0.002, 5e-5]))
     exact = analysis._coefficient_row(family, 5e-5)
     np.testing.assert_array_equal(rows[0], exact)
     np.testing.assert_array_equal(rows[2], exact)
-    np.testing.assert_allclose(
-        rows[1], analysis._coefficient_row(family, 0.002), atol=1e-6)
-    # a mean past the 0.999 ceiling leaves a one-point grid, not an empty one
+    exact = analysis._coefficient_row(family, 0.002)
+    np.testing.assert_allclose(rows[1], exact, rtol=0,
+                               atol=1e-12 * np.abs(exact).max())
+    # a draw on a node takes the node's exact row, with no division by zero
+    node = grid.nodes[3]
+    with np.errstate(all="raise"):
+        rows = grid.lookup(np.array([node, node]))
+    np.testing.assert_array_equal(rows[1], analysis._coefficient_row(
+        family, np.array([node]))[0])
+    # a mean past the 0.999 ceiling, or a spread too narrow for distinct
+    # nodes, leaves no window: every draw is evaluated exactly
     family = InequalityFamily(bob_amplitude=0.9995)
-    grid = analysis._BoundGrid(family, 1e-5)
-    assert grid.r_grid.size == 1
+    grid = analysis._BoundInterpolant(family, 1e-5)
+    assert grid.nodes is None
     np.testing.assert_array_equal(grid.lookup(np.array([0.9995]))[0],
                                   analysis._coefficient_row(family, 0.9995))
-    assert grid.probe_error() == 0.0
+    assert grid.error == 0.0
+    assert analysis._BoundInterpolant(InequalityFamily(), 1e-300).nodes is None
 
 
 @pytest.mark.parametrize("mean", [0.002, 0.217, 0.6])
 def test_stacked_grid_rows_equal_one_point_builds(mean):
-    # the grid is one stacked build; each row must be the 8 numbers read off
-    # the F and S_max of a one-point build_probability_inequality at its r_B
-    # (at 0.002 the grid starts at the 1e-4 floor)
+    # the nodes are one stacked build; each node's values, unscaled, must be
+    # the 7 coefficients and S_max read off the F and S_max of a one-point
+    # build_probability_inequality at its r_B (at 0.002 the window starts
+    # at the 1e-4 floor)
     family = InequalityFamily(bob_amplitude=mean)
-    grid = analysis._BoundGrid(family, 0.005)
-    n = grid.r_grid.size
-    grid.cover(0, n - 1)
-    assert grid.rows.shape == (n, 8)
-    for i in sorted({*range(0, n, 97), n // 2, n - 1}):
-        r_b = float(grid.r_grid[i])
+    grid = analysis._BoundInterpolant(family, 0.005)
+    rows = (grid.scaled / (grid.nodes * (1.0 - grid.nodes ** 2))).T
+    assert rows.shape == (grid.nodes.size, 23) and grid.nodes.size >= 9
+    for r_b, row in zip(grid.nodes, rows):
         ineq = build_probability_inequality(
-            InequalityFamily(bob_amplitude=r_b))
+            InequalityFamily(bob_amplitude=float(r_b)))
         f = ineq.coefficients
         one = [sum(f[x, (x - j) % 4] for x in range(4)) for j in range(4)]
         one += [f[:4, 4].sum(), f[4, :4].sum(), f[4, 4], ineq.s_max]
-        np.testing.assert_allclose(grid.rows[i], one, rtol=1e-15, atol=0)
+        np.testing.assert_allclose([*row[:7], row[7:].max()], one,
+                                   rtol=1e-15, atol=0)
     if mean == 0.002:
-        assert grid.r_grid[0] == pytest.approx(1e-4)
+        assert grid.nodes[0] == pytest.approx(1e-4)
 
 
-@pytest.mark.parametrize("sigma", [0.0005, 0.005, 0.02])
-def test_lazy_grid_gives_the_samples_of_the_whole_grid(monkeypatch, sigma):
-    # the grid builds only the rows the draws reach; samples and the probed
-    # interpolation error must be those of a grid built whole up front
-    counts = _model_setting_counts(events=20000)
-    mc = MonteCarloConfig(runs=3 * analysis.MC_CHUNK + 5, r_b_sigma=sigma,
-                          seed=3)
-    grids = []
-
-    class Recorded(analysis._BoundGrid):
-        def __init__(self, *args):
-            super().__init__(*args)
-            grids.append(self)
-
-    class Whole(analysis._BoundGrid):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.cover(0, self.r_grid.size - 1)
-
-    monkeypatch.setattr(analysis, "_BoundGrid", Recorded)
-    lazy = monte_carlo(counts, InequalityFamily(), mc)
-    monkeypatch.setattr(analysis, "_BoundGrid", Whole)
-    whole = monte_carlo(counts, InequalityFamily(), mc)
-    np.testing.assert_array_equal(lazy.samples, whole.samples)
-    assert lazy.grid_error == whole.grid_error
-    assert format_mc_result(lazy) == format_mc_result(whole)
-    (grid,) = grids
-    assert 0 < np.count_nonzero(~np.isnan(grid.rows[:, 0])) < grid.r_grid.size
-
-
-def test_monte_carlo_samples_are_margins_of_their_resampled_tables():
+@pytest.mark.parametrize("sigma", [0.005, 0.1])
+def test_monte_carlo_samples_are_margins_of_their_resampled_tables(sigma):
     # reference: rebuild chunk 0's draws and evaluate each resampled table
     # through the public extraction and evaluation path, exactly at its r_B
     counts = _model_setting_counts(events=20000)
     family = InequalityFamily()
-    mc = MonteCarloConfig(runs=40, r_b_sigma=0.005, seed=9)
+    mc = MonteCarloConfig(runs=40, r_b_sigma=sigma, seed=9)
     res = monte_carlo(counts, family, mc)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
     resampled, r_b, _, _ = analysis._resample_chunk(
         rng, 40, counts.astype(float), family.bob_amplitude, mc.r_b_sigma)
-    for i in range(0, 40, 8):
+    for i in range(0, 40, 4):
         table = extract_setting_table(
             CountsRecord(phases=np.array(LADDER4), counts=resampled[i]),
             LADDER4, mode="nearest_point")
         ineq = build_probability_inequality(
             InequalityFamily(bob_amplitude=float(r_b[i])))
+        row = analysis._coefficient_row(family, float(r_b[i]))
         assert res.samples[i] == pytest.approx(
-            evaluate_steering(ineq, table)[1], abs=1e-6)
+            evaluate_steering(ineq, table)[1],
+            abs=1e-12 * max(1.0, np.abs(row).max()))
 
 
 def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):

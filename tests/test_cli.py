@@ -579,8 +579,8 @@ _VALUES = {
         (2 ** 61, 2 ** 61 + 1, 2 ** 62, 2 ** 63, 9999999999999999999)).map(
             str)),
     "mode": st.sampled_from(("from_fit", "nearest_point", "fit")),
-    # a wide r_B spread builds a bound grid of up to 10^4 points per draw
-    "r_b_sigma": st.sampled_from(("0", "0.005", "-1", "nan", "inf")),
+    "r_b_sigma": st.sampled_from(("0", "0.005", "0.02", "0.1", "1e-300",
+                                  "-1", "nan", "inf")),
     "runs": st.integers(-1, 40).map(str),
 }
 _VALUES["x_phases"] = _VALUES["phases"]
@@ -834,6 +834,32 @@ def test_real_stderr_keeps_the_one_line_contract(tmp_path, argv, code):
     assert len(err) == (1 if code else 0), err
     if code:
         assert err[0].split(":")[0].isidentifier()
+
+
+# Runs main on argv in a fresh interpreter whose address space is capped
+# at 4 GiB, so that an allocation past it fails whatever the host's
+# overcommit policy.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from steering_lab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--points", "100000000000"],
+    ["montecarlo", "sweep.txt", "--runs", "1000000000000"],
+])
+def test_an_array_too_large_for_memory_keeps_the_one_line_contract(tmp_path,
+                                                                   argv):
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    proc = _fresh_python(tmp_path, "-c", _CAPPED_MAIN, *argv, "--output",
+                         str(tmp_path / "out.txt"))
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 3, err
+    assert len(err) == 1 and err[0].startswith("MemoryError: "), err
+    assert proc.stdout == ""
 
 
 def test_short_commands_leave_scipy_unloaded(tmp_path):
