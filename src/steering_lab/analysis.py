@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (ExtractionError, FitError, ParseError, ValidationError,
                      check_seed)
 from .fock_ops import RESOLUTION_PHASES, TWO_PI, trusted_basis
-from .inequality import (InequalityFamily, _strategy_values,
-                         build_probability_inequality, stacked_inequality)
+from .inequality import (InequalityFamily, _stacked_build, _strategy_values,
+                         build_probability_inequality)
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
@@ -379,10 +379,13 @@ def _coefficient_row(family: InequalityFamily, r_b=None):
                             zip(family.alice_phases, RESOLUTION_PHASES)):
         raise ValidationError(f"the relative-phase construction needs the "
                               f"m = 4 ladder, got {family.alice_phases}")
-    ineq = (build_probability_inequality(family) if r_b is None
-            else stacked_inequality(family, r_b))
+    if r_b is None:
+        ineq = build_probability_inequality(family)
+        branches = _strategy_values(ineq.coefficients,
+                                    *trusted_basis(ineq.r_b))
+    else:
+        ineq, branches = _stacked_build(family, r_b)
     f = ineq.coefficients
-    branches = _strategy_values(f, *trusted_basis(ineq.r_b))
     return np.stack([*(f[..., :4, :4][..., _RELATIVE == j].sum(axis=-1)
                        for j in range(4)),
                      f[..., :4, 4].sum(axis=-1), f[..., 4, :4].sum(axis=-1),

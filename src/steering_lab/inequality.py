@@ -387,10 +387,17 @@ def stacked_inequality(family: InequalityFamily, r_b):
     identity and S_max >= S'_max. No truncated column is built unless
     n_max_used is read.
     """
+    return _stacked_build(family, r_b)[0]
+
+
+def _stacked_build(family: InequalityFamily, r_b):
+    """stacked_inequality and the 2^m strategy values (_strategy_values)
+    that its S_max is the maximum of, from the one eigensolve."""
     r_b = _amplitudes(family, r_b)
     coefficients = decompose_g(family, r_b)
     s_max_qubit = qubit_bound(family)
-    s_max = lhs_bound(coefficients, *trusted_basis(r_b))
+    branches = _strategy_values(coefficients, *trusted_basis(r_b))
+    s_max = _unstack(branches.max(axis=-1))
     # a bound computed from F is rounded on the scale of its largest entry,
     # which grows as 1/r_B: 0.54 at the paper's r_B, ~1e5 at r_B = 3e-6
     scale = np.maximum(1.0, np.abs(coefficients).max(axis=(-2, -1)))
@@ -400,7 +407,8 @@ def stacked_inequality(family: InequalityFamily, r_b):
             f"full-space bound {np.ravel(s_max)[np.ravel(low)][0]} "
             f"below qubit bound {s_max_qubit}")
     return ProbabilityInequality(coefficients=coefficients, bound=s_max,
-                                 s_max_qubit=s_max_qubit, r_b=_unstack(r_b))
+                                 s_max_qubit=s_max_qubit,
+                                 r_b=_unstack(r_b)), branches
 
 
 def evaluate_steering(ineq: ProbabilityInequality, probs):

@@ -17,27 +17,21 @@ assemblage problem.
 
 The table is exactly linear in the efficiency eta, so the critical
 efficiency eta* (the largest eta with an LHS model) is one conic program,
-solved by a primal-dual interior-point method with no bisection. The solve
-returns both certificates: hidden states that reproduce the table at
-eta_star, checked by verify_hidden_states, and a probability-level
-steering functional in the format of the family's inequality
-(inequality.SteeringFunctional), whose exact LHS bound (lhs_bound) is a
-maximum of small eigenvalue problems, violated from eta_upper on. A verdict
-at a fixed eta follows from the same solve
-(ExperimentEfficiency.verdict_at): feasible wherever the eta_star model
-extends to a checked model at eta (always up to eta_star), infeasible
-from eta_upper on by a margin, indeterminate otherwise.
+solved for a stack of tables at once by a primal-dual interior-point method
+with no bisection. It returns both certificates: hidden states that
+reproduce the table at eta_star (verify_hidden_states) and a steering
+functional (inequality.SteeringFunctional) beating its exact LHS bound
+(lhs_bound) from eta_upper on; verdict_at turns them into a verdict at eta.
 
-Measurement phases are optimized by a compass (pattern) search; its
-objective is the closed-form qubit bound of the family adapted to the
-candidate phases (a surrogate sharing its minimizer, the equally spaced
-ladder, with the critical efficiency, at no conic solve per candidate), and
-one stacked call rates a whole pattern of candidates. The reported eta* is
-always the critical efficiency of the actual candidate phases.
+Measurement phases are optimized by a compass search on the closed-form
+qubit bound of the family adapted to the candidate phases (a surrogate
+sharing its minimizer, the equally spaced ladder, with the critical
+efficiency); the reported eta* is that of the actual candidate phases.
 """
 
 from dataclasses import dataclass, field
 import math
+import random
 
 import numpy as np
 
@@ -135,11 +129,10 @@ def verify_hidden_states(model: HiddenStateModel, problem: TableProblem, eta):
 def _product_model(problem: TableProblem):
     """Hidden states of the eta = 0 table, which is a product table.
 
-    At eta = 0 both modes hold vacuum: the untrusted side answers every
-    setting x independently, + with probability p_A(+|x), and the trusted
-    side holds |0>, whose overlap with each no-click vector |alpha_y> is the
-    real sqrt(p_B(+|y)). Strategy k carries prod_x p_A(D_k(x)|x) times
-    |0><0|, held as its compression onto the basis plus its weight outside.
+    At eta = 0 the untrusted side answers every setting x independently, +
+    with probability p_A(+|x), and the trusted side holds |0>, whose overlap
+    with each |alpha_y> is the real sqrt(p_B(+|y)). Strategy k carries
+    prod_x p_A(D_k(x)|x) |0><0|: its compression and its weight outside.
     """
     summary = _marginals(problem.table_vacuum)
     m, n = problem.m, problem.basis.shape[1]
@@ -176,15 +169,14 @@ class ExperimentEfficiency:
     def verdict_at(self, eta):
         """Verdict on problem.table_at(eta), with its certificate.
 
-        'feasible' carries a HiddenStateModel of the table at eta. Up to
-        eta_star it is the eta_star model mixed with the product model of
-        the eta = 0 table, PSD by construction. Inside the certified gap it
-        is the eta_star model moved along tangent, kept if
-        verify_hidden_states passes it to MODEL_TOL (a table on the cone's
-        boundary, such as eta = 1 with one effective setting, is decided
-        this way). From eta_upper on, where the functional beats its bound
-        by FUNCTIONAL_MARGIN and a rounding unit, 'infeasible' carries it
-        if it wins. Otherwise the verdict is 'indeterminate', with none.
+        'feasible' carries a HiddenStateModel of the table at eta: up to
+        eta_star the eta_star model mixed with the product model of the eta
+        = 0 table, PSD by construction; inside the certified gap the eta_star
+        model moved along tangent, if verify_hidden_states passes it to
+        MODEL_TOL (so a table on the cone's boundary, such as eta = 1 with
+        one effective setting, is decided). From eta_upper on, 'infeasible'
+        carries the functional if it beats its bound by FUNCTIONAL_MARGIN.
+        Otherwise the verdict is 'indeterminate', with none.
         """
         if not 0.0 <= eta <= 1.0:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
@@ -229,8 +221,9 @@ def _first_violation(func: SteeringFunctional, problem, eta, slope):
     return upper
 
 
-def _max_eta(problem: TableProblem):
-    """Primal-dual interior-point method for max eta s.t. A(X, w) = b + eta d.
+def _max_eta(problems, label=""):
+    """Primal-dual interior-point method for max eta s.t. A(X, w) = b + eta d,
+    for each of a list of problems: one ExperimentEfficiency each.
 
     A(X, w) = sum_k c_k phi(X_k, w_k)^T over PSD X_k and w_k >= 0: c_k =
     (D_k(+|x), 1) are the strategy rows, phi(X, w) = (b_y^dag X b_y, tr X +
@@ -241,20 +234,22 @@ def _max_eta(problem: TableProblem):
     Mehrotra's predictor-corrector from an infeasible start, as in CVXOPT's
     cone solvers (Vandenberghe, 2010); X and S are held as factors that each
     step multiplies by a Cholesky factor of a definite matrix. Below a
-    duality gap of GAP_TOL / 10 (margins and rounding, not the iterate, then
-    set the interval) an iterate is taken if its hidden states pass
-    verify_hidden_states at eta_star (eta moved to where y values their own
-    table) and y, bounded by lhs_bound, is violated from an eta_upper with
-    0 < eta_upper - eta_star <= GAP_TOL. The solve raises after ITERATION_CAP,
-    or below a gap of GAP_TOL once y's rounding unit in eta (eps sum |F M| /
-    slope) exceeds GAP_TOL, as float64 then holds no such interval. The
-    tangent F_k D_k F_k^dag (a QR in the final factor F) follows the table
-    per unit eta with the least relative change.
+    duality gap of GAP_TOL / 10 an iterate is taken if its hidden states
+    pass verify_hidden_states at eta_star (eta moved to where y values their
+    own table) and y, bounded by lhs_bound, is violated from an eta_upper
+    with 0 < eta_upper - eta_star <= GAP_TOL. The solve raises after
+    ITERATION_CAP, or below a gap of GAP_TOL once y's rounding unit in eta
+    (eps sum |F M| / slope) exceeds GAP_TOL, as float64 then holds no such
+    interval; label leads either message, and a raise ends the whole stack.
+    The tangent F_k D_k F_k^dag (a QR in the final factor F) follows the
+    table per unit eta with the least relative change. The problems share
+    one basis, outside and m, and form one stack: each keeps its own step,
+    centering and iteration count, and is masked out once taken.
     """
-    basis, outside = problem.basis, problem.outside
+    basis, outside = problems[0].basis, problems[0].outside
     dim, n = basis.shape
-    rows = _strategy_rows(problem.m)
-    n_strat = rows.shape[0]
+    rows = _strategy_rows(problems[0].m)
+    n_strat, count = rows.shape[0], len(problems)
     # functionals as real vectors over (Re X, Im X, w), then reduced
     mats = np.concatenate([np.einsum('ay,by->yab', basis, basis.conj()),
                            np.eye(dim)[None]])
@@ -264,134 +259,152 @@ def _max_eta(problem: TableProblem):
     u, sv, _ = np.linalg.svd(phi, full_matrices=True)
     rank = int((sv > 1e-12 * sv[0]).sum())
     red, perp = u[:, :rank], u[:, rank:]
-    t0 = _marginals(problem.table_vacuum)
-    td = _marginals(problem.table_steered) - t0
-    if np.abs(np.concatenate([t0, td]) @ perp).max(initial=0.0) > 1e-9:
+    t0 = np.array([_marginals(p.table_vacuum) for p in problems])
+    td = np.array([_marginals(p.table_steered) for p in problems]) - t0
+    if np.abs(np.hstack([t0, td]) @ perp).max(initial=0.0) > 1e-9:
         raise ValidationError("the table lies outside what any hidden state "
                               "on this trusted-side space can produce")
     mats = np.einsum('jk,jab->kab', red, mats)
     outs = outs @ red
-    target0, target_d = (t0 @ red).ravel(), (td @ red).ravel()
-    size, coords = target0.size, n_strat * 2 * dim * dim
-
-    def dagger(a):
-        return np.conj(np.swapaxes(a, -1, -2))
+    target0, target_d = ((t @ red).reshape(count, -1) for t in (t0, td))
+    size, coords = target0.shape[1], n_strat * 2 * dim * dim
 
     def jacobian(factor, w):
         """Constraints' derivative in scaled coordinates F D F^dag, w d_w."""
-        scaled = np.einsum('lba,kbc,lcd->lkad', factor.conj(), mats, factor)
-        jac = np.einsum('li,lkp->iklp', rows, np.concatenate(
-            [scaled.real, scaled.imag], axis=2).reshape(
-                n_strat, rank, -1)).reshape(size, -1)
+        lead = factor.shape[:-3]
+        scaled = np.einsum('...lba,kbc,...lcd->...lkad', factor.conj(), mats,
+                           factor)
+        jac = [np.einsum('li,...lkp->...iklp', rows, np.concatenate(
+            [scaled.real, scaled.imag], -2).reshape(lead + (n_strat, rank,
+                                                           -1)))]
         if outside:
-            jac = np.hstack([jac, np.einsum(
-                'li,k,l->ikl', rows, outs, w).reshape(size, -1)])
-        return jac
+            jac.append(np.einsum('li,k,...l->...ikl', rows, outs, w))
+        return np.concatenate([j.reshape(lead + (size, -1)) for j in jac], -1)
 
     def scaled_change(move):
         """Hermitian D_k and d_w of moves (last axis) in scaled coordinates."""
         parts = move[..., :coords].reshape(move.shape[:-1]
                                            + (n_strat, 2, dim, dim))
         d = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
-        return 0.5 * (d + dagger(d)), move[..., coords:]
+        return 0.5 * (d + d.mT.conj()), move[..., coords:]
 
     def vector(blocks, d_w):    # inverse of scaled_change on Hermitian D
-        return np.concatenate([np.stack([blocks.real, blocks.imag],
-                                        axis=1).ravel(), d_w])
+        return np.concatenate([np.stack([blocks.real, blocks.imag], -3)
+                               .reshape(len(d_w), -1), d_w], axis=-1)
 
     def direction(rc, scale):
         """Moves dx, ds, T dy and d_eta of J dx - d_eta d = scale r_p, ds =
         J^T dy + scale r_d, d^T dy = scale r_e, dx + ds = rc (J^T = Q T)."""
-        g = rc - scale * res_d
-        z = ortho.T @ g - scale * solved_p
-        d_eta = (solved_d @ z - scale * res_e) / (solved_d @ solved_d)
-        z -= d_eta * solved_d
-        dx = g - ortho @ z
-        return np.stack([dx, rc - dx]), z, d_eta
+        g = rc - scale[:, None] * res_d
+        z = np.vecmat(g, ortho) - scale[:, None] * solved_p
+        d_eta = (np.vecdot(solved_d, z) - scale * res_e) / np.vecdot(
+            solved_d, solved_d)
+        z -= d_eta[:, None] * solved_d
+        dx = g - np.matvec(ortho, z)
+        return np.stack([dx, rc - dx], axis=1), z, d_eta
 
     def relative(moves):
         """Lambda^-1/2 D Lambda^-1/2 and d_w / lambda of the moves, and the
         least eigenvalue: a step s keeps the cones iff 1 + s least > 0."""
         blocks, d_w = scaled_change(moves)
-        blocks = blocks / np.sqrt(lam[:, :, None] * lam[:, None, :])
-        return blocks, d_w / lam_w, min(float(np.linalg.eigvalsh(
-            blocks).min()), (d_w / lam_w).min(initial=math.inf))
+        blocks = blocks / np.sqrt(lam[:, None, :, :, None]
+                                  * lam[:, None, :, None, :])
+        d_w = d_w / lam_w[:, None]
+        return blocks, d_w, np.minimum(np.linalg.eigvalsh(blocks).min(
+            axis=(1, 2, 3)), d_w.min(axis=(1, 2), initial=math.inf))
 
-    def certified(iterations):
-        coefficients = -y.reshape(-1, rank) @ red.T
-        slope = float((coefficients * td).sum())
+    def certified(p, iterations):
+        problem = problems[ids[p]]
+        coefficients = -y[p].reshape(-1, rank) @ red.T
+        slope = float((coefficients * td[ids[p]]).sum())
         if slope <= 0.0:
             return None
-        eta_star = eta + (y @ res_p) / slope
+        eta_star = float(eta[p] + (y[p] @ res_p[p]) / slope)
         unit = np.finfo(float).eps * float(np.abs(coefficients * _marginals(
             problem.table_at(eta_star))).sum()) / slope
         if unit > GAP_TOL:
             raise IndeterminateFeasibilityError(
-                f"rounding unit {unit:.2e} in eta exceeds GAP_TOL {GAP_TOL:g}")
-        if gap > 0.1 * GAP_TOL:
+                f"{label}rounding unit {unit:.2e} in eta exceeds GAP_TOL "
+                f"{GAP_TOL:g}")
+        if gap[p] > 0.1 * GAP_TOL:
             return None
         func = SteeringFunctional(coefficients, lhs_bound(coefficients,
                                                           basis, outside))
         eta_upper = _first_violation(func, problem, eta_star, slope)
-        lx, w = factors[0], weights[0]
-        pad = np.zeros(0 if outside else n_strat)
-        model = HiddenStateModel(lx @ dagger(lx), np.append(w, pad))
+        lx, w = factors[p, 0], weights[p, 0] if outside else np.zeros(n_strat)
+        model = HiddenStateModel(lx @ lx.mT.conj(), w)
         if not (eta_star < eta_upper <= eta_star + GAP_TOL and
                 verify_hidden_states(model, problem, eta_star) <= MODEL_TOL):
             return None
         ortho, tri = np.linalg.qr(jacobian(lx, w).T)
-        move, d_w = scaled_change(ortho @ np.linalg.solve(tri.T, target_d))
+        move, d_w = scaled_change(ortho @ np.linalg.solve(tri.T, target_d[p]))
         return ExperimentEfficiency(
             eta_star=eta_star, eta_upper=eta_upper, model=model,
             functional=func, problem=problem, iterations=iterations,
-            tangent=HiddenStateModel(lx @ move @ dagger(lx),
-                                     np.append(w * d_w, pad)))
+            tangent=HiddenStateModel(lx @ move @ lx.mT.conj(),
+                                     w * d_w if outside else 0.0 * w))
 
     # factors F_k, G_k of X_k = F_k F_k^dag and S_k = G_k G_k^dag; weights
     # w_k outside and their slacks v_k (none if the problem bars them)
-    nu = n_strat * (dim + outside)
-    eye = np.eye(dim)
-    factors = np.repeat([[eye / math.sqrt(nu)], [eye]], n_strat, axis=1) + 0j
-    weights = np.outer([1.0 / nu, 1.0], np.ones(n_strat if outside else 0))
-    y, eta = np.zeros(size), 0.0
+    nu, eye = n_strat * (dim + outside), np.eye(dim)
+    factors = np.broadcast_to(np.stack([eye / math.sqrt(nu), eye])[:, None]
+                              + 0j, (count, 2, n_strat, dim, dim))
+    weights = np.zeros((count, 2, n_strat * outside)) + [[[1.0 / nu], [1.0]]]
+    y, eta = np.zeros((count, size)), np.zeros(count)
+    ids, results = np.arange(count), [None] * count
     for iterations in range(ITERATION_CAP + 1):
         # NT scaling from G^dag F = U Lambda V^dag: R = F V Lambda^-1/2 and
         # sqrt(w / v); in its coordinates X and S are both Lambda
-        left, lam, right = np.linalg.svd(dagger(factors[1]) @ factors[0])
-        rotations = np.stack([dagger(right), left])
-        lam_w = np.sqrt(weights[0] * weights[1])
+        left, lam, right = np.linalg.svd(factors[:, 1].mT.conj()
+                                         @ factors[:, 0])
+        rotations = np.stack([right.mT.conj(), left], axis=1)
+        lam_w = np.sqrt(weights[:, 0] * weights[:, 1])
         lam_vec = vector(lam[..., None] * eye, lam_w)
-        jac = jacobian(factors[0] @ rotations[0] / np.sqrt(lam)[:, None, :],
-                       np.sqrt(weights[0] / weights[1]))
-        res_p = target0 + eta * target_d - jac @ lam_vec
-        gap = float(lam_vec @ lam_vec)
-        if gap <= GAP_TOL and (result := certified(iterations)):
-            return result
-        res_d, res_e = jac.T @ y - lam_vec, -1.0 - target_d @ y
-        ortho, tri = np.linalg.qr(jac.T)
-        solved_p, solved_d = np.linalg.solve(tri.T, np.column_stack(
-            [res_p, target_d])).T
-        # predictor: the affine move, whose reach sets the centering
-        moves, _, _ = direction(-lam_vec, 1.0)
-        reach = min(1.0, 1.0 / max(-relative(moves)[2], 1e-300))
-        sigma = min(1.0, max(0.0, 1.0 - reach + reach * reach
-                             * (moves[0] @ moves[1]) / gap)) ** 3
+        jac = jacobian(factors[:, 0] @ rotations[:, 0]
+                       / np.sqrt(lam)[..., None, :],
+                       np.sqrt(weights[:, 0] / weights[:, 1]))
+        res_p = target0 + eta[:, None] * target_d - np.matvec(jac, lam_vec)
+        gap = np.vecdot(lam_vec, lam_vec)
+        for p in np.flatnonzero(gap <= GAP_TOL):
+            results[ids[p]] = certified(p, iterations)
+        live = np.array([results[i] is None for i in ids])
+        if not live.any():
+            return results
+        if not live.all():
+            (ids, factors, weights, y, eta, target0, target_d, rotations, lam,
+             lam_w, lam_vec, jac, res_p, gap) = (a[live] for a in (
+                 ids, factors, weights, y, eta, target0, target_d, rotations,
+                 lam, lam_w, lam_vec, jac, res_p, gap))
+        res_d, res_e = np.vecmat(y, jac) - lam_vec, -1.0 - np.vecdot(
+            target_d, y)
+        ortho, tri = np.linalg.qr(jac.mT)
+        solved_p, solved_d = np.linalg.solve(tri.mT, np.stack(
+            [res_p, target_d], axis=-1)).transpose(2, 0, 1)
+        # predictor: the affine move, whose reach sets the centering; sigma
+        # takes libm's pow, as numpy's vector pow may round otherwise
+        moves, _, _ = direction(-lam_vec, np.ones(len(gap)))
+        reach = np.minimum(1.0, 1.0 / np.maximum(-relative(moves)[2], 1e-300))
+        sigma = np.array([min(1.0, max(0.0, v)) ** 3 for v in (
+            1.0 - reach + reach * reach * np.vecdot(moves[:, 0], moves[:, 1])
+            / gap).tolist()])
         # corrector: lambda o (dx + ds) = sigma mu e - lambda o lambda -
         # dx_a o ds_a, elementwise for the diagonal lambda
-        blocks, (wx, ws) = scaled_change(moves)
-        cross = blocks[0] @ blocks[1]
-        cross = (cross + dagger(cross)) / (lam[:, :, None] + lam[:, None, :])
+        blocks, d_w = scaled_change(moves)
+        cross = blocks[:, 0] @ blocks[:, 1]
+        cross = (cross + cross.mT.conj()) / (lam[..., None] + lam[:, :, None])
         mu = sigma * gap / nu
         moves, z, d_eta = direction(vector(
-            (mu / lam - lam)[..., None] * eye - cross,
-            (mu - lam_w * lam_w - wx * ws) / lam_w), 1.0 - sigma)
+            (mu[:, None, None] / lam - lam)[..., None] * eye - cross,
+            (mu[:, None] - lam_w * lam_w - d_w[:, 0] * d_w[:, 1]) / lam_w),
+            1.0 - sigma)
         blocks, d_w, least = relative(moves)
-        step = min(1.0, 0.99 / max(-least, 1e-300))
-        factors = factors @ rotations @ np.linalg.cholesky(eye + step * blocks)
-        weights = weights * (1.0 + step * d_w)
-        y = y + step * np.linalg.solve(tri, z)
-        eta += step * d_eta
-    raise IndeterminateFeasibilityError(f"no certified interval after "
+        step = np.minimum(1.0, 0.99 / np.maximum(-least, 1e-300))
+        factors = factors @ rotations @ np.linalg.cholesky(
+            eye + step[:, None, None, None, None] * blocks)
+        weights = weights * (1.0 + step[:, None, None] * d_w)
+        y = y + step[:, None] * np.linalg.solve(tri, z[..., None])[..., 0]
+        eta = eta + step * d_eta
+    raise IndeterminateFeasibilityError(f"{label}no certified interval after "
                                         f"{ITERATION_CAP} iterations")
 
 
@@ -402,17 +415,13 @@ def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
     The trusted side is seen only through its four displacement detectors,
     acting on photon-number space (space='fock', exact through the Gram
     matrix of the coherent states) or on the 0-1 subspace (space='qubit',
-    the assemblage problem). Solved directly by a primal-dual interior-point
-    method, no bisection; the answer carries hidden states at eta_star and a
-    steering functional violated from eta_upper on, at most GAP_TOL above
-    eta_star, or the solve raises IndeterminateFeasibilityError. The
+    the assemblage problem). _max_eta solves it as a stack of one: hidden
+    states at eta_star and a steering functional violated from eta_upper
+    on, at most GAP_TOL above, or IndeterminateFeasibilityError. The
     defaults are the reference amplitude r_A = 0.233 and the m = 4 ladder.
     """
-    try:
-        return _max_eta(TableProblem.from_model(r_a, alice_phases, r_b, space,
-                                                visibility))
-    except IndeterminateFeasibilityError as exc:
-        raise IndeterminateFeasibilityError(f"r_A={r_a}: {exc}") from None
+    return _max_eta([TableProblem.from_model(
+        r_a, alice_phases, r_b, space, visibility)], f"r_A={r_a}: ")[0]
 
 
 # --- phase optimization ------------------------------------------------------
@@ -450,13 +459,12 @@ def _pattern_search(score, start):
     """Compass search of score from start (Kolda, Lewis & Torczon,
     "Optimization by direct search", SIAM Review 45, 2003).
 
-    The pattern is +-e_i and +-e_i +- e_j for every pair i < j, scaled by
-    the step h; one stacked call of score rates every candidate. The best
-    candidate is taken if it improves, otherwise h is halved, until h drops
-    below PATTERN_TOL or PATTERN_CAP iterations have run. The pair sums
-    e_i + e_j matter: the surrogate is a maximum over strategies, and
-    without them the search stalls on its kinks (at m = 6, 0-1 of 10
-    restarts ended within 0.05 rad of the ladder, against 6-9 with them).
+    The pattern +-e_i and +-e_i +- e_j (all pairs i < j), times the step
+    h, is rated by one stacked call of score; the best candidate is taken
+    if it improves, else h is halved, until h < PATTERN_TOL or PATTERN_CAP
+    iterations. The pair sums matter: the surrogate is a maximum over
+    strategies, and without them the search stalls on its kinks (at m = 6,
+    0-1 of 10 restarts ended within 0.05 rad of the ladder, not 6-9).
     """
     eye = np.eye(start.size)
     i, j = np.triu_indices(start.size, 1)
@@ -466,11 +474,10 @@ def _pattern_search(score, start):
     for _ in range(PATTERN_CAP):
         if h < PATTERN_TOL:
             break
-        candidates = x + h * pattern
-        values = score(candidates)
+        values = score(x + h * pattern)
         k = int(np.argmin(values))
         if values[k] < value:
-            x, value = candidates[k], values[k]
+            x, value = x + h * pattern[k], values[k]
         else:
             h *= 0.5
     return x
@@ -479,34 +486,27 @@ def _pattern_search(score, start):
 def optimize_phases(r_a=DEFAULT_R_A, m=4, restarts=10, seed=0):
     """Search measurement phases minimizing the critical efficiency.
 
-    Random-restart pattern search over the m phases (_pattern_search), from
-    a step of PATTERN_STEP = 0.3 rad down to PATTERN_TOL = 1e-3 rad. The
-    search ranks candidates by the closed-form qubit bound of the family
-    adapted to them (same minimizer as eta*, see module docstring); the
-    assemblage critical efficiency (experiment_critical_eta with
-    space='qubit') is then solved for every restart's start and end phases,
-    and the best candidate by actual eta* is returned, so the result never
-    loses to its own starting point. Fully reproducible from the seed.
-    The defaults are the reference amplitude r_A = 0.233 and m = 4.
+    Each restart draws m phases uniformly in [0, 2 pi) from the stdlib
+    random.Random(seed), restart by restart, and runs _pattern_search from
+    them (steps PATTERN_STEP = 0.3 rad down to PATTERN_TOL = 1e-3 rad) on
+    the closed-form qubit bound of the family adapted to them (same
+    minimizer as eta*, see module docstring). Then one _max_eta stack solves
+    the assemblage eta* (space='qubit') of every start and end, and the best
+    of them is returned, so the result never loses to its own start. The
+    defaults are the reference amplitude r_A = 0.233 and m = 4.
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.Generator(np.random.Philox(check_seed(seed)))
+    draw = random.Random(int(check_seed(seed))).uniform
     family = InequalityFamily(m=m)
-
-    def critical(phases):
-        return experiment_critical_eta(r_a, phases, space="qubit").eta_star
-
-    records, best = [], None
+    pairs = []
     for _ in range(restarts):
-        start = rng.uniform(0.0, TWO_PI, size=m)
-        end = _pattern_search(lambda p: qubit_bound(family, p), start)
-        rec = RestartRecord(tuple(start), tuple(end % TWO_PI),
-                            critical(tuple(start)),
-                            critical(tuple(end % TWO_PI)))
-        records.append(rec)
-        for phases, eta in ((rec.start_phases, rec.eta_star_start),
-                            (rec.end_phases, rec.eta_star_end)):
-            if best is None or eta < best[1]:
-                best = (phases, eta)
-    return PhaseOptimum(*best, tuple(records))
+        start = np.array([draw(0.0, TWO_PI) for _ in range(m)])
+        pairs += [tuple(start), tuple(_pattern_search(
+            lambda p: qubit_bound(family, p), start) % TWO_PI)]
+    etas = [res.eta_star for res in _max_eta([TableProblem.from_model(
+        r_a, phases, space="qubit") for phases in pairs], f"r_A={r_a}: ")]
+    best = min(range(len(pairs)), key=etas.__getitem__)
+    return PhaseOptimum(pairs[best], etas[best], tuple(
+        RestartRecord(*pairs[i:i + 2], *etas[i:i + 2])
+        for i in range(0, len(pairs), 2)))

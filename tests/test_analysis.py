@@ -521,13 +521,13 @@ def test_monte_carlo_samples_are_margins_of_their_resampled_tables(sigma):
 
 def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):
     calls = []
-    build = analysis.stacked_inequality
+    build = analysis._stacked_build
 
     def counted(family, r_b):
         calls.append(r_b)
         return build(family, r_b)
 
-    monkeypatch.setattr(analysis, "stacked_inequality", counted)
+    monkeypatch.setattr(analysis, "_stacked_build", counted)
     res = monte_carlo(_model_setting_counts(), InequalityFamily(),
                       MonteCarloConfig(runs=5000, r_b_sigma=0.0, seed=4))
     assert calls == [0.217]

@@ -905,6 +905,9 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
      "steering_lab.quantum_model numpy.fft"),
     (["montecarlo", "sweep.txt", "--runs", "3000", "--r-b-sigma", "0.005"],
      0, "numpy.fft"),
+    # optimize draws its starting phases from the stdlib random module
+    (["optimize", "--restarts", "1", "--seed", "7"], 0, "numpy.random"),
+    (["certify", "--r-a", "0.2"], 0, "numpy.random"),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)

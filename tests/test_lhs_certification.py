@@ -1,6 +1,7 @@
 """Tests for LHS certification, critical efficiency, and phase optimization."""
 
 from dataclasses import replace
+import random
 import re
 import time
 
@@ -94,7 +95,7 @@ def test_constructed_lhs_mixture_is_recognized_and_certified():
     hidden /= np.trace(hidden, axis1=1, axis2=2).real.sum()
     base = TableProblem.from_model(0.233, LADDER4, space="qubit")
     problem = replace(base, table_steered=_qubit_table(hidden, base))
-    res = _max_eta(problem)
+    res, = _max_eta([problem])
     # both ends of the segment are LHS tables, so the whole of it is
     assert res.eta_star > 1.0
     verdict, model = res.verdict_at(1.0)
@@ -200,7 +201,7 @@ def test_a_solve_out_of_iterations_certifies_nothing(monkeypatch):
     monkeypatch.setattr(lhs_certification, "ITERATION_CAP", 2)
     with pytest.raises(IndeterminateFeasibilityError,
                        match="after 2 iterations"):
-        _max_eta(problem)
+        _max_eta([problem])
 
 
 @pytest.mark.parametrize("r_a", [3e-4, 2e-4, 1e-4, 5e-5])
@@ -217,6 +218,41 @@ def test_a_rounding_unit_past_the_gap_ends_the_solve_at_once(r_a):
     assert time.perf_counter() - start < 0.5
     res = experiment_critical_eta(r_a)
     assert 0.0 < res.eta_upper - res.eta_star <= lhs_certification.GAP_TOL
+
+
+def test_a_stack_solves_each_problem_as_it_is_solved_alone():
+    # a stack shares one trusted basis: the ladder and three random phase
+    # sets in qubit space, and a Fock-space pair at the same r_B; each
+    # problem keeps its own steps, so it takes the iterations of its
+    # one-problem solve, and its interval moves by less than its gap
+    qubit = [TableProblem.from_model(0.2, phases, space="qubit")
+             for phases in (LADDER4, *_RANDOM4)]
+    fock = [TableProblem.from_model(0.2, phases, r_b=0.217)
+            for phases in (LADDER4, _RANDOM4[0])]
+    for stack in (qubit, fock):
+        solved = _max_eta(stack)
+        assert len(solved) == len(stack)
+        for problem, res in zip(stack, solved):
+            alone, = _max_eta([problem])
+            assert res.problem is problem
+            assert res.iterations == alone.iterations
+            gap = alone.eta_upper - alone.eta_star
+            assert abs(res.eta_star - alone.eta_star) <= gap
+            assert abs(res.eta_upper - alone.eta_upper) <= gap
+            residual = verify_hidden_states(res.model, problem, res.eta_star)
+            assert residual <= lhs_certification.MODEL_TOL
+
+
+def test_a_problem_at_the_rounding_floor_raises_alike_in_a_stack():
+    floor = TableProblem.from_model(1e-4, LADDER4, space="qubit")
+    with pytest.raises(IndeterminateFeasibilityError) as alone:
+        _max_eta([floor])
+    ladder = TableProblem.from_model(0.2, LADDER4, space="qubit")
+    with pytest.raises(IndeterminateFeasibilityError) as stacked:
+        _max_eta([ladder, floor, ladder])
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value).startswith("rounding unit ")
+    assert "\n" not in str(alone.value)
 
 
 @pytest.mark.parametrize("space, sizes", [("qubit", range(1, 9)),
@@ -303,6 +339,18 @@ def test_optimize_phases_is_deterministic_and_never_loses_to_its_start():
         assert rec.eta_star_end <= rec.eta_star_start + 1e-12
     with pytest.raises(ValidationError):
         optimize_phases(0.2, 4, restarts=0)
+
+
+def test_optimize_phases_draws_its_starts_from_the_stdlib_stream():
+    # m uniform phases per restart, restart by restart, from random.Random
+    draw = random.Random(7).uniform
+    starts = [tuple(draw(0.0, 2.0 * np.pi) for _ in range(4))
+              for _ in range(2)]
+    plain = optimize_phases(0.2, 4, restarts=2, seed=7)
+    assert [rec.start_phases for rec in plain.restarts] == starts
+    # numpy integers pass check_seed and seed the same stream as 7
+    for seed in (np.uint64(7), np.int64(7)):
+        assert optimize_phases(0.2, 4, restarts=2, seed=seed) == plain
 
 
 @pytest.fixture(scope="module")
