@@ -17,16 +17,24 @@ assemblage problem.
 
 The table is exactly linear in the efficiency eta, so the critical
 efficiency eta* (the largest eta with an LHS model) is one conic program,
-solved for a stack of tables at once by a primal-dual interior-point method
-with no bisection. It returns both certificates: hidden states that
-reproduce the table at eta_star (verify_hidden_states) and a steering
-functional (inequality.SteeringFunctional) beating its exact LHS bound
-(lhs_bound) from eta_upper on; verdict_at turns them into a verdict at eta.
+solved by a primal-dual interior-point method with no bisection (several
+tables of one trusted-side space at once, as one stack). The solve
+returns both certificates: hidden states that reproduce the table at
+eta_star, checked by verify_hidden_states, and a probability-level
+steering functional in the format of the family's inequality
+(inequality.SteeringFunctional), whose exact LHS bound (lhs_bound) is a
+maximum of small eigenvalue problems, violated from eta_upper on. A verdict
+at a fixed eta follows from the same solve
+(ExperimentEfficiency.verdict_at): feasible wherever the eta_star model
+extends to a checked model at eta (always up to eta_star), infeasible
+from eta_upper on by a margin, indeterminate otherwise.
 
-Measurement phases are optimized by a compass search on the closed-form
-qubit bound of the family adapted to the candidate phases (a surrogate
-sharing its minimizer, the equally spaced ladder, with the critical
-efficiency); the reported eta* is that of the actual candidate phases.
+Measurement phases are optimized by a compass (pattern) search; its
+objective is the closed-form qubit bound of the family adapted to the
+candidate phases (a surrogate sharing its minimizer, the equally spaced
+ladder, with the critical efficiency, at no conic solve per candidate), and
+one stacked call rates a whole pattern of candidates. The reported eta* is
+always the critical efficiency of the actual candidate phases.
 """
 
 from dataclasses import dataclass, field
@@ -50,6 +58,7 @@ ITERATION_CAP = 100       # primal-dual iterations of one solve
 PATTERN_STEP = 0.3        # rad, first step of the phase search
 PATTERN_TOL = 1e-3        # rad, step below which the phase search stops
 PATTERN_CAP = 2000        # iterations of one phase search
+STACK_STRATEGIES = 320    # problems x 2^m strategies of one optimize stack
 
 
 @dataclass(frozen=True)
@@ -129,10 +138,11 @@ def verify_hidden_states(model: HiddenStateModel, problem: TableProblem, eta):
 def _product_model(problem: TableProblem):
     """Hidden states of the eta = 0 table, which is a product table.
 
-    At eta = 0 the untrusted side answers every setting x independently, +
-    with probability p_A(+|x), and the trusted side holds |0>, whose overlap
-    with each |alpha_y> is the real sqrt(p_B(+|y)). Strategy k carries
-    prod_x p_A(D_k(x)|x) |0><0|: its compression and its weight outside.
+    At eta = 0 both modes hold vacuum: the untrusted side answers every
+    setting x independently, + with probability p_A(+|x), and the trusted
+    side holds |0>, whose overlap with each no-click vector |alpha_y> is the
+    real sqrt(p_B(+|y)). Strategy k carries prod_x p_A(D_k(x)|x) times
+    |0><0|, held as its compression onto the basis plus its weight outside.
     """
     summary = _marginals(problem.table_vacuum)
     m, n = problem.m, problem.basis.shape[1]
@@ -169,14 +179,15 @@ class ExperimentEfficiency:
     def verdict_at(self, eta):
         """Verdict on problem.table_at(eta), with its certificate.
 
-        'feasible' carries a HiddenStateModel of the table at eta: up to
-        eta_star the eta_star model mixed with the product model of the eta
-        = 0 table, PSD by construction; inside the certified gap the eta_star
-        model moved along tangent, if verify_hidden_states passes it to
-        MODEL_TOL (so a table on the cone's boundary, such as eta = 1 with
-        one effective setting, is decided). From eta_upper on, 'infeasible'
-        carries the functional if it beats its bound by FUNCTIONAL_MARGIN.
-        Otherwise the verdict is 'indeterminate', with none.
+        'feasible' carries a HiddenStateModel of the table at eta. Up to
+        eta_star it is the eta_star model mixed with the product model of
+        the eta = 0 table, PSD by construction. Inside the certified gap it
+        is the eta_star model moved along tangent, kept if
+        verify_hidden_states passes it to MODEL_TOL (a table on the cone's
+        boundary, such as eta = 1 with one effective setting, is decided
+        this way). From eta_upper on, where the functional beats its bound
+        by FUNCTIONAL_MARGIN and a rounding unit, 'infeasible' carries it
+        if it wins. Otherwise the verdict is 'indeterminate', with none.
         """
         if not 0.0 <= eta <= 1.0:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
@@ -234,17 +245,20 @@ def _max_eta(problems, label=""):
     Mehrotra's predictor-corrector from an infeasible start, as in CVXOPT's
     cone solvers (Vandenberghe, 2010); X and S are held as factors that each
     step multiplies by a Cholesky factor of a definite matrix. Below a
-    duality gap of GAP_TOL / 10 an iterate is taken if its hidden states
-    pass verify_hidden_states at eta_star (eta moved to where y values their
-    own table) and y, bounded by lhs_bound, is violated from an eta_upper
-    with 0 < eta_upper - eta_star <= GAP_TOL. The solve raises after
-    ITERATION_CAP, or below a gap of GAP_TOL once y's rounding unit in eta
-    (eps sum |F M| / slope) exceeds GAP_TOL, as float64 then holds no such
-    interval; label leads either message, and a raise ends the whole stack.
-    The tangent F_k D_k F_k^dag (a QR in the final factor F) follows the
-    table per unit eta with the least relative change. The problems share
-    one basis, outside and m, and form one stack: each keeps its own step,
-    centering and iteration count, and is masked out once taken.
+    duality gap of GAP_TOL / 10 (margins and rounding, not the iterate, then
+    set the interval) an iterate is taken if its hidden states pass
+    verify_hidden_states at eta_star (eta moved to where y values their own
+    table) and y, bounded by lhs_bound, is violated from an eta_upper with
+    0 < eta_upper - eta_star <= GAP_TOL. The solve raises after ITERATION_CAP,
+    or below a gap of GAP_TOL once y's rounding unit in eta (eps sum |F M| /
+    slope) exceeds GAP_TOL, as float64 then holds no such interval; label
+    leads either message, and a raise ends the whole stack. The tangent
+    F_k D_k F_k^dag (a QR in the final factor F) follows the table per unit
+    eta with the least relative change. The problems share one basis,
+    outside and m, and form one stack: each keeps its own step, centering
+    and iteration count, and is masked out once taken. Stacked products are
+    matmuls of [..., None] views, so each problem meets the BLAS calls of a
+    one-problem solve.
     """
     basis, outside = problems[0].basis, problems[0].outside
     dim, n = basis.shape
@@ -269,6 +283,15 @@ def _max_eta(problems, label=""):
     target0, target_d = ((t @ red).reshape(count, -1) for t in (t0, td))
     size, coords = target0.shape[1], n_strat * 2 * dim * dim
 
+    def dagger(a):
+        return np.conj(np.swapaxes(a, -1, -2))
+
+    def dot(a, b):      # a_i . b_i along the last axis, per problem i
+        return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+    def apply(mat, v):  # mat_i v_i, per problem i
+        return (mat @ v[..., None])[..., 0]
+
     def jacobian(factor, w):
         """Constraints' derivative in scaled coordinates F D F^dag, w d_w."""
         lead = factor.shape[:-3]
@@ -286,7 +309,7 @@ def _max_eta(problems, label=""):
         parts = move[..., :coords].reshape(move.shape[:-1]
                                            + (n_strat, 2, dim, dim))
         d = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
-        return 0.5 * (d + d.mT.conj()), move[..., coords:]
+        return 0.5 * (d + dagger(d)), move[..., coords:]
 
     def vector(blocks, d_w):    # inverse of scaled_change on Hermitian D
         return np.concatenate([np.stack([blocks.real, blocks.imag], -3)
@@ -296,11 +319,10 @@ def _max_eta(problems, label=""):
         """Moves dx, ds, T dy and d_eta of J dx - d_eta d = scale r_p, ds =
         J^T dy + scale r_d, d^T dy = scale r_e, dx + ds = rc (J^T = Q T)."""
         g = rc - scale[:, None] * res_d
-        z = np.vecmat(g, ortho) - scale[:, None] * solved_p
-        d_eta = (np.vecdot(solved_d, z) - scale * res_e) / np.vecdot(
-            solved_d, solved_d)
+        z = apply(ortho.transpose(0, 2, 1), g) - scale[:, None] * solved_p
+        d_eta = (dot(solved_d, z) - scale * res_e) / dot(solved_d, solved_d)
         z -= d_eta[:, None] * solved_d
-        dx = g - np.matvec(ortho, z)
+        dx = g - apply(ortho, z)
         return np.stack([dx, rc - dx], axis=1), z, d_eta
 
     def relative(moves):
@@ -332,7 +354,7 @@ def _max_eta(problems, label=""):
                                                           basis, outside))
         eta_upper = _first_violation(func, problem, eta_star, slope)
         lx, w = factors[p, 0], weights[p, 0] if outside else np.zeros(n_strat)
-        model = HiddenStateModel(lx @ lx.mT.conj(), w)
+        model = HiddenStateModel(lx @ dagger(lx), w)
         if not (eta_star < eta_upper <= eta_star + GAP_TOL and
                 verify_hidden_states(model, problem, eta_star) <= MODEL_TOL):
             return None
@@ -341,7 +363,7 @@ def _max_eta(problems, label=""):
         return ExperimentEfficiency(
             eta_star=eta_star, eta_upper=eta_upper, model=model,
             functional=func, problem=problem, iterations=iterations,
-            tangent=HiddenStateModel(lx @ move @ lx.mT.conj(),
+            tangent=HiddenStateModel(lx @ move @ dagger(lx),
                                      w * d_w if outside else 0.0 * w))
 
     # factors F_k, G_k of X_k = F_k F_k^dag and S_k = G_k G_k^dag; weights
@@ -355,16 +377,15 @@ def _max_eta(problems, label=""):
     for iterations in range(ITERATION_CAP + 1):
         # NT scaling from G^dag F = U Lambda V^dag: R = F V Lambda^-1/2 and
         # sqrt(w / v); in its coordinates X and S are both Lambda
-        left, lam, right = np.linalg.svd(factors[:, 1].mT.conj()
-                                         @ factors[:, 0])
-        rotations = np.stack([right.mT.conj(), left], axis=1)
+        left, lam, right = np.linalg.svd(dagger(factors[:, 1]) @ factors[:, 0])
+        rotations = np.stack([dagger(right), left], axis=1)
         lam_w = np.sqrt(weights[:, 0] * weights[:, 1])
         lam_vec = vector(lam[..., None] * eye, lam_w)
         jac = jacobian(factors[:, 0] @ rotations[:, 0]
                        / np.sqrt(lam)[..., None, :],
                        np.sqrt(weights[:, 0] / weights[:, 1]))
-        res_p = target0 + eta[:, None] * target_d - np.matvec(jac, lam_vec)
-        gap = np.vecdot(lam_vec, lam_vec)
+        res_p = target0 + eta[:, None] * target_d - apply(jac, lam_vec)
+        gap = dot(lam_vec, lam_vec)
         for p in np.flatnonzero(gap <= GAP_TOL):
             results[ids[p]] = certified(p, iterations)
         live = np.array([results[i] is None for i in ids])
@@ -375,23 +396,23 @@ def _max_eta(problems, label=""):
              lam_w, lam_vec, jac, res_p, gap) = (a[live] for a in (
                  ids, factors, weights, y, eta, target0, target_d, rotations,
                  lam, lam_w, lam_vec, jac, res_p, gap))
-        res_d, res_e = np.vecmat(y, jac) - lam_vec, -1.0 - np.vecdot(
+        res_d, res_e = apply(jac.transpose(0, 2, 1), y) - lam_vec, -1.0 - dot(
             target_d, y)
-        ortho, tri = np.linalg.qr(jac.mT)
-        solved_p, solved_d = np.linalg.solve(tri.mT, np.stack(
+        ortho, tri = np.linalg.qr(jac.transpose(0, 2, 1))
+        solved_p, solved_d = np.linalg.solve(tri.transpose(0, 2, 1), np.stack(
             [res_p, target_d], axis=-1)).transpose(2, 0, 1)
         # predictor: the affine move, whose reach sets the centering; sigma
         # takes libm's pow, as numpy's vector pow may round otherwise
         moves, _, _ = direction(-lam_vec, np.ones(len(gap)))
         reach = np.minimum(1.0, 1.0 / np.maximum(-relative(moves)[2], 1e-300))
         sigma = np.array([min(1.0, max(0.0, v)) ** 3 for v in (
-            1.0 - reach + reach * reach * np.vecdot(moves[:, 0], moves[:, 1])
+            1.0 - reach + reach * reach * dot(moves[:, 0], moves[:, 1])
             / gap).tolist()])
         # corrector: lambda o (dx + ds) = sigma mu e - lambda o lambda -
         # dx_a o ds_a, elementwise for the diagonal lambda
         blocks, d_w = scaled_change(moves)
         cross = blocks[:, 0] @ blocks[:, 1]
-        cross = (cross + cross.mT.conj()) / (lam[..., None] + lam[:, :, None])
+        cross = (cross + dagger(cross)) / (lam[..., None] + lam[:, :, None])
         mu = sigma * gap / nu
         moves, z, d_eta = direction(vector(
             (mu[:, None, None] / lam - lam)[..., None] * eye - cross,
@@ -415,10 +436,12 @@ def experiment_critical_eta(r_a=DEFAULT_R_A, alice_phases=RESOLUTION_PHASES,
     The trusted side is seen only through its four displacement detectors,
     acting on photon-number space (space='fock', exact through the Gram
     matrix of the coherent states) or on the 0-1 subspace (space='qubit',
-    the assemblage problem). _max_eta solves it as a stack of one: hidden
-    states at eta_star and a steering functional violated from eta_upper
-    on, at most GAP_TOL above, or IndeterminateFeasibilityError. The
-    defaults are the reference amplitude r_A = 0.233 and the m = 4 ladder.
+    the assemblage problem). Solved directly, as a stack of one (_max_eta),
+    by a primal-dual interior-point method, no bisection; the answer carries
+    hidden states at eta_star and a steering functional violated from
+    eta_upper on, at most GAP_TOL above eta_star, or the solve raises
+    IndeterminateFeasibilityError. The defaults are the reference amplitude
+    r_A = 0.233 and the m = 4 ladder.
     """
     return _max_eta([TableProblem.from_model(
         r_a, alice_phases, r_b, space, visibility)], f"r_A={r_a}: ")[0]
@@ -459,12 +482,13 @@ def _pattern_search(score, start):
     """Compass search of score from start (Kolda, Lewis & Torczon,
     "Optimization by direct search", SIAM Review 45, 2003).
 
-    The pattern +-e_i and +-e_i +- e_j (all pairs i < j), times the step
-    h, is rated by one stacked call of score; the best candidate is taken
-    if it improves, else h is halved, until h < PATTERN_TOL or PATTERN_CAP
-    iterations. The pair sums matter: the surrogate is a maximum over
-    strategies, and without them the search stalls on its kinks (at m = 6,
-    0-1 of 10 restarts ended within 0.05 rad of the ladder, not 6-9).
+    The pattern is +-e_i and +-e_i +- e_j for every pair i < j, scaled by
+    the step h; one stacked call of score rates every candidate. The best
+    candidate is taken if it improves, otherwise h is halved, until h drops
+    below PATTERN_TOL or PATTERN_CAP iterations have run. The pair sums
+    e_i + e_j matter: the surrogate is a maximum over strategies, and
+    without them the search stalls on its kinks (at m = 6, 0-1 of 10
+    restarts ended within 0.05 rad of the ladder, against 6-9 with them).
     """
     eye = np.eye(start.size)
     i, j = np.triu_indices(start.size, 1)
@@ -474,10 +498,11 @@ def _pattern_search(score, start):
     for _ in range(PATTERN_CAP):
         if h < PATTERN_TOL:
             break
-        values = score(x + h * pattern)
+        candidates = x + h * pattern
+        values = score(candidates)
         k = int(np.argmin(values))
         if values[k] < value:
-            x, value = x + h * pattern[k], values[k]
+            x, value = candidates[k], values[k]
         else:
             h *= 0.5
     return x
@@ -490,10 +515,12 @@ def optimize_phases(r_a=DEFAULT_R_A, m=4, restarts=10, seed=0):
     random.Random(seed), restart by restart, and runs _pattern_search from
     them (steps PATTERN_STEP = 0.3 rad down to PATTERN_TOL = 1e-3 rad) on
     the closed-form qubit bound of the family adapted to them (same
-    minimizer as eta*, see module docstring). Then one _max_eta stack solves
-    the assemblage eta* (space='qubit') of every start and end, and the best
-    of them is returned, so the result never loses to its own start. The
-    defaults are the reference amplitude r_A = 0.233 and m = 4.
+    minimizer as eta*, see module docstring). Then _max_eta solves the
+    assemblage eta* (space='qubit') of every start and end, in stacks of
+    STACK_STRATEGIES // 2^m problems (20 at m = 4; one from m = 9), so peak
+    memory does not grow with restarts. The best of them is returned, so the
+    result never loses to its own start. The defaults are the reference
+    amplitude r_A = 0.233 and m = 4.
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
@@ -504,8 +531,11 @@ def optimize_phases(r_a=DEFAULT_R_A, m=4, restarts=10, seed=0):
         start = np.array([draw(0.0, TWO_PI) for _ in range(m)])
         pairs += [tuple(start), tuple(_pattern_search(
             lambda p: qubit_bound(family, p), start) % TWO_PI)]
-    etas = [res.eta_star for res in _max_eta([TableProblem.from_model(
-        r_a, phases, space="qubit") for phases in pairs], f"r_A={r_a}: ")]
+    etas, per_stack = [], max(1, STACK_STRATEGIES >> m)
+    for i in range(0, len(pairs), per_stack):
+        etas += [res.eta_star for res in _max_eta([TableProblem.from_model(
+            r_a, phases, space="qubit") for phases in pairs[i:i + per_stack]],
+            f"r_A={r_a}: ")]
     best = min(range(len(pairs)), key=etas.__getitem__)
     return PhaseOptimum(pairs[best], etas[best], tuple(
         RestartRecord(*pairs[i:i + 2], *etas[i:i + 2])

@@ -353,6 +353,23 @@ def test_optimize_phases_draws_its_starts_from_the_stdlib_stream():
         assert optimize_phases(0.2, 4, restarts=2, seed=seed) == plain
 
 
+def test_optimize_phases_solves_in_stacks_of_bounded_size(monkeypatch):
+    # at most STACK_STRATEGIES // 2^m problems share a stack, so memory does
+    # not grow with restarts; how they are split moves no result by a bit
+    sizes, solve = [], lhs_certification._max_eta
+
+    def spy(problems, label=""):
+        sizes.append(len(problems))
+        return solve(problems, label)
+
+    monkeypatch.setattr(lhs_certification, "_max_eta", spy)
+    whole = optimize_phases(0.2, 4, restarts=2, seed=5)
+    assert sizes == [4]
+    monkeypatch.setattr(lhs_certification, "STACK_STRATEGIES", 48)
+    assert optimize_phases(0.2, 4, restarts=2, seed=5) == whole
+    assert sizes == [4, 3, 1]
+
+
 @pytest.fixture(scope="module")
 def experiment_r20():
     return experiment_critical_eta(0.2, LADDER4)
