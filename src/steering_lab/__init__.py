@@ -27,12 +27,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": (
-        "AnalysisReport", "CosineFit", "CountsRecord", "MonteCarloConfig",
-        "MonteCarloResult", "OUTCOME_LABELS", "evaluate_record",
-        "extract_setting_table", "fit_cosine", "format_mc_result",
-        "load_counts", "monte_carlo", "probabilities_from_counts",
-        "setting_counts_from_record", "synthesize_counts", "write_counts",
-        "write_mc_result"),
+        "AnalysisReport", "CosineFit", "CountsRecord", "MonteCarloResult",
+        "OUTCOME_LABELS", "evaluate_record", "extract_setting_table",
+        "fit_cosine", "format_mc_result", "load_counts", "monte_carlo",
+        "probabilities_from_counts", "setting_counts_from_record",
+        "synthesize_counts", "write_counts", "write_mc_result"),
     "errors": (
         "CutoffError", "ExtractionError", "FitError",
         "IndeterminateFeasibilityError", "NormalizationError", "ParseError",
@@ -55,8 +54,7 @@ _EXPORTS = {
         "experiment_critical_eta", "ladder_distance", "optimize_phases",
         "verify_hidden_states"),
     "quantum_model": (
-        "Assemblage", "ModelConfig", "ProbabilityTable", "SweepTable",
-        "compute_assemblage", "format_sweep", "format_table",
+        "ModelConfig", "compute_assemblage", "format_sweep", "format_table",
         "joint_probabilities", "make_state", "oracle_probabilities",
         "phase_sweep", "side_povm", "theoretical_delta_S"),
 }

@@ -185,7 +185,6 @@ class CosineFit:
     phase0: np.ndarray
     rss: np.ndarray
     clamped: np.ndarray
-    n_points: int
 
     def evaluate(self, phase):
         """Fitted outcome-pair values at one phase, shape (4,), unclamped."""
@@ -223,7 +222,7 @@ def fit_cosine(phases, probs):
     clamped = ((offset + amplitude > 1.0 + 1e-12)
                | (offset - amplitude < -1e-12))
     return CosineFit(offset=offset, amplitude=amplitude, phase0=phase0,
-                     rss=rss, clamped=clamped, n_points=int(phases.size))
+                     rss=rss, clamped=clamped)
 
 
 # --- setting-table extraction ------------------------------------------------
@@ -284,19 +283,16 @@ def _setting_distributions(source, x_phases, mode):
 
 
 def extract_setting_table(source, x_phases, mode="from_fit"):
-    """Build the 4x4 setting table from sweep data.
+    """Build the setting table p[a, b, x, y], shape (2, 2, 4, 4), from
+    sweep data.
 
     With both sides' phases on the same pi/2-spaced ladder the joint
     distribution depends only on the relative phase, so cell (x, y) is
     distribution (x - y) mod 4 of _setting_distributions (mode 'from_fit'
     or 'nearest_point').
     """
-    from .quantum_model import ProbabilityTable
     dists = _setting_distributions(source, x_phases, mode)
-    table = np.moveaxis(dists[_RELATIVE], -1, 0).reshape(2, 2, 4, 4)
-    anchored = tuple((np.asarray(x_phases, dtype=float) % TWO_PI).tolist())
-    return ProbabilityTable(probs=table, alice_phases=anchored,
-                            bob_phases=anchored)
+    return np.moveaxis(dists[_RELATIVE], -1, 0).reshape(2, 2, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -320,25 +316,6 @@ def evaluate_record(record: CountsRecord, family: InequalityFamily,
 
 
 # --- Monte Carlo error estimation --------------------------------------------
-
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    """Resampling controls: run count, the Gaussian spread of the trusted
-    amplitude r_B about the family's (0 holds r_B fixed), and the seed."""
-
-    runs: int = 200000
-    r_b_sigma: float = 0.005
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.runs, int) or self.runs < 1:
-            raise ValidationError(f"runs must be a positive integer, got "
-                                  f"{self.runs}")
-        if not (self.r_b_sigma >= 0.0 and math.isfinite(self.r_b_sigma)):
-            raise ValidationError(f"r_b_sigma must be finite and "
-                                  f"non-negative, got {self.r_b_sigma}")
-        check_seed(self.seed)
-
 
 @dataclass(frozen=True)
 class MonteCarloResult:
@@ -477,19 +454,28 @@ def _resample_chunk(rng, n, base_counts, r_b_mean, r_b_sigma):
     return counts, r_b, redraws, zero_redraws
 
 
-def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
+def monte_carlo(counts, family: InequalityFamily, runs=200000,
+                r_b_sigma=0.005, seed=0):
     """Propagate counting and amplitude uncertainty into S - S_max.
 
     counts is the (4, 4) array of relative-phase rows (see
-    setting_counts_from_record) and family is on the m = 4 ladder. Per run
-    every count is Poisson-resampled, r_B is Gaussian-resampled about
-    family.bob_amplitude (draws outside (0, 1) redrawn and counted), the
-    inequality coefficients and the full-space bound are re-evaluated at the
-    drawn r_B through _BoundInterpolant (exactly, once, when r_b_sigma = 0),
-    and S - S_max is recorded. Runs are drawn in fixed MC_CHUNK chunks, each
-    from its own stream keyed on (seed, chunk index), so results depend on
-    the config alone.
+    setting_counts_from_record) and family is on the m = 4 ladder. Each of
+    the runs Poisson-resamples every count, draws r_B from a Gaussian of
+    spread r_b_sigma about family.bob_amplitude (0 holds it fixed; draws
+    outside (0, 1) redrawn and counted), re-evaluates the inequality
+    coefficients and the full-space bound at the drawn r_B through
+    _BoundInterpolant (exactly, once, when r_b_sigma = 0), and records
+    S - S_max. Runs are drawn in fixed MC_CHUNK chunks, each from its own
+    stream keyed on (seed, chunk index), so results depend on the arguments
+    alone. Returns a MonteCarloResult whose samples have shape (runs,).
     """
+    if not isinstance(runs, int) or runs < 1:
+        raise ValidationError(f"runs must be a positive integer, got "
+                              f"{runs}")
+    if not (r_b_sigma >= 0.0 and math.isfinite(r_b_sigma)):
+        raise ValidationError(f"r_b_sigma must be finite and "
+                              f"non-negative, got {r_b_sigma}")
+    check_seed(seed)
     base_counts = np.asarray(counts)
     if base_counts.shape != (4, 4):
         raise ValidationError(
@@ -504,17 +490,17 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
     point = _coefficient_row(family, family.bob_amplitude)
     point_estimate = float(_margin(
         point, base_counts / base_counts.sum(axis=1, keepdims=True)))
-    grid = _BoundInterpolant(family, mc.r_b_sigma) if mc.r_b_sigma else None
+    grid = _BoundInterpolant(family, r_b_sigma) if r_b_sigma else None
 
-    samples = np.empty(mc.runs)
+    samples = np.empty(runs)
     redraws = 0
     zero_redraws = 0
-    for chunk, start in enumerate(range(0, mc.runs, MC_CHUNK)):
-        stop = min(start + MC_CHUNK, mc.runs)
+    for chunk, start in enumerate(range(0, runs, MC_CHUNK)):
+        stop = min(start + MC_CHUNK, runs)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((mc.seed, chunk))))
+            np.random.Philox(np.random.SeedSequence((seed, chunk))))
         resampled, r_b, rd, zr = _resample_chunk(
-            rng, stop - start, base_counts, family.bob_amplitude, mc.r_b_sigma)
+            rng, stop - start, base_counts, family.bob_amplitude, r_b_sigma)
         rows = grid.lookup(r_b) if grid is not None else point
         samples[start:stop] = _margin(
             rows, resampled / resampled.sum(axis=2, keepdims=True))
@@ -522,13 +508,13 @@ def monte_carlo(counts, family: InequalityFamily, mc: MonteCarloConfig):
         zero_redraws += zr
 
     mean = float(samples.mean())
-    std = float(samples.std(ddof=1)) if mc.runs > 1 else 0.0
+    std = float(samples.std(ddof=1)) if runs > 1 else 0.0
     n_bins, binning = _bin_count(samples)
     bin_counts, bin_edges = np.histogram(samples, bins=n_bins)
     # a visual aid; the sample std stays the estimate of record
     gaussian = curve_fit(0.5 * (bin_edges[:-1] + bin_edges[1:]), bin_counts)
     return MonteCarloResult(
-        mean=mean, std=std, runs=mc.runs, seed=mc.seed,
+        mean=mean, std=std, runs=runs, seed=seed,
         bin_edges=bin_edges, bin_counts=bin_counts.astype(np.int64),
         binning=binning, gaussian_fit=gaussian,
         redraws=redraws, zero_total_redraws=zero_redraws,

@@ -190,7 +190,7 @@ def cmd_simulate(args):
     text = format_table(table, config)
     if args.oracle:
         oracle = oracle_probabilities(config)
-        deviation = float(np.abs(table.probs - oracle.probs).max())
+        deviation = float(np.abs(table - oracle).max())
         verdict = "pass" if deviation < 1e-6 else "fail"
         text += "oracle_max_deviation=%.3e\noracle_check=%s\n" % (
             deviation, verdict)
@@ -214,11 +214,11 @@ def cmd_sweep(args):
         # a non-finite phase is rejected by the model with exit 2
         phases = args.start + (args.stop - args.start) * np.arange(
             args.points) / args.points
-    sweep = phase_sweep(config, phases)
+    rows = phase_sweep(config, phases)
     if args.sample is not None:
         from . import analysis
         record = analysis.synthesize_counts(
-            sweep.phases, sweep.probs, args.sample, **_given(args, "seed"))
+            phases, rows, args.sample, **_given(args, "seed"))
         out = args.output or "sweep_counts.txt"
         analysis.write_counts(
             out, record,
@@ -226,7 +226,7 @@ def cmd_sweep(args):
                    args.sample)
         print(f"sampled counts written to {out}")
     else:
-        text = format_sweep(sweep, config)
+        text = format_sweep(phases, rows, config)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -299,11 +299,11 @@ def cmd_analyze(args):
 def cmd_montecarlo(args):
     from . import analysis
     record = analysis.load_counts(args.counts)
-    mc = analysis.MonteCarloConfig(**_given(args, "runs", "seed", "r_b_sigma"))
     family = _family(args)
     counts = analysis.setting_counts_from_record(
         record, **_given(args, "x_phases"))
-    result = analysis.monte_carlo(counts, family, mc)
+    result = analysis.monte_carlo(
+        counts, family, **_given(args, "runs", "seed", "r_b_sigma"))
     analysis.write_mc_result(args.output, result)
     print("mean=%.17g" % result.mean)
     print("std=%.17g" % result.std)

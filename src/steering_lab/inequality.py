@@ -414,12 +414,11 @@ def _stacked_build(family: InequalityFamily, r_b):
 def evaluate_steering(ineq: ProbabilityInequality, probs):
     """Value S of the inequality on a probability table and its margin.
 
-    probs is a (2, 2, m, 4) array (or an object exposing one as .probs)
-    indexed [a, b, x, y] with index 0 meaning the no-click outcome. Each
-    (x, y) cell must sum to 1 within NORM_TOL. delta_s > 0 certifies
-    steering.
+    probs is a (2, 2, m, 4) array indexed [a, b, x, y] with index 0
+    meaning the no-click outcome. Each (x, y) cell must sum to 1 within
+    NORM_TOL. delta_s > 0 certifies steering.
     """
-    p = np.asarray(getattr(probs, "probs", probs), dtype=float)
+    p = np.asarray(probs, dtype=float)
     m = ineq.m
     if p.shape != (2, 2, m, 4):
         raise ValidationError(

@@ -90,8 +90,7 @@ class TableProblem:
         basis, outside = trusted_basis(r_b, space)
         tables = [joint_probabilities(ModelConfig(
             eta=eta, r_a=r_a, r_b=r_b, alice_phases=tuple(alice_phases),
-            bob_phases=RESOLUTION_PHASES, visibility=visibility)).probs
-            for eta in (0.0, 1.0)]
+            visibility=visibility)) for eta in (0.0, 1.0)]
         return cls(*tables, basis, outside)
 
 

@@ -15,7 +15,7 @@ truncated photon-number space (splitting, loss as a beamsplitter before the
 displacement, exact displacement by eigendecomposition) and must agree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -24,8 +24,7 @@ from .errors import CutoffError, ValidationError
 from .fock_ops import (RESOLUTION_PHASES, TWO_PI, coherent_tail, hermitize,
                        projector_qubit)
 from .inequality import (DEFAULT_R_B, InequalityFamily,
-                         build_probability_inequality, default_alice_phases,
-                         evaluate_steering)
+                         build_probability_inequality, evaluate_steering)
 
 DEFAULT_ETA = 0.52
 DEFAULT_R_A = 0.233
@@ -33,13 +32,14 @@ DEFAULT_R_A = 0.233
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Experiment parameters; phases default to the equally spaced ladder."""
+    """Experiment parameters; the untrusted phases default to the equally
+    spaced ladder, and the trusted side measures at the RESOLUTION_PHASES
+    its steering functionals are resolved over."""
 
     eta: float = DEFAULT_ETA
     r_a: float = DEFAULT_R_A
     r_b: float = DEFAULT_R_B
     alice_phases: tuple = RESOLUTION_PHASES
-    bob_phases: tuple = RESOLUTION_PHASES
     visibility: float = 1.0
 
     def __post_init__(self):
@@ -53,18 +53,12 @@ class ModelConfig:
                 f"amplitudes must be finite and >= 0, got r_a={self.r_a}, "
                 f"r_b={self.r_b}")
         alice = tuple(float(p) for p in self.alice_phases)
-        bob = tuple(float(p) for p in self.bob_phases)
-        if not all(map(math.isfinite, alice + bob)):
+        if not all(map(math.isfinite, alice)):
             raise ValidationError("phases must be finite")
         alice = tuple(p % TWO_PI for p in alice)
         if len(alice) < 1:
             raise ValidationError("need at least one untrusted-side phase")
-        bob = tuple(p % TWO_PI for p in bob)
-        if len(bob) != 4:
-            raise ValidationError(
-                f"bob_phases needs exactly 4 entries, got {len(bob)}")
         object.__setattr__(self, "alice_phases", alice)
-        object.__setattr__(self, "bob_phases", bob)
 
     @property
     def m(self):
@@ -97,30 +91,16 @@ def side_povm(r, theta):
     return plus, np.eye(2, dtype=complex) - plus
 
 
-@dataclass(frozen=True)
-class Assemblage:
-    """Unnormalized conditional states of the trusted side.
-
-    sigma[a, x] is the 2x2 operator for outcome index a (0 = no click) and
-    setting x; sigma_r is the setting-independent reduced state.
-    """
-
-    sigma: np.ndarray = field(repr=False)
-    sigma_r: np.ndarray = field(repr=False)
-
-    @property
-    def m(self):
-        return self.sigma.shape[1]
-
-
 def compute_assemblage(state, r_a, alice_phases):
     """Conditional trusted-side states for each untrusted outcome and setting.
 
     Traces the untrusted mode out of (POVM x identity) * state, with the
     untrusted side displaced at amplitude r_a and each of alice_phases
-    (checked and reduced as a ModelConfig's). Verifies the no-signalling
-    structure: the outcome sum is setting-independent and is returned as
-    sigma_r (trace 1).
+    (checked and reduced as a ModelConfig's). Returns sigma with shape
+    (2, m, 2, 2): sigma[a, x] is the unnormalized 2x2 state for outcome a
+    (0 = no click) at setting x. Verifies the no-signalling structure: the
+    outcome sum sigma.sum(axis=0)[x] is the same reduced state (trace 1) at
+    every setting.
     """
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (4, 4):
@@ -138,20 +118,7 @@ def compute_assemblage(state, r_a, alice_phases):
     w = np.linalg.eigvalsh(sigma).min()
     if w < -1e-12:
         raise ValidationError(f"conditional state not PSD (min eig {w:.2e})")
-    return Assemblage(sigma=sigma, sigma_r=sigma_r)
-
-
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Joint click statistics p[a, b, x, y]; index 0 is the no-click outcome."""
-
-    probs: np.ndarray = field(repr=False)
-    alice_phases: tuple
-    bob_phases: tuple
-
-    @property
-    def m(self):
-        return self.probs.shape[2]
+    return sigma
 
 
 def _click_table(rho4, povms_a, povms_b):
@@ -166,14 +133,15 @@ def _click_table(rho4, povms_a, povms_b):
 
 
 def joint_probabilities(config: ModelConfig):
-    """Full table p(a, b | x, y) of the analytic model."""
+    """Full table p(a, b | x, y) of the analytic model, as the array
+    p[a, b, x, y] with shape (2, 2, m, 4); index 0 is the no-click outcome
+    and y runs over the RESOLUTION_PHASES."""
     rho4 = make_state(config.eta, config.visibility).reshape(2, 2, 2, 2)
     probs = _click_table(
         rho4, projector_qubit(config.r_a, np.array(config.alice_phases)),
-        projector_qubit(config.r_b, np.array(config.bob_phases)))
+        projector_qubit(config.r_b, np.array(RESOLUTION_PHASES)))
     _check_table(probs)
-    return ProbabilityTable(probs=probs, alice_phases=config.alice_phases,
-                            bob_phases=config.bob_phases)
+    return probs
 
 
 def _check_table(probs, tol=1e-9):
@@ -185,42 +153,31 @@ def _check_table(probs, tol=1e-9):
         raise ValidationError("outcome probabilities do not sum to 1")
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Joint outcome probabilities as one side's phase is swept.
-
-    probs columns are (p_pp, p_pm, p_mp, p_mm) at each swept phase, with the
-    trusted side fixed at its first phase.
-    """
-
-    phases: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-
-
 def phase_sweep(config: ModelConfig, phases):
-    """Sweep the untrusted side's phase against the trusted side's first;
-    phases are checked and reduced mod 2 pi as a ModelConfig's are."""
+    """Sweep the untrusted side's phase against the trusted side's first,
+    RESOLUTION_PHASES[0]; phases are checked and reduced mod 2 pi as a
+    ModelConfig's are. Returns the (n, 4) rows (p_pp, p_pm, p_mp, p_mm),
+    one per swept phase."""
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0 or not np.all(np.isfinite(phases)):
         raise ValidationError("phases must be finite and non-empty")
     rho4 = make_state(config.eta, config.visibility).reshape(2, 2, 2, 2)
     probs = _click_table(
         rho4, projector_qubit(config.r_a, phases % TWO_PI),
-        projector_qubit(config.r_b, np.array(config.bob_phases[:1])))
+        projector_qubit(config.r_b, np.array(RESOLUTION_PHASES[:1])))
     rows = probs[..., 0].reshape(4, -1).T
     if rows.min() < -1e-12:
         raise ValidationError("sweep produced negative probability")
     np.clip(rows, 0.0, 1.0, out=rows)
-    return SweepTable(phases=phases, probs=rows)
+    return rows
 
 
 def theoretical_delta_S(config: ModelConfig, family: InequalityFamily):
     """Predicted inequality margin S - S_max of the model for a family.
 
     The family must use the same trusted amplitude and untrusted phases as
-    the model configuration, and the configuration's trusted phases must be
-    the RESOLUTION_PHASES the family is resolved over; otherwise the
-    coefficient tables do not refer to the probabilities being produced.
+    the model configuration; otherwise the coefficient tables do not refer
+    to the probabilities being produced.
     """
     if abs(family.bob_amplitude - config.r_b) > 1e-12:
         raise ValidationError(
@@ -229,13 +186,8 @@ def theoretical_delta_S(config: ModelConfig, family: InequalityFamily):
             abs(a - b) > 1e-9 for a, b in zip(family.alice_phases,
                                               config.alice_phases)):
         raise ValidationError("family and config untrusted phases differ")
-    if any(abs(a - b) > 1e-9 for a, b in zip(RESOLUTION_PHASES,
-                                             config.bob_phases)):
-        raise ValidationError(
-            "config trusted phases differ from the RESOLUTION_PHASES")
     ineq = build_probability_inequality(family)
-    table = joint_probabilities(config)
-    _, delta_s = evaluate_steering(ineq, table)
+    _, delta_s = evaluate_steering(ineq, joint_probabilities(config))
     return delta_s
 
 
@@ -283,8 +235,9 @@ def oracle_probabilities(config: ModelConfig, n_max=10):
 
     Single photon split 50/50 over two modes (coherences damped by the
     visibility), loss on each mode as a beamsplitter before the displacement,
-    then the displaced vacuum projector per side. Exists to cross-check
-    joint_probabilities through entirely different operator constructions.
+    then the displaced vacuum projector per side. Returns p[a, b, x, y]
+    with shape (2, 2, m, 4), as joint_probabilities does, which it exists
+    to cross-check through entirely different operator constructions.
     """
     if n_max < 6:
         raise ValidationError(f"oracle needs n_max >= 6, got {n_max}")
@@ -309,10 +262,9 @@ def oracle_probabilities(config: ModelConfig, n_max=10):
     rho = (loss @ pairs @ loss.T).reshape((dim,) * 4).transpose(0, 2, 1, 3)
     probs = _click_table(
         rho, _noclick_full(config.r_a, np.array(config.alice_phases), n_max),
-        _noclick_full(config.r_b, np.array(config.bob_phases), n_max))
+        _noclick_full(config.r_b, np.array(RESOLUTION_PHASES), n_max))
     _check_table(probs, tol=1e-7)
-    return ProbabilityTable(probs=probs, alice_phases=config.alice_phases,
-                            bob_phases=config.bob_phases)
+    return probs
 
 
 # --- text output ------------------------------------------------------------
@@ -324,20 +276,22 @@ def _config_header(config: ModelConfig):
     return "# " + " ".join(parts)
 
 
-def format_table(table: ProbabilityTable, config: ModelConfig):
-    """Probability table as text: one row per setting pair, 12 digits."""
+def format_table(probs, config: ModelConfig):
+    """Probability table p[a, b, x, y] as text: one row per setting pair,
+    12 digits."""
     lines = [_config_header(config), "# x y p_pp p_pm p_mp p_mm"]
-    cells = table.probs.reshape(4, table.m, 4)     # (a, b) flattened
+    cells = probs.reshape(4, -1, 4)     # (a, b) flattened
     lines += [f"{x + 1} {y + 1} "
               + " ".join(f"{v:.12g}" for v in cells[:, x, y])
-              for x, y in np.ndindex(table.m, 4)]
+              for x, y in np.ndindex(cells.shape[1:])]
     return "\n".join(lines) + "\n"
 
 
-def format_sweep(sweep: SweepTable, config: ModelConfig):
-    """Sweep as text rows `phase p_pp p_pm p_mp p_mm`."""
+def format_sweep(phases, rows, config: ModelConfig):
+    """Sweep rows of phase_sweep at phases as text rows
+    `phase p_pp p_pm p_mp p_mm`."""
     lines = [_config_header(config), "# phase p_pp p_pm p_mp p_mm"]
-    for ph, row in zip(sweep.phases, sweep.probs):
+    for ph, row in zip(phases, rows):
         vals = " ".join(f"{v:.12g}" for v in row)
         lines.append(f"{ph:.17g} {vals}")
     return "\n".join(lines) + "\n"

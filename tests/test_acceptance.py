@@ -17,8 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from steering_lab.analysis import (MonteCarloConfig, evaluate_record,
-                                   monte_carlo, setting_counts_from_record,
+from steering_lab.analysis import (evaluate_record, monte_carlo,
+                                   setting_counts_from_record,
                                    synthesize_counts)
 from steering_lab.fock_ops import RESOLUTION_PHASES, projector_qubit
 from steering_lab.inequality import (InequalityFamily,
@@ -151,8 +151,8 @@ def test_criterion_6_oracle_equivalence(capsys):
             r_b=float(rng.uniform(0.05, 0.3)),
             visibility=float(rng.uniform(0.9, 1.0)),
             alice_phases=tuple(rng.uniform(0.0, 2.0 * np.pi, size=4)))
-        dev = float(np.abs(joint_probabilities(config).probs
-                           - oracle_probabilities(config).probs).max())
+        dev = float(np.abs(joint_probabilities(config)
+                           - oracle_probabilities(config)).max())
         worst = max(worst, dev)
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 60.0
@@ -204,10 +204,10 @@ def test_criterion_7_lhs_soundness_and_transition(capsys):
     bound = qubit_bound(family)
 
     def matrix_functional(eta):
-        assemblage = compute_assemblage(make_state(eta), r_a, LADDER4)
-        value = np.trace(g_r @ assemblage.sigma_r)
+        sigma = compute_assemblage(make_state(eta), r_a, LADDER4)
+        value = np.trace(g_r @ sigma.sum(axis=0)[0])
         for x in range(4):
-            value += np.trace(g_x[x] @ assemblage.sigma[0, x])
+            value += np.trace(g_x[x] @ sigma[0, x])
         return float(np.real(value))
 
     margin_lo = matrix_functional(eta_star - 0.02) - bound
@@ -229,7 +229,7 @@ def test_criterion_7_lhs_soundness_and_transition(capsys):
 
 def _model_setting_counts(events):
     table = joint_probabilities(ModelConfig())
-    dists = np.array([table.probs[:, :, j, 0].ravel() for j in range(4)])
+    dists = np.array([table[:, :, j, 0].ravel() for j in range(4)])
     return np.rint(events * dists).astype(np.int64)
 
 
@@ -238,20 +238,20 @@ def test_criterion_8_monte_carlo_statistics(capsys):
     base = _model_setting_counts(20000)
     stds = {}
     for k in (1, 4, 16):
-        mc = MonteCarloConfig(runs=600, r_b_sigma=0.0, seed=7)
-        stds[k] = monte_carlo(base * k, family, mc).std
+        mc = dict(runs=600, r_b_sigma=0.0, seed=7)
+        stds[k] = monte_carlo(base * k, family, **mc).std
     ratio4 = stds[1] / stds[4]
     ratio16 = stds[1] / stds[16]
     scaling = (abs(ratio4 - 2.0) <= 0.3 and abs(ratio16 - 4.0) <= 0.6)
 
-    mc = MonteCarloConfig(runs=2000, r_b_sigma=0.005, seed=3)
-    rep1 = monte_carlo(base, family, mc)
-    rep2 = monte_carlo(base, family, mc)
+    mc = dict(runs=2000, r_b_sigma=0.005, seed=3)
+    rep1 = monte_carlo(base, family, **mc)
+    rep2 = monte_carlo(base, family, **mc)
     reproducible = bool(np.array_equal(rep1.samples, rep2.samples))
 
-    big = MonteCarloConfig(runs=200000, r_b_sigma=0.005, seed=1)
+    big = dict(runs=200000, r_b_sigma=0.005, seed=1)
     start = time.monotonic()
-    rep = monte_carlo(_model_setting_counts(100000), family, big)
+    rep = monte_carlo(_model_setting_counts(100000), family, **big)
     elapsed = time.monotonic() - start
     timely = elapsed < 600.0 and rep.bin_counts.sum() == 200000
 
@@ -280,11 +280,11 @@ def test_criterion_10_pipeline_end_to_end(capsys):
     config = ModelConfig()
     family = InequalityFamily()
     phases = np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False)
-    probs = phase_sweep(config, phases).probs
+    probs = phase_sweep(config, phases)
     record = synthesize_counts(phases, probs, 1_000_000, seed=12)
     estimate = evaluate_record(record, family).delta_s
     mc = monte_carlo(setting_counts_from_record(record, LADDER4), family,
-                     MonteCarloConfig(runs=2000, r_b_sigma=0.0, seed=12))
+                     runs=2000, r_b_sigma=0.0, seed=12)
     truth = theoretical_delta_S(config, family)
     gap = abs(estimate - truth)
     ok = gap <= 3.0 * mc.std

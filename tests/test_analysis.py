@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from steering_lab import analysis
-from steering_lab.analysis import (CountsRecord, MonteCarloConfig,
-                                   evaluate_record, extract_setting_table,
-                                   fit_cosine, format_mc_result, load_counts,
-                                   monte_carlo, probabilities_from_counts,
+from steering_lab.analysis import (CountsRecord, evaluate_record,
+                                   extract_setting_table, fit_cosine,
+                                   format_mc_result, load_counts, monte_carlo,
+                                   probabilities_from_counts,
                                    setting_counts_from_record,
                                    synthesize_counts, write_counts)
 from steering_lab.errors import (ExtractionError, FitError, ParseError,
@@ -32,7 +32,7 @@ OFF_LADDER4 = ((0.0, 1.0, 2.0, 3.0), (0.5 * np.pi, 0.0, np.pi, 1.5 * np.pi),
 def _model_sweep(n_points, **overrides):
     cfg = ModelConfig(**overrides)
     phases = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    return phases, phase_sweep(cfg, phases).probs, cfg
+    return phases, phase_sweep(cfg, phases), cfg
 
 
 # --- counts ingestion ---------------------------------------------------------
@@ -204,14 +204,14 @@ def test_extracted_table_reproduces_the_analytic_model():
     phases, probs, cfg = _model_sweep(73)
     fit = fit_cosine(phases, probs)
     table = extract_setting_table(fit, LADDER4, mode="from_fit")
-    want = joint_probabilities(cfg).probs
-    np.testing.assert_allclose(table.probs, want, atol=1e-9)
+    want = joint_probabilities(cfg)
+    np.testing.assert_allclose(table, want, atol=1e-9)
 
 
 def test_extracted_table_has_the_relative_phase_structure():
     phases, probs, _ = _model_sweep(73)
     fit = fit_cosine(phases, probs)
-    table = extract_setting_table(fit, LADDER4).probs
+    table = extract_setting_table(fit, LADDER4)
     for x in range(4):
         for y in range(4):
             np.testing.assert_allclose(table[:, :, x, y],
@@ -227,7 +227,7 @@ def test_nearest_point_extraction_matches_measured_rows():
     record = CountsRecord(phases=phases, counts=counts)
     table = extract_setting_table(record, LADDER4, mode="nearest_point")
     fit_table = extract_setting_table(fit_cosine(phases, probs), LADDER4)
-    np.testing.assert_allclose(table.probs, fit_table.probs, atol=1e-6)
+    np.testing.assert_allclose(table, fit_table, atol=1e-6)
     sparse = CountsRecord(phases=np.array(LADDER4) + 0.3,
                           counts=counts[:4])
     with pytest.raises(ExtractionError):
@@ -247,7 +247,7 @@ def test_kernel_scores_as_the_general_functional(rows, r_b):
     family = InequalityFamily(bob_amplitude=r_b)
     ineq = build_probability_inequality(family)
     table = extract_setting_table(record, LADDER4, mode="nearest_point")
-    want = ineq.value(table.probs) - ineq.bound
+    want = ineq.value(table) - ineq.bound
     got = analysis._margin(
         analysis._coefficient_row(family, r_b),
         analysis._setting_distributions(record, LADDER4, "nearest_point"))
@@ -290,7 +290,7 @@ def test_full_pipeline_recovers_the_theoretical_margin():
 def _model_setting_counts(events=100000, **overrides):
     cfg = ModelConfig(**overrides)
     table = joint_probabilities(cfg)
-    dists = np.array([table.probs[:, :, j, 0].ravel() for j in range(4)])
+    dists = np.array([table[:, :, j, 0].ravel() for j in range(4)])
     return np.rint(events * dists).astype(np.int64)
 
 
@@ -325,9 +325,9 @@ def test_setting_counts_selection():
 def test_monte_carlo_is_deterministic():
     counts = _model_setting_counts(events=20000)
     family = InequalityFamily()
-    mc = MonteCarloConfig(runs=300, r_b_sigma=0.0005, seed=5)
-    res1 = monte_carlo(counts, family, mc)
-    res2 = monte_carlo(counts, family, mc)
+    mc = dict(runs=300, r_b_sigma=0.0005, seed=5)
+    res1 = monte_carlo(counts, family, **mc)
+    res2 = monte_carlo(counts, family, **mc)
     np.testing.assert_array_equal(res1.samples, res2.samples)
     assert res1.mean == res2.mean and res1.std == res2.std
     assert res1.bin_counts.sum() == 300
@@ -337,8 +337,8 @@ def test_monte_carlo_is_deterministic():
 def test_monte_carlo_mean_tracks_the_point_estimate():
     counts = _model_setting_counts(events=200000)
     family = InequalityFamily()
-    mc = MonteCarloConfig(runs=400, r_b_sigma=0.0, seed=1)
-    res = monte_carlo(counts, family, mc)
+    mc = dict(runs=400, r_b_sigma=0.0, seed=1)
+    res = monte_carlo(counts, family, **mc)
     assert res.std > 0.0
     assert abs(res.mean - res.point_estimate) < 4.0 * res.std / 20.0
     assert res.point_estimate == pytest.approx(0.002953518415892198,
@@ -350,8 +350,8 @@ def test_monte_carlo_count_noise_scales_as_inverse_sqrt():
     base = _model_setting_counts(events=20000)
     stds = []
     for scale in (1, 16):
-        mc = MonteCarloConfig(runs=600, r_b_sigma=0.0, seed=7)
-        stds.append(monte_carlo(base * scale, family, mc).std)
+        mc = dict(runs=600, r_b_sigma=0.0, seed=7)
+        stds.append(monte_carlo(base * scale, family, **mc).std)
     assert stds[0] / stds[1] == pytest.approx(4.0, rel=0.15)
 
 
@@ -361,17 +361,17 @@ def test_monte_carlo_amplitude_noise_widens_the_spread():
     counts = _model_setting_counts(events=100_000_000)
     family = InequalityFamily()
     narrow = monte_carlo(counts, family,
-                         MonteCarloConfig(runs=200, r_b_sigma=0.0, seed=3))
+                         runs=200, r_b_sigma=0.0, seed=3)
     wide = monte_carlo(counts, family,
-                       MonteCarloConfig(runs=200, r_b_sigma=0.005, seed=3))
+                       runs=200, r_b_sigma=0.005, seed=3)
     assert wide.std > 1.2 * narrow.std
 
 
 def test_monte_carlo_counts_redraws():
     family = InequalityFamily(bob_amplitude=0.002)
     counts = np.tile([[1, 0, 0, 0]], (4, 1))
-    mc = MonteCarloConfig(runs=100, r_b_sigma=0.002, seed=2)
-    res = monte_carlo(counts, family, mc)
+    mc = dict(runs=100, r_b_sigma=0.002, seed=2)
+    res = monte_carlo(counts, family, **mc)
     assert res.redraws > 0
     assert res.zero_total_redraws > 0
 
@@ -396,32 +396,32 @@ def test_monte_carlo_null_data_never_crosses_the_bound():
     row = [0, 0, round(n * q), n - round(n * q)]
     counts = np.tile([row], (4, 1))
     family = InequalityFamily()
-    mc = MonteCarloConfig(runs=500, r_b_sigma=0.005, seed=11)
-    res = monte_carlo(counts, family, mc)
+    mc = dict(runs=500, r_b_sigma=0.005, seed=11)
+    res = monte_carlo(counts, family, **mc)
     assert res.samples.max() <= 1e-9
     assert res.mean < -0.01
 
 
 def test_monte_carlo_input_validation():
     family = InequalityFamily()
-    mc = MonteCarloConfig(runs=10, r_b_sigma=0.0)
+    mc = dict(runs=10, r_b_sigma=0.0)
     with pytest.raises(ValidationError):
-        monte_carlo(np.ones((3, 4)), family, mc)
+        monte_carlo(np.ones((3, 4)), family, **mc)
     with pytest.raises(ValidationError):
-        monte_carlo(np.zeros((4, 4)), family, mc)
-    for family in (InequalityFamily(m=5),
-                   *(InequalityFamily(alice_phases=p) for p in OFF_LADDER4)):
+        monte_carlo(np.zeros((4, 4)), family, **mc)
+    for bad in (InequalityFamily(m=5),
+                *(InequalityFamily(alice_phases=p) for p in OFF_LADDER4)):
         with pytest.raises(ValidationError, match="m = 4 ladder"):
-            monte_carlo(np.ones((4, 4)), family, mc)
+            monte_carlo(np.ones((4, 4)), bad, **mc)
     with pytest.raises(ValidationError):
-        MonteCarloConfig(runs=0)
+        monte_carlo(np.ones((4, 4)), family, runs=0)
     with pytest.raises(ValidationError):
-        MonteCarloConfig(r_b_sigma=-0.1)
+        monte_carlo(np.ones((4, 4)), family, r_b_sigma=-0.1)
     with pytest.raises(ValidationError):
-        MonteCarloConfig(seed=-1)
+        monte_carlo(np.ones((4, 4)), family, seed=-1)
     for value in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="r_b_sigma"):
-            MonteCarloConfig(r_b_sigma=value)
+            monte_carlo(np.ones((4, 4)), family, r_b_sigma=value)
     # r_B's mean is the family's amplitude, checked where the family is made
     with pytest.raises(ValidationError, match="bob_amplitude"):
         InequalityFamily(bob_amplitude=0.0)
@@ -429,14 +429,14 @@ def test_monte_carlo_input_validation():
 
 def test_monte_carlo_centres_on_the_family_amplitude():
     counts = _model_setting_counts(events=200000)
-    mc = MonteCarloConfig(runs=50, r_b_sigma=0.0, seed=1)
+    mc = dict(runs=50, r_b_sigma=0.0, seed=1)
     table = extract_setting_table(
         CountsRecord(phases=np.array(LADDER4), counts=counts), LADDER4,
         mode="nearest_point")
     estimates = {}
     for r_b in (0.217, 0.3):
         family = InequalityFamily(bob_amplitude=r_b)
-        res = monte_carlo(counts, family, mc)
+        res = monte_carlo(counts, family, **mc)
         want = evaluate_steering(build_probability_inequality(family),
                                  table)[1]
         assert res.point_estimate == pytest.approx(want, abs=1e-12)
@@ -502,11 +502,11 @@ def test_monte_carlo_samples_are_margins_of_their_resampled_tables(sigma):
     # through the public extraction and evaluation path, exactly at its r_B
     counts = _model_setting_counts(events=20000)
     family = InequalityFamily()
-    mc = MonteCarloConfig(runs=40, r_b_sigma=sigma, seed=9)
-    res = monte_carlo(counts, family, mc)
+    mc = dict(runs=40, r_b_sigma=sigma, seed=9)
+    res = monte_carlo(counts, family, **mc)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
     resampled, r_b, _, _ = analysis._resample_chunk(
-        rng, 40, counts.astype(float), family.bob_amplitude, mc.r_b_sigma)
+        rng, 40, counts.astype(float), family.bob_amplitude, sigma)
     for i in range(0, 40, 4):
         table = extract_setting_table(
             CountsRecord(phases=np.array(LADDER4), counts=resampled[i]),
@@ -529,7 +529,7 @@ def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "_stacked_build", counted)
     res = monte_carlo(_model_setting_counts(), InequalityFamily(),
-                      MonteCarloConfig(runs=5000, r_b_sigma=0.0, seed=4))
+                      runs=5000, r_b_sigma=0.0, seed=4)
     assert calls == [0.217]
     assert res.grid_error == 0.0 and res.redraws == 0
 
@@ -538,7 +538,7 @@ def test_result_formatting_round_trips_key_values():
     counts = _model_setting_counts(events=20000)
     family = InequalityFamily()
     res = monte_carlo(counts, family,
-                      MonteCarloConfig(runs=2000, r_b_sigma=0.0, seed=0))
+                      runs=2000, r_b_sigma=0.0, seed=0)
     text = format_mc_result(res)
     head, _, hist = text.partition("histogram\n")
     entries = dict(line.split("=", 1) for line in head.splitlines())
@@ -563,7 +563,7 @@ def test_heavy_tail_histogram_has_at_most_root_runs_bins():
     runs = 2000
     res = monte_carlo(_model_setting_counts(),
                       InequalityFamily(bob_amplitude=0.002),
-                      MonteCarloConfig(runs=runs, r_b_sigma=0.002, seed=1))
+                      runs=runs, r_b_sigma=0.002, seed=1)
     cap = math.ceil(math.sqrt(runs))
     assert np.histogram(res.samples, bins="fd")[0].size > runs
     assert res.binning == "square-root"
@@ -605,7 +605,7 @@ def test_histogram_gaussian_agrees_with_a_least_squares_fit(seed):
     from scipy.optimize import curve_fit
 
     res = monte_carlo(_model_setting_counts(), InequalityFamily(),
-                      MonteCarloConfig(runs=20000, seed=seed))
+                      runs=20000, seed=seed)
     mids, counts = _mids(res), res.bin_counts.astype(float)
     want, _ = curve_fit(
         lambda x, amp, mu, sigma: amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2),
@@ -623,7 +623,7 @@ def test_histogram_gaussian_is_none_or_finite_and_never_raises():
     twin[[5, 6, 7, 33, 34, 35]] = [40, 90, 40, 50, 100, 50]
     heavy = monte_carlo(_model_setting_counts(),
                         InequalityFamily(bob_amplitude=0.002),
-                        MonteCarloConfig(runs=2000, r_b_sigma=0.002, seed=1))
+                        runs=2000, r_b_sigma=0.002, seed=1)
     cases = [(x, spike), (x, np.full(41, 7.0)),
              (x[:4], np.array([3.0, 9.0, 8.0, 2.0])), (x, twin),
              (_mids(heavy), heavy.bin_counts)]

@@ -46,7 +46,7 @@ def _kv(lines):
 def _write_model_sweep(path, n_points=72, scale=1e9):
     phases = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
     sweep = phase_sweep(ModelConfig(), phases)
-    counts = np.rint(scale * sweep.probs).astype(np.int64)
+    counts = np.rint(scale * sweep).astype(np.int64)
     from steering_lab.analysis import CountsRecord
     write_counts(path, CountsRecord(phases=phases, counts=counts))
     return path

@@ -31,9 +31,10 @@ LADDER5 = tuple(i * 2.0 * np.pi / 5.0 for i in range(5))
 _RANDOM4 = tuple(tuple(np.random.Generator(np.random.Philox(seed)).uniform(
     0.0, 2.0 * np.pi, 4)) for seed in range(3))
 
-# Assemblage critical efficiencies on the ladder (experiment_critical_eta
-# with space="qubit"), certified to a gap below 1e-8. Each lies inside the
-# bracket an earlier bisection solver reported at precision 1e-3.
+# Critical efficiencies of the assemblage on the ladder
+# (experiment_critical_eta with space="qubit"), certified to a gap below
+# 1e-8. Each lies inside the bracket an earlier bisection solver reported
+# at precision 1e-3.
 ETA_STAR_R20 = 0.4195681
 ETA_STAR_R233 = 0.4267374
 ETA_STAR_R20_M5 = 0.3725280
@@ -158,7 +159,7 @@ def test_interpolation_endpoints_match_direct_construction():
     assert problem.m == 4
     for eta in (0.0, 0.25, 1.0):
         direct = joint_probabilities(ModelConfig(
-            eta=eta, r_a=0.15, alice_phases=LADDER4, visibility=0.9)).probs
+            eta=eta, r_a=0.15, alice_phases=LADDER4, visibility=0.9))
         np.testing.assert_allclose(problem.table_at(eta), direct,
                                    atol=1e-15)
 
@@ -405,12 +406,12 @@ def test_experiment_program_on_the_qubit_subspace_is_the_assemblage_problem():
     strat = deterministic_strategies(4).astype(float)
     for eta in (res.eta_star, 0.3):
         _, model = res.verdict_at(eta)
-        assemblage = compute_assemblage(make_state(eta), 0.2, LADDER4)
+        sigma = compute_assemblage(make_state(eta), 0.2, LADDER4)
         np.testing.assert_allclose(
             np.einsum('kx,kab->xab', strat, model.blocks),
-            assemblage.sigma[0], atol=1e-8)
+            sigma[0], atol=1e-8)
         np.testing.assert_allclose(model.blocks.sum(axis=0),
-                                   assemblage.sigma_r, atol=1e-8)
+                                   sigma.sum(axis=0)[0], atol=1e-8)
 
 
 def test_trusted_basis_reproduces_coherent_state_overlaps():

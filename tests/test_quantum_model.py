@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from steering_lab.analysis import extract_setting_table, fit_cosine
 from steering_lab.errors import CutoffError, ValidationError
-from steering_lab.fock_ops import TWO_PI
-from steering_lab.inequality import InequalityFamily
+from steering_lab.fock_ops import RESOLUTION_PHASES, TWO_PI
+from steering_lab.inequality import (InequalityFamily,
+                                     build_probability_inequality,
+                                     evaluate_steering)
 from steering_lab.quantum_model import (ModelConfig, compute_assemblage,
                                         format_sweep, format_table,
                                         joint_probabilities, make_state,
@@ -59,11 +62,8 @@ def test_model_config_validation():
         ModelConfig(visibility=1.5)
     with pytest.raises(ValidationError):
         ModelConfig(r_a=-0.2)
-    with pytest.raises(ValidationError):
-        ModelConfig(bob_phases=(0.0, 1.0))
     for bad in (dict(r_a=np.inf), dict(r_b=np.nan),
-                dict(alice_phases=(0.0, np.inf)),
-                dict(bob_phases=(0.0, 1.0, np.nan, 2.0))):
+                dict(alice_phases=(0.0, np.inf))):
         with pytest.raises(ValidationError):
             ModelConfig(**bad)
     assert ModelConfig(alice_phases=(0.0, 1.0, 2.0)).m == 3
@@ -94,16 +94,16 @@ def _assemblage_by_loops(state, r, phases):
 def test_assemblage_matches_literal_partial_trace():
     phases = (0.0, 0.7, 2.0, 4.4)
     state = make_state(0.52, 0.93)
-    asm = compute_assemblage(state, 0.233, phases)
-    np.testing.assert_allclose(asm.sigma,
+    sigma = compute_assemblage(state, 0.233, phases)
+    np.testing.assert_allclose(sigma,
                                _assemblage_by_loops(state, 0.233, phases),
                                atol=1e-13)
-    assert asm.m == 4
+    assert sigma.shape == (2, 4, 2, 2)
     # no-signalling: outcome sums are the setting-independent reduced state
     for x in range(4):
-        np.testing.assert_allclose(asm.sigma[0, x] + asm.sigma[1, x],
-                                   asm.sigma_r, atol=1e-13)
-    assert np.trace(asm.sigma_r).real == pytest.approx(1.0)
+        np.testing.assert_allclose(sigma[0, x] + sigma[1, x],
+                                   sigma.sum(axis=0)[0], atol=1e-13)
+    assert np.trace(sigma.sum(axis=0)[0]).real == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         compute_assemblage(np.eye(3), 0.233, phases)
     # the untrusted setting is checked and reduced as a ModelConfig's
@@ -112,31 +112,59 @@ def test_assemblage_matches_literal_partial_trace():
         with pytest.raises(ValidationError):
             compute_assemblage(state, r, bad)
     turned = compute_assemblage(state, 0.233, [p + TWO_PI for p in phases])
-    np.testing.assert_allclose(turned.sigma, asm.sigma, atol=1e-15)
+    np.testing.assert_allclose(turned, sigma, atol=1e-15)
 
 
 def test_joint_probabilities_match_closed_form():
     cfg = ModelConfig(visibility=0.97)
     table = joint_probabilities(cfg)
-    assert table.probs.shape == (2, 2, 4, 4)
-    np.testing.assert_allclose(table.probs.sum(axis=(0, 1)), 1.0, atol=1e-12)
+    assert table.shape == (2, 2, 4, 4)
+    np.testing.assert_allclose(table.sum(axis=(0, 1)), 1.0, atol=1e-12)
     for x in range(4):
         for y in range(4):
             want = _cell_closed_form(cfg.eta, cfg.visibility, cfg.r_a,
                                      cfg.r_b,
-                                     cfg.alice_phases[x] - cfg.bob_phases[y])
-            assert table.probs[0, 0, x, y] == pytest.approx(want, abs=1e-12)
+                                     cfg.alice_phases[x]
+                                     - RESOLUTION_PHASES[y])
+            assert table[0, 0, x, y] == pytest.approx(want, abs=1e-12)
 
 
 def test_joint_probabilities_frozen_cell():
     table = joint_probabilities(ModelConfig())
-    assert table.probs[0, 0, 0, 0] == pytest.approx(P_PP_00, abs=1e-12)
-    assert table.probs[0, 1, 0, 0] == pytest.approx(P_PM_00, abs=1e-12)
+    assert table[0, 0, 0, 0] == pytest.approx(P_PP_00, abs=1e-12)
+    assert table[0, 1, 0, 0] == pytest.approx(P_PM_00, abs=1e-12)
+
+
+def _extracted_table(phases):
+    sweep_phases = np.linspace(0.0, TWO_PI, 73)
+    fit = fit_cosine(sweep_phases, phase_sweep(ModelConfig(), sweep_phases))
+    return extract_setting_table(fit, phases)
+
+
+_OFF_LADDER5 = (0.3, 2.0, 4.1, 5.0, 1.1)
+
+
+@pytest.mark.parametrize("table_of, phases", [
+    (lambda p: joint_probabilities(ModelConfig(alice_phases=p)),
+     _OFF_LADDER5),
+    (lambda p: oracle_probabilities(ModelConfig(alice_phases=p)),
+     _OFF_LADDER5),
+    (_extracted_table, RESOLUTION_PHASES)],
+    ids=["joint", "oracle", "extracted"])
+def test_every_click_table_is_one_float_array(table_of, phases):
+    # one table format: p[a, b, x, y] with shape (2, 2, m, 4)
+    probs = table_of(phases)
+    assert type(probs) is np.ndarray and probs.dtype == np.float64
+    assert probs.shape == (2, 2, len(phases), 4)
+    np.testing.assert_allclose(probs.sum(axis=(0, 1)), 1.0, atol=1e-9)
+    ineq = build_probability_inequality(
+        InequalityFamily(m=len(phases), alice_phases=phases))
+    s_value, delta_s = evaluate_steering(ineq, probs)
+    assert math.isfinite(s_value) and delta_s == s_value - ineq.s_max
 
 
 def test_marginals_do_not_signal():
-    table = joint_probabilities(ModelConfig(visibility=0.9))
-    p = table.probs
+    p = joint_probabilities(ModelConfig(visibility=0.9))
     alice_marg = p.sum(axis=1)  # [a, x, y]
     bob_marg = p.sum(axis=0)    # [b, x, y]
     assert np.abs(alice_marg - alice_marg[:, :, :1]).max() < 1e-12
@@ -147,17 +175,17 @@ def test_phase_sweep_is_an_exact_cosine_peaking_at_zero():
     cfg = ModelConfig()
     phases = np.linspace(0.0, 2.0 * np.pi, 73)
     sweep = phase_sweep(cfg, phases)
-    assert sweep.probs.shape == (73, 4)
-    assert int(np.argmax(sweep.probs[:, 0])) in (0, 72)
+    assert sweep.shape == (73, 4)
+    assert int(np.argmax(sweep[:, 0])) in (0, 72)
     design = np.column_stack([np.ones_like(phases), np.cos(phases),
                               np.sin(phases)])
     for col in range(4):
-        coef, *_ = np.linalg.lstsq(design, sweep.probs[:, col], rcond=None)
-        resid = np.abs(design @ coef - sweep.probs[:, col]).max()
+        coef, *_ = np.linalg.lstsq(design, sweep[:, col], rcond=None)
+        resid = np.abs(design @ coef - sweep[:, col]).max()
         assert resid < 1e-13
     want = [_cell_closed_form(cfg.eta, 1.0, cfg.r_a, cfg.r_b, ph)
             for ph in phases]
-    np.testing.assert_allclose(sweep.probs[:, 0], want, atol=1e-12)
+    np.testing.assert_allclose(sweep[:, 0], want, atol=1e-12)
     with pytest.raises(ValidationError):
         phase_sweep(cfg, [])
 
@@ -165,19 +193,17 @@ def test_phase_sweep_is_an_exact_cosine_peaking_at_zero():
 def test_phase_sweep_is_column_zero_of_the_joint_table():
     # both come from one click-table kernel: equal bit for bit
     cfg = ModelConfig(eta=0.61, r_a=0.3, r_b=0.25, visibility=0.9,
-                      alice_phases=(0.0, 0.4, 2.5, 5.9, 3.1),
-                      bob_phases=(1.2, 0.1, 2.0, 3.0))
+                      alice_phases=(0.0, 0.4, 2.5, 5.9, 3.1))
     sweep = phase_sweep(cfg, cfg.alice_phases)
-    probs = joint_probabilities(cfg).probs
-    np.testing.assert_array_equal(sweep.probs, np.stack(
+    probs = joint_probabilities(cfg)
+    np.testing.assert_array_equal(sweep, np.stack(
         [probs[a, b, :, 0] for a in range(2) for b in range(2)], axis=-1))
     # phases enter the projectors reduced mod 2 pi, as a ModelConfig's do
     # (unreduced, dozens of these rows move in the last bit)
     wide = np.linspace(-50.0, 50.0, 201)
     turned = phase_sweep(cfg, wide)
-    np.testing.assert_array_equal(turned.probs,
-                                  phase_sweep(cfg, wide % TWO_PI).probs)
-    np.testing.assert_array_equal(turned.phases, wide)
+    np.testing.assert_array_equal(turned,
+                                  phase_sweep(cfg, wide % TWO_PI))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -201,10 +227,6 @@ def test_theoretical_margin_requires_matching_family():
     with pytest.raises(ValidationError):
         theoretical_delta_S(
             ModelConfig(alice_phases=(0.1, 1.0, 2.0, 3.0)), fam)
-    with pytest.raises(ValidationError):
-        theoretical_delta_S(
-            ModelConfig(bob_phases=(0.1, 0.5 * np.pi, np.pi,
-                                       1.5 * np.pi)), fam)
 
 
 def test_oracle_agrees_with_analytic_model():
@@ -212,8 +234,8 @@ def test_oracle_agrees_with_analytic_model():
                 ModelConfig(eta=1.0, visibility=0.9),
                 ModelConfig(eta=0.3, r_a=0.15, r_b=0.28,
                                alice_phases=(0.2, 1.3, 3.0, 5.1))):
-        got = oracle_probabilities(cfg).probs
-        want = joint_probabilities(cfg).probs
+        got = oracle_probabilities(cfg)
+        want = joint_probabilities(cfg)
         assert np.abs(got - want).max() < 1e-6
 
 
@@ -223,14 +245,13 @@ _PHASE = st.floats(0.0, 2.0 * math.pi)
 @settings(max_examples=20, deadline=None)
 @given(eta=st.floats(0.0, 1.0), r_a=st.floats(0.0, 0.9),
        r_b=st.floats(0.0, 0.9), visibility=st.floats(0.0, 1.0),
-       alice=st.lists(_PHASE, min_size=1, max_size=4),
-       bob=st.lists(_PHASE, min_size=4, max_size=4))
+       alice=st.lists(_PHASE, min_size=1, max_size=4))
 def test_oracle_matches_the_analytic_table_over_the_parameter_box(
-        eta, r_a, r_b, visibility, alice, bob):
+        eta, r_a, r_b, visibility, alice):
     cfg = ModelConfig(eta=eta, r_a=r_a, r_b=r_b, visibility=visibility,
-                      alice_phases=tuple(alice), bob_phases=tuple(bob))
-    want = joint_probabilities(cfg).probs
-    got = oracle_probabilities(cfg).probs
+                      alice_phases=tuple(alice))
+    want = joint_probabilities(cfg)
+    got = oracle_probabilities(cfg)
     assert np.abs(got - want).max() < 1e-6
     for p in (want, got):
         np.testing.assert_allclose(p.sum(axis=(0, 1)), 1.0, atol=1e-9)
@@ -270,5 +291,5 @@ def test_text_formats():
     row = lines[2].split()
     assert row[:2] == ["1", "1"]
     assert float(row[2]) == pytest.approx(P_PP_00, abs=1e-11)
-    sweep_text = format_sweep(phase_sweep(cfg, [0.0, 1.0]), cfg)
+    sweep_text = format_sweep([0.0, 1.0], phase_sweep(cfg, [0.0, 1.0]), cfg)
     assert len(sweep_text.strip().splitlines()) == 4
