@@ -49,10 +49,9 @@ _EXPORTS = {
         "family_matrices", "fullspace_g", "identity_residual", "lhs_bound",
         "qubit_bound", "stacked_inequality"),
     "lhs_certification": (
-        "ExperimentEfficiency", "HiddenStateModel", "PhaseOptimum",
-        "RestartRecord", "TableProblem", "canonical_phases",
-        "experiment_critical_eta", "ladder_distance", "optimize_phases",
-        "verify_hidden_states"),
+        "ExperimentEfficiency", "PhaseOptimum", "RestartRecord",
+        "TableProblem", "canonical_phases", "experiment_critical_eta",
+        "ladder_distance", "optimize_phases", "verify_hidden_states"),
     "quantum_model": (
         "ModelConfig", "compute_assemblage", "format_sweep", "format_table",
         "joint_probabilities", "make_state", "oracle_probabilities",

@@ -359,7 +359,7 @@ def _coefficient_row(family: InequalityFamily, r_b=None):
     if r_b is None:
         ineq = build_probability_inequality(family)
         branches = _strategy_values(ineq.coefficients,
-                                    *trusted_basis(ineq.r_b))
+                                    trusted_basis(ineq.r_b))
     else:
         ineq, branches = _stacked_build(family, r_b)
     f = ineq.coefficients

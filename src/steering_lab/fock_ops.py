@@ -138,21 +138,22 @@ def pauli_resolution(r):
 def trusted_basis(r_b, space="fock"):
     """The trusted side's no-click vectors |alpha_y> in orthonormal coordinates.
 
-    Returns (basis, outside): column y of basis holds the coordinates of
-    |alpha_y>, alpha_y = r_b e^{i phi_y} at the four RESOLUTION_PHASES, in an
-    orthonormal basis of the space the hidden states are compressed onto,
-    and outside says whether they may also carry weight orthogonal to it.
+    Column y holds the coordinates of |alpha_y>, alpha_y = r_b e^{i phi_y}
+    at the four RESOLUTION_PHASES, in an orthonormal basis of the space the
+    hidden states are compressed onto.
 
-    space='fock' is the whole photon-number space, and outside is True.
-    As the phases are the multiples of pi/2, |alpha_y> = sum_k e^{i k phi_y}
+    space='fock' is the whole photon-number space: a (5, 4) array. As the
+    phases are the multiples of pi/2, |alpha_y> = sum_k e^{i k phi_y}
     |c_k>, where |c_k> holds the photon numbers n = k mod 4: the |c_k> are
     orthogonal, with squared norms N_k = sum_{n = k mod 4} e^{-r^2} r^{2n}/n!,
     so row k is sqrt(N_k) e^{i k phi_y}. This is exact with no cutoff and no
     eigensolver, even where N_3 ~ r^6/6 is far below rounding of the Gram
-    matrix. space='qubit' is the 0-1 photon subspace: the columns are the
-    truncated vectors e^{-r^2/2} (1, alpha_y) and outside is False.
+    matrix. Row 4 is zero: it is the direction a hidden state takes outside
+    the span of the |alpha_y>, seen by the trace alone. space='qubit' is
+    the 0-1 photon subspace: the (2, 4) truncated vectors e^{-r^2/2}
+    (1, alpha_y).
 
-    r_b may be an array; basis then carries its shape in front.
+    r_b may be an array; the basis then carries its shape in front.
     """
     r_b = np.asarray(r_b, dtype=float)
     if not (np.all(r_b > 0) and np.all(np.isfinite(r_b))):
@@ -160,12 +161,11 @@ def trusted_basis(r_b, space="fock"):
     if space == "qubit":
         alpha = r_b[..., None] * np.exp(1j * np.asarray(RESOLUTION_PHASES))
         return _exp(-0.5 * r_b * r_b)[..., None, None] * np.stack(
-            [np.ones_like(alpha), alpha], axis=-2), False
+            [np.ones_like(alpha), alpha], axis=-2)
     if space != "fock":
         raise ValidationError(f"space must be 'fock' or 'qubit', got {space!r}")
     x = r_b * r_b
-    k = np.arange(4)
-    norms = np.empty(x.shape + (4,))
+    norms = np.zeros(x.shape + (5,))    # N_4 = 0: the zero row
     small = x < 1.0
     # Poisson weights summed by n mod 4: positive terms, no cancellation
     xs = x[small][:, None]
@@ -173,10 +173,10 @@ def trusted_basis(r_b, space="fock"):
     sums = weights[:, 0:4]
     for start in range(4, 32, 4):
         sums = sums + weights[:, start:start + 4]
-    norms[small] = sums
+    norms[small, :4] = sums
     # for x >= 1 the same sums in closed form, (1/4) sum_j i^{-jk} e^{x (i^j - 1)}
     if not small.all():     # numpy.fft loads only if some x needs it
-        norms[~small] = np.fft.fft(np.exp(x[~small][:, None] * (np.array(
+        norms[~small, :4] = np.fft.fft(np.exp(x[~small][:, None] * (np.array(
             [1.0, 1j, -1.0, -1j]) - 1.0)), axis=-1).real / 4.0
     return np.sqrt(norms)[..., :, None] * np.exp(
-        1j * np.outer(k, RESOLUTION_PHASES)), True
+        1j * np.outer(np.arange(5), RESOLUTION_PHASES))

@@ -185,33 +185,32 @@ def _unstack(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def lhs_bound(coefficients, basis, outside):
+def lhs_bound(coefficients, basis):
     """Exact maximum of a table functional over LHS models.
 
     The columns of basis are the coordinates of the trusted no-click
-    vectors (see trusted_basis); outside says whether a hidden state may
-    also carry weight orthogonal to them. Per strategy the maximum is the
-    top eigenvalue of its operator sum_y g_y |b_y><b_y| + g_0 1 on the
-    basis (g_0 alone outside it); the bound is the largest over all 2^m
-    strategies. On exact coordinates of photon-number space no cutoff
-    enters: A diag(g) A^dag keeps its nonzero eigenvalues when A is
-    replaced by any B with B^dag B = A^dag A (Horn & Johnson, Matrix
-    Analysis, Thm 1.3.22).
+    vectors (see trusted_basis). Per strategy the maximum is the top
+    eigenvalue of its operator sum_y g_y |b_y><b_y| + g_0 1 on the basis;
+    the bound is the largest over all 2^m strategies. A zero row of the
+    basis, a direction outside the detectors' span, gives each operator an
+    exact 0 eigenvalue, g_0 alone. On exact coordinates of photon-number
+    space no cutoff enters: A diag(g) A^dag keeps its nonzero eigenvalues
+    when A is replaced by any B with B^dag B = A^dag A (Horn & Johnson,
+    Matrix Analysis, Thm 1.3.22).
 
     Leading axes of coefficients and basis broadcast together and give one
     bound each: one stacked eigensolve serves a whole grid of amplitudes.
     """
-    return _unstack(_strategy_values(coefficients, basis, outside).max(axis=-1))
+    return _unstack(_strategy_values(coefficients, basis).max(axis=-1))
 
 
-def _strategy_values(coefficients, basis, outside):
+def _strategy_values(coefficients, basis):
     """lhs_bound per strategy: the 2^m values on the last axis."""
     n = basis.shape[-1]
     g = _strategy_rows(coefficients.shape[-2] - 1) @ coefficients
     ops = np.einsum('...ay,...ky,...by->...kab', basis, g[..., :n],
                     basis.conj())
-    top = np.linalg.eigvalsh(ops)[..., -1]
-    return (np.maximum(top, 0.0) if outside else top) + g[..., n]
+    return np.linalg.eigvalsh(ops)[..., -1] + g[..., n]
 
 
 def _amplitudes(family, r_b):
@@ -327,7 +326,7 @@ class ProbabilityInequality(SteeringFunctional):
             columns = coherent_amplitudes(r_b[todo][:, None],
                                           RESOLUTION_PHASES, n)
             gap = np.abs(lhs_bound(self.coefficients[todo],
-                                   np.swapaxes(columns, -1, -2), False)
+                                   np.swapaxes(columns, -1, -2))
                          - s_max[todo])
             n_used[todo] = np.where(gap < CUTOFF_TOL, n, 0)
             if n_used.all():
@@ -396,7 +395,7 @@ def _stacked_build(family: InequalityFamily, r_b):
     r_b = _amplitudes(family, r_b)
     coefficients = decompose_g(family, r_b)
     s_max_qubit = qubit_bound(family)
-    branches = _strategy_values(coefficients, *trusted_basis(r_b))
+    branches = _strategy_values(coefficients, trusted_basis(r_b))
     s_max = _unstack(branches.max(axis=-1))
     # a bound computed from F is rounded on the scale of its largest entry,
     # which grows as 1/r_B: 0.54 at the paper's r_B, ~1e5 at r_B = 3e-6

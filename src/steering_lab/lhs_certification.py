@@ -9,11 +9,11 @@ outcome assignment lambda of the untrusted side, with
 The trusted side is seen only through the no-click projectors
 |alpha_y><alpha_y| of its four displacement detectors. With space='fock'
 the hidden states live anywhere in photon-number space and enter through
-their compression onto the span of the |alpha_y> (exact coordinates from
-fock_ops.trusted_basis, no cutoff) plus a weight outside it. With
-space='qubit' they are confined to the 0-1 subspace, where the table fixes
-the conditional states sigma_{+|x} and sigma_R completely: that is the
-assemblage problem.
+their compression onto the span of the |alpha_y> and one direction outside
+it, which holds their weight there (exact coordinates from
+fock_ops.trusted_basis, no cutoff). With space='qubit' they are confined
+to the 0-1 subspace, where the table fixes the conditional states
+sigma_{+|x} and sigma_R completely: that is the assemblage problem.
 
 The table is exactly linear in the efficiency eta, so the critical
 efficiency eta* (the largest eta with an LHS model) is one conic program,
@@ -68,14 +68,15 @@ class TableProblem:
     table_vacuum / table_steered are p[a, b, x, y] at eta = 0 and 1. The
     trusted side enters only through its no-click vectors (see
     trusted_basis): a hidden state sigma yields tr(Pi_y sigma) =
-    b_y^dag X b_y and trace tr X + w, X its compression onto the basis and
-    w >= 0 its weight outside (allowed only when outside is True).
+    b_y^dag X b_y and trace tr X, X its compression onto the basis's
+    coordinates. In photon-number space the zero row of the basis is the
+    direction outside the span of the |alpha_y>: X's entry there holds the
+    weight outside, which only the trace sees.
     """
 
     table_vacuum: np.ndarray = field(repr=False)
     table_steered: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
-    outside: bool
 
     @property
     def m(self):
@@ -87,31 +88,20 @@ class TableProblem:
     @classmethod
     def from_model(cls, r_a, alice_phases, r_b=DEFAULT_R_B, space="fock",
                    visibility=1.0):
-        basis, outside = trusted_basis(r_b, space)
         tables = [joint_probabilities(ModelConfig(
             eta=eta, r_a=r_a, r_b=r_b, alice_phases=tuple(alice_phases),
             visibility=visibility)) for eta in (0.0, 1.0)]
-        return cls(*tables, basis, outside)
+        return cls(*tables, trusted_basis(r_b, space))
 
 
-@dataclass(frozen=True)
-class HiddenStateModel:
-    """Hidden states of the trusted side, one per deterministic strategy.
-
-    blocks[k] is the compression of sigma_k onto the problem's basis and
-    weights[k] its trace outside it (all zero when outside is barred).
-    """
-
-    blocks: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-
-def _lhs_table(model: HiddenStateModel, problem: TableProblem):
-    """Joint table p[a, b, x, y] that a hidden-state model predicts."""
+def _lhs_table(blocks, problem: TableProblem):
+    """Joint table p[a, b, x, y] that hidden states predict: blocks[k] is
+    the compression of sigma_k onto the problem's basis, one per
+    deterministic strategy k."""
     strat = deterministic_strategies(problem.m).astype(float)
     basis = problem.basis
-    q = np.einsum('ay,kab,by->ky', basis.conj(), model.blocks, basis).real
-    tr = np.trace(model.blocks, axis1=1, axis2=2).real + model.weights
+    q = np.einsum('ay,kab,by->ky', basis.conj(), blocks, basis).real
+    tr = np.trace(blocks, axis1=1, axis2=2).real
     probs = np.empty((2, 2, problem.m, basis.shape[1]))
     for a, d in enumerate((strat, 1.0 - strat)):
         probs[a, 0] = d.T @ q
@@ -119,19 +109,16 @@ def _lhs_table(model: HiddenStateModel, problem: TableProblem):
     return probs
 
 
-def verify_hidden_states(model: HiddenStateModel, problem: TableProblem, eta):
-    """Worst violation, by direct arithmetic, of the model at efficiency eta.
-
-    Covers the mismatch with the model's table p(ab|xy), the PSD deficit of
-    the blocks, negative outside weights and, when the problem bars weight
-    outside its basis, any such weight.
+def verify_hidden_states(blocks, problem: TableProblem, eta):
+    """Worst violation, by direct arithmetic, of hidden states at efficiency
+    eta: blocks is the (2^m, d, d) array of their compressions onto the
+    problem's basis. Covers the mismatch with their table p(ab|xy) and the
+    PSD deficit of the blocks.
     """
-    mismatch = float(np.abs(_lhs_table(model, problem)
+    mismatch = float(np.abs(_lhs_table(blocks, problem)
                             - problem.table_at(eta)).max())
-    psd_deficit = -float(np.linalg.eigvalsh(model.blocks).min())
-    weight_fault = (-float(model.weights.min()) if problem.outside
-                    else float(np.abs(model.weights).max()))
-    return max(mismatch, psd_deficit, weight_fault, 0.0)
+    psd_deficit = -float(np.linalg.eigvalsh(blocks).min())
+    return max(mismatch, psd_deficit, 0.0)
 
 
 def _product_model(problem: TableProblem):
@@ -141,44 +128,46 @@ def _product_model(problem: TableProblem):
     setting x independently, + with probability p_A(+|x), and the trusted
     side holds |0>, whose overlap with each no-click vector |alpha_y> is the
     real sqrt(p_B(+|y)). Strategy k carries prod_x p_A(D_k(x)|x) times
-    |0><0|, held as its compression onto the basis plus its weight outside.
+    |0><0|, held as its compression onto the basis; on a zero last row of
+    the basis, the direction outside the detectors' span, |0> puts the
+    rest of its unit norm.
     """
     summary = _marginals(problem.table_vacuum)
-    m, n = problem.m, problem.basis.shape[1]
+    basis = problem.basis
+    m, n = problem.m, basis.shape[1]
     p_a = summary[:m, n]
     weights = np.prod(np.where(deterministic_strategies(m), p_a, 1.0 - p_a),
                       axis=1)
-    vacuum = np.linalg.lstsq(problem.basis.conj().T,
-                             np.sqrt(summary[m, :n]).astype(complex),
-                             rcond=None)[0]
-    outside = (max(0.0, 1.0 - float(np.vdot(vacuum, vacuum).real))
-               if problem.outside else 0.0)
-    return HiddenStateModel(
-        blocks=weights[:, None, None] * np.outer(vacuum, vacuum.conj()),
-        weights=weights * outside)
+    vacuum = np.linalg.lstsq(basis.conj().T, np.sqrt(
+        summary[m, :n]).astype(complex), rcond=None)[0]
+    if not basis[-1].any():
+        vacuum[-1] = math.sqrt(max(0.0, 1.0 - float(np.vdot(
+            vacuum[:-1], vacuum[:-1]).real)))
+    return weights[:, None, None] * np.outer(vacuum, vacuum.conj())
 
 
 @dataclass(frozen=True)
 class ExperimentEfficiency:
     """Critical efficiency of the joint table, decided from both sides.
 
-    model reproduces problem.table_at(eta_star) to MODEL_TOL; functional is
+    model holds hidden states, the (2^m, d, d) blocks of verify_hidden_states,
+    that reproduce problem.table_at(eta_star) to MODEL_TOL; functional is
     violated, by FUNCTIONAL_MARGIN, from eta_upper on (eta_upper - eta_star
     is the certified gap). A value above 1 means no physical efficiency steers.
     """
 
     eta_star: float
     eta_upper: float
-    model: HiddenStateModel
+    model: np.ndarray = field(repr=False)
     functional: SteeringFunctional
     problem: TableProblem
     iterations: int
-    tangent: HiddenStateModel = field(repr=False)
+    tangent: np.ndarray = field(repr=False)
 
     def verdict_at(self, eta):
         """Verdict on problem.table_at(eta), with its certificate.
 
-        'feasible' carries a HiddenStateModel of the table at eta. Up to
+        'feasible' carries hidden states of the table at eta. Up to
         eta_star it is the eta_star model mixed with the product model of
         the eta = 0 table, PSD by construction. Inside the certified gap it
         is the eta_star model moved along tangent, kept if
@@ -192,18 +181,13 @@ class ExperimentEfficiency:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
         if eta <= self.eta_star:
             share = eta / self.eta_star if eta < self.eta_star else 1.0
-            vacuum = _product_model(self.problem)
-            return "feasible", HiddenStateModel(
-                share * self.model.blocks + (1.0 - share) * vacuum.blocks,
-                share * self.model.weights + (1.0 - share) * vacuum.weights)
+            return "feasible", (share * self.model + (1.0 - share)
+                                * _product_model(self.problem))
         if eta >= self.eta_upper:
             if _beats_bound(self.functional, self.problem.table_at(eta)):
                 return "infeasible", self.functional
             return "indeterminate", None
-        step = eta - self.eta_star
-        model = HiddenStateModel(
-            blocks=self.model.blocks + step * self.tangent.blocks,
-            weights=self.model.weights + step * self.tangent.weights)
+        model = self.model + (eta - self.eta_star) * self.tangent
         if verify_hidden_states(model, self.problem, eta) <= MODEL_TOL:
             return "feasible", model
         return "indeterminate", None
@@ -232,20 +216,20 @@ def _first_violation(func: SteeringFunctional, problem, eta, slope):
 
 
 def _max_eta(problems, label=""):
-    """Primal-dual interior-point method for max eta s.t. A(X, w) = b + eta d,
+    """Primal-dual interior-point method for max eta s.t. A(X) = b + eta d,
     for each of a list of problems: one ExperimentEfficiency each.
 
-    A(X, w) = sum_k c_k phi(X_k, w_k)^T over PSD X_k and w_k >= 0: c_k =
-    (D_k(+|x), 1) are the strategy rows, phi(X, w) = (b_y^dag X b_y, tr X +
-    w) the trusted-side functionals reduced to a basis of their span. The
-    dual y (min y^T b s.t. S = A*(y) PSD, y^T d = -1) is a steering
-    functional. Nesterov-Todd scaling W = R R^dag, R^-1 X R^-dag = R^dag S R
-    = Lambda diagonal (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998), and
-    Mehrotra's predictor-corrector from an infeasible start, as in CVXOPT's
-    cone solvers (Vandenberghe, 2010); X and S are held as factors that each
-    step multiplies by a Cholesky factor of a definite matrix. Below a
-    duality gap of GAP_TOL / 10 (margins and rounding, not the iterate, then
-    set the interval) an iterate is taken if its hidden states pass
+    A(X) = sum_k c_k phi(X_k)^T over PSD X_k: c_k = (D_k(+|x), 1) are the
+    strategy rows, phi(X) = (b_y^dag X b_y, tr X) the trusted-side
+    functionals reduced to a basis of their span. The dual y (min y^T b
+    s.t. S = A*(y) PSD, y^T d = -1) is a steering functional. Nesterov-Todd
+    scaling W = R R^dag, R^-1 X R^-dag = R^dag S R = Lambda diagonal (Todd,
+    Toh & Tutuncu, SIAM J. Optim. 8, 1998), and Mehrotra's
+    predictor-corrector from an infeasible start, as in CVXOPT's cone
+    solvers (Vandenberghe, 2010); X and S are held as factors that each step
+    multiplies by a Cholesky factor of a definite matrix. Below a duality
+    gap of GAP_TOL / 10 (margins and rounding, not the iterate, then set the
+    interval) an iterate is taken if its hidden states pass
     verify_hidden_states at eta_star (eta moved to where y values their own
     table) and y, bounded by lhs_bound, is violated from an eta_upper with
     0 < eta_upper - eta_star <= GAP_TOL. The solve raises after ITERATION_CAP,
@@ -253,22 +237,21 @@ def _max_eta(problems, label=""):
     slope) exceeds GAP_TOL, as float64 then holds no such interval; label
     leads either message, and a raise ends the whole stack. The tangent
     F_k D_k F_k^dag (a QR in the final factor F) follows the table per unit
-    eta with the least relative change. The problems share one basis,
-    outside and m, and form one stack: each keeps its own step, centering
-    and iteration count, and is masked out once taken. Stacked products are
-    matmuls of [..., None] views, so each problem meets the BLAS calls of a
+    eta with the least relative change. The problems share one basis and
+    m, and form one stack: each keeps its own step, centering and iteration
+    count, and is masked out once taken. Stacked products are matmuls of
+    [..., None] views, so each problem meets the BLAS calls of a
     one-problem solve.
     """
-    basis, outside = problems[0].basis, problems[0].outside
+    basis = problems[0].basis
     dim, n = basis.shape
     rows = _strategy_rows(problems[0].m)
     n_strat, count = rows.shape[0], len(problems)
-    # functionals as real vectors over (Re X, Im X, w), then reduced
+    # functionals as real vectors over (Re X, Im X), then reduced
     mats = np.concatenate([np.einsum('ay,by->yab', basis, basis.conj()),
                            np.eye(dim)[None]])
-    outs = np.eye(n + 1)[n] * outside
     phi = np.hstack([mats.real.reshape(n + 1, -1),
-                     mats.imag.reshape(n + 1, -1), outs[:, None]])
+                     mats.imag.reshape(n + 1, -1)])
     u, sv, _ = np.linalg.svd(phi, full_matrices=True)
     rank = int((sv > 1e-12 * sv[0]).sum())
     red, perp = u[:, :rank], u[:, rank:]
@@ -278,9 +261,8 @@ def _max_eta(problems, label=""):
         raise ValidationError("the table lies outside what any hidden state "
                               "on this trusted-side space can produce")
     mats = np.einsum('jk,jab->kab', red, mats)
-    outs = outs @ red
     target0, target_d = ((t @ red).reshape(count, -1) for t in (t0, td))
-    size, coords = target0.shape[1], n_strat * 2 * dim * dim
+    size = target0.shape[1]
 
     def dagger(a):
         return np.conj(np.swapaxes(a, -1, -2))
@@ -291,28 +273,24 @@ def _max_eta(problems, label=""):
     def apply(mat, v):  # mat_i v_i, per problem i
         return (mat @ v[..., None])[..., 0]
 
-    def jacobian(factor, w):
-        """Constraints' derivative in scaled coordinates F D F^dag, w d_w."""
+    def jacobian(factor):
+        """Constraints' derivative in scaled coordinates F D F^dag."""
         lead = factor.shape[:-3]
         scaled = np.einsum('...lba,kbc,...lcd->...lkad', factor.conj(), mats,
                            factor)
-        jac = [np.einsum('li,...lkp->...iklp', rows, np.concatenate(
-            [scaled.real, scaled.imag], -2).reshape(lead + (n_strat, rank,
-                                                           -1)))]
-        if outside:
-            jac.append(np.einsum('li,k,...l->...ikl', rows, outs, w))
-        return np.concatenate([j.reshape(lead + (size, -1)) for j in jac], -1)
+        return np.einsum('li,...lkp->...iklp', rows, np.concatenate(
+            [scaled.real, scaled.imag], -2).reshape(lead + (
+                n_strat, rank, -1))).reshape(lead + (size, -1))
 
     def scaled_change(move):
-        """Hermitian D_k and d_w of moves (last axis) in scaled coordinates."""
-        parts = move[..., :coords].reshape(move.shape[:-1]
-                                           + (n_strat, 2, dim, dim))
+        """Hermitian D_k of moves (last axis) in scaled coordinates."""
+        parts = move.reshape(move.shape[:-1] + (n_strat, 2, dim, dim))
         d = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
-        return 0.5 * (d + dagger(d)), move[..., coords:]
+        return 0.5 * (d + dagger(d))
 
-    def vector(blocks, d_w):    # inverse of scaled_change on Hermitian D
-        return np.concatenate([np.stack([blocks.real, blocks.imag], -3)
-                               .reshape(len(d_w), -1), d_w], axis=-1)
+    def vector(blocks):     # inverse of scaled_change on Hermitian D
+        return np.stack([blocks.real, blocks.imag], -3).reshape(
+            len(blocks), -1)
 
     def direction(rc, scale):
         """Moves dx, ds, T dy and d_eta of J dx - d_eta d = scale r_p, ds =
@@ -325,14 +303,11 @@ def _max_eta(problems, label=""):
         return np.stack([dx, rc - dx], axis=1), z, d_eta
 
     def relative(moves):
-        """Lambda^-1/2 D Lambda^-1/2 and d_w / lambda of the moves, and the
-        least eigenvalue: a step s keeps the cones iff 1 + s least > 0."""
-        blocks, d_w = scaled_change(moves)
-        blocks = blocks / np.sqrt(lam[:, None, :, :, None]
-                                  * lam[:, None, :, None, :])
-        d_w = d_w / lam_w[:, None]
-        return blocks, d_w, np.minimum(np.linalg.eigvalsh(blocks).min(
-            axis=(1, 2, 3)), d_w.min(axis=(1, 2), initial=math.inf))
+        """Lambda^-1/2 D Lambda^-1/2 of the moves, and the least eigenvalue:
+        a step s keeps the cone iff 1 + s least > 0."""
+        blocks = scaled_change(moves) / np.sqrt(
+            lam[:, None, :, :, None] * lam[:, None, :, None, :])
+        return blocks, np.linalg.eigvalsh(blocks).min(axis=(1, 2, 3))
 
     def certified(p, iterations):
         problem = problems[ids[p]]
@@ -350,39 +325,34 @@ def _max_eta(problems, label=""):
         if gap[p] > 0.1 * GAP_TOL:
             return None
         func = SteeringFunctional(coefficients, lhs_bound(coefficients,
-                                                          basis, outside))
+                                                          basis))
         eta_upper = _first_violation(func, problem, eta_star, slope)
-        lx, w = factors[p, 0], weights[p, 0] if outside else np.zeros(n_strat)
-        model = HiddenStateModel(lx @ dagger(lx), w)
+        lx = factors[p, 0]
+        model = lx @ dagger(lx)
         if not (eta_star < eta_upper <= eta_star + GAP_TOL and
                 verify_hidden_states(model, problem, eta_star) <= MODEL_TOL):
             return None
-        ortho, tri = np.linalg.qr(jacobian(lx, w).T)
-        move, d_w = scaled_change(ortho @ np.linalg.solve(tri.T, target_d[p]))
+        ortho, tri = np.linalg.qr(jacobian(lx).T)
+        move = scaled_change(ortho @ np.linalg.solve(tri.T, target_d[p]))
         return ExperimentEfficiency(
             eta_star=eta_star, eta_upper=eta_upper, model=model,
             functional=func, problem=problem, iterations=iterations,
-            tangent=HiddenStateModel(lx @ move @ dagger(lx),
-                                     w * d_w if outside else 0.0 * w))
+            tangent=lx @ move @ dagger(lx))
 
-    # factors F_k, G_k of X_k = F_k F_k^dag and S_k = G_k G_k^dag; weights
-    # w_k outside and their slacks v_k (none if the problem bars them)
-    nu, eye = n_strat * (dim + outside), np.eye(dim)
+    # factors F_k, G_k of X_k = F_k F_k^dag and S_k = G_k G_k^dag
+    nu, eye = n_strat * dim, np.eye(dim)
     factors = np.broadcast_to(np.stack([eye / math.sqrt(nu), eye])[:, None]
                               + 0j, (count, 2, n_strat, dim, dim))
-    weights = np.zeros((count, 2, n_strat * outside)) + [[[1.0 / nu], [1.0]]]
     y, eta = np.zeros((count, size)), np.zeros(count)
     ids, results = np.arange(count), [None] * count
     for iterations in range(ITERATION_CAP + 1):
-        # NT scaling from G^dag F = U Lambda V^dag: R = F V Lambda^-1/2 and
-        # sqrt(w / v); in its coordinates X and S are both Lambda
+        # NT scaling from G^dag F = U Lambda V^dag: R = F V Lambda^-1/2; in
+        # its coordinates X and S are both Lambda
         left, lam, right = np.linalg.svd(dagger(factors[:, 1]) @ factors[:, 0])
         rotations = np.stack([dagger(right), left], axis=1)
-        lam_w = np.sqrt(weights[:, 0] * weights[:, 1])
-        lam_vec = vector(lam[..., None] * eye, lam_w)
+        lam_vec = vector(lam[..., None] * eye)
         jac = jacobian(factors[:, 0] @ rotations[:, 0]
-                       / np.sqrt(lam)[..., None, :],
-                       np.sqrt(weights[:, 0] / weights[:, 1]))
+                       / np.sqrt(lam)[..., None, :])
         res_p = target0 + eta[:, None] * target_d - apply(jac, lam_vec)
         gap = dot(lam_vec, lam_vec)
         for p in np.flatnonzero(gap <= GAP_TOL):
@@ -391,10 +361,10 @@ def _max_eta(problems, label=""):
         if not live.any():
             return results
         if not live.all():
-            (ids, factors, weights, y, eta, target0, target_d, rotations, lam,
-             lam_w, lam_vec, jac, res_p, gap) = (a[live] for a in (
-                 ids, factors, weights, y, eta, target0, target_d, rotations,
-                 lam, lam_w, lam_vec, jac, res_p, gap))
+            (ids, factors, y, eta, target0, target_d, rotations, lam, lam_vec,
+             jac, res_p, gap) = (a[live] for a in (
+                 ids, factors, y, eta, target0, target_d, rotations, lam,
+                 lam_vec, jac, res_p, gap))
         res_d, res_e = apply(jac.transpose(0, 2, 1), y) - lam_vec, -1.0 - dot(
             target_d, y)
         ortho, tri = np.linalg.qr(jac.transpose(0, 2, 1))
@@ -403,25 +373,23 @@ def _max_eta(problems, label=""):
         # predictor: the affine move, whose reach sets the centering; sigma
         # takes libm's pow, as numpy's vector pow may round otherwise
         moves, _, _ = direction(-lam_vec, np.ones(len(gap)))
-        reach = np.minimum(1.0, 1.0 / np.maximum(-relative(moves)[2], 1e-300))
+        reach = np.minimum(1.0, 1.0 / np.maximum(-relative(moves)[1], 1e-300))
         sigma = np.array([min(1.0, max(0.0, v)) ** 3 for v in (
             1.0 - reach + reach * reach * dot(moves[:, 0], moves[:, 1])
             / gap).tolist()])
         # corrector: lambda o (dx + ds) = sigma mu e - lambda o lambda -
         # dx_a o ds_a, elementwise for the diagonal lambda
-        blocks, d_w = scaled_change(moves)
+        blocks = scaled_change(moves)
         cross = blocks[:, 0] @ blocks[:, 1]
         cross = (cross + dagger(cross)) / (lam[..., None] + lam[:, :, None])
         mu = sigma * gap / nu
         moves, z, d_eta = direction(vector(
-            (mu[:, None, None] / lam - lam)[..., None] * eye - cross,
-            (mu[:, None] - lam_w * lam_w - d_w[:, 0] * d_w[:, 1]) / lam_w),
+            (mu[:, None, None] / lam - lam)[..., None] * eye - cross),
             1.0 - sigma)
-        blocks, d_w, least = relative(moves)
+        blocks, least = relative(moves)
         step = np.minimum(1.0, 0.99 / np.maximum(-least, 1e-300))
         factors = factors @ rotations @ np.linalg.cholesky(
             eye + step[:, None, None, None, None] * blocks)
-        weights = weights * (1.0 + step[:, None, None] * d_w)
         y = y + step[:, None] * np.linalg.solve(tri, z[..., None])[..., 0]
         eta = eta + step * d_eta
     raise IndeterminateFeasibilityError(f"{label}no certified interval after "

@@ -984,6 +984,21 @@ def test_package_namespace_resolves_every_public_name():
         steering_lab.no_such_name
 
 
+def test_package_source_calls_nothing_newer_than_numpy_1_24():
+    # pyproject.toml declares numpy>=1.24; these names came with numpy 2.0
+    newer = re.compile(r"\b(?:np|numpy)\.(?:vecdot|matvec|vecmat)\b|\.mT\b")
+    source = Path(__file__).resolve().parents[1] / "src" / "steering_lab"
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(source.glob("*.py"))
+             for i, line in enumerate(path.read_text(
+                 encoding="utf-8").splitlines(), start=1)
+             if newer.search(line)]
+    assert found == []
+    for line in ("np.vecdot(a, b)", "numpy.matvec(m, v)", "np.vecmat(v, m)",
+                 "a.mT @ b"):
+        assert newer.search(line), line
+
+
 def test_bench_tracer_names_resolve_on_their_modules():
     # bench/tracer.py wraps these by name with getattr; its source is read
     # here, not run

@@ -249,7 +249,7 @@ def test_bounds_agree_across_independent_paths(family):
     assert abs(bound.s_max - _brute_force_full_bound(family, 24)) < 1e-10
     assert bound.s_max >= qubit_bound(family) - 1e-12
     # closed-form qubit bound against the kernel on the 0-1 subspace
-    qubit = lhs_bound(coeffs, *trusted_basis(family.bob_amplitude, "qubit"))
+    qubit = lhs_bound(coeffs, trusted_basis(family.bob_amplitude, "qubit"))
     assert abs(qubit - qubit_bound(family)) < 1e-12
 
 

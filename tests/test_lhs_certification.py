@@ -17,8 +17,8 @@ from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
                                      deterministic_strategies,
                                      evaluate_steering)
-from steering_lab.lhs_certification import (HiddenStateModel, TableProblem,
-                                            _max_eta, canonical_phases,
+from steering_lab.lhs_certification import (TableProblem, _max_eta,
+                                            canonical_phases,
                                             experiment_critical_eta,
                                             ladder_distance, lhs_bound,
                                             optimize_phases, trusted_basis,
@@ -47,6 +47,24 @@ ASSEMBLAGE_BRACKET_R20_M5 = (0.3720703125, 0.373046875)
 # space. An independent column-generation LP over (strategy, pure state)
 # columns gave the same value.
 ETA_EXPERIMENT_R20 = 0.4232583
+
+# (eta_star, eta_upper, iterations) of the joint click table in
+# photon-number space on the m-setting ladder, keyed by (m, r_A), as the
+# solve with a separate weight variable outside the detectors' span
+# certified them; an equal program must give overlapping intervals in as
+# many iterations.
+FOCK_LADDER = {
+    (1, 0.2): (1.0001445206439437, 1.0001445212185986, 12),
+    (1, 0.233): (1.000001247659383, 1.0000012479346059, 11),
+    (2, 0.2): (0.6909378576470718, 0.6909378578612435, 19),
+    (2, 0.233): (0.6958931164845035, 0.6958931166357806, 19),
+    (3, 0.2): (0.5159720881229574, 0.5159720882816037, 20),
+    (3, 0.233): (0.5195961296611998, 0.5195961304589491, 14),
+    (4, 0.2): (0.42325826890375196, 0.42325826911887404, 18),
+    (4, 0.233): (0.43035263705563, 0.4303526374340561, 17),
+    (5, 0.2): (0.3752164887196872, 0.3752164889198062, 19),
+    (5, 0.233): (0.3892705657854775, 0.38927056597678217, 19),
+}
 
 
 def _ladder(m):
@@ -114,8 +132,8 @@ def _phase_sets(draw):
 @settings(max_examples=15, deadline=None)
 @given(phases=_phase_sets(), r_a=st.floats(0.01, 0.9),
        space=st.just("qubit"))
-# hidden states with weight outside the span of the |alpha_y>, and
-# functionals bounded by lhs_bound(..., outside=True)
+# hidden states with weight outside the span of the |alpha_y>, on the
+# zero row of the photon-number basis
 @example(phases=LADDER5, r_a=0.05, space="fock")
 @example(phases=_RANDOM4[1], r_a=0.5, space="fock")
 @example(phases=(0.3, 2.0, 2.1, 4.4, 5.9), r_a=0.233, space="fock")
@@ -123,11 +141,10 @@ def _phase_sets(draw):
 def test_every_assemblage_verdict_checks_by_arithmetic(phases, r_a, space):
     res = experiment_critical_eta(r_a, phases, space=space)
     problem, func = res.problem, res.functional
-    assert problem.outside == (space == "fock")
+    assert problem.basis.shape == ((5, 4) if space == "fock" else (2, 4))
     assert verify_hidden_states(res.model, problem,
                                 res.eta_star) <= lhs_certification.MODEL_TOL
-    assert func.bound == lhs_bound(func.coefficients, problem.basis,
-                                   problem.outside)
+    assert func.bound == lhs_bound(func.coefficients, problem.basis)
     assert func.value(problem.table_at(res.eta_upper + 1e-6)) > func.bound
     assert 0.0 < res.eta_upper - res.eta_star <= lhs_certification.GAP_TOL
 
@@ -137,9 +154,8 @@ def test_verify_certificate_flags_corruption(assemblage_r233):
     verdict, model = res.verdict_at(0.2)
     assert verdict == "feasible"
     assert verify_hidden_states(model, res.problem, 0.2) <= 1e-9
-    blocks = model.blocks.copy()
-    blocks[0, 0, 0] += 0.01
-    bad = HiddenStateModel(blocks=blocks, weights=model.weights)
+    bad = model.copy()
+    bad[0, 0, 0] += 0.01
     assert verify_hidden_states(bad, res.problem, 0.2) > 1e-3
 
 
@@ -148,8 +164,7 @@ def test_lossless_ladder_assemblage_is_infeasible(assemblage_r233):
     verdict, func = res.verdict_at(1.0)
     assert verdict == "infeasible"
     # the bound is re-derived from the coefficients alone
-    assert func.bound == lhs_bound(func.coefficients, res.problem.basis,
-                                   res.problem.outside)
+    assert func.bound == lhs_bound(func.coefficients, res.problem.basis)
     assert func.value(res.problem.table_at(1.0)) > func.bound + 0.1
 
 
@@ -265,6 +280,11 @@ def test_ladder_solves_stay_within_fifty_iterations(space, sizes):
             assert res.iterations <= 50, (m, r_a)
             gap = res.eta_upper - res.eta_star
             assert 0.0 < gap <= lhs_certification.GAP_TOL, (m, r_a)
+            if space == "fock":
+                eta_star, eta_upper, iterations = FOCK_LADDER[m, r_a]
+                assert res.iterations == iterations, (m, r_a)
+                assert max(eta_star, res.eta_star) <= min(
+                    eta_upper, res.eta_upper), (m, r_a)
 
 
 def _verdict_case(phases, space="qubit"):
@@ -276,14 +296,13 @@ def _verdict_case(phases, space="qubit"):
 @pytest.mark.parametrize("phases, space", [
     *(_verdict_case(p) for p in (*_RANDOM4, *(_ladder(m) for m in
                                              (1, 2, 3, 5, 6)), (0.4,) * 3)),
-    # hidden states with weight outside the span of the |alpha_y>, and
-    # functionals bounded by lhs_bound(..., outside=True)
+    # hidden states with weight outside the span of the |alpha_y>, on the
+    # zero row of the photon-number basis
     _verdict_case(_ladder(4), "fock"),
     _verdict_case(_RANDOM4[0], "fock"),
 ])
 def test_every_verdict_carries_a_certificate_that_checks(phases, space):
     res = experiment_critical_eta(0.2, phases, space=space)
-    assert res.problem.outside == (space == "fock")
     # eta_upper and the floats just above it: rounding of the functional's
     # value must not turn any of them back to "indeterminate"
     above = [res.eta_upper]
@@ -399,7 +418,7 @@ def test_experiment_program_on_the_qubit_subspace_is_the_assemblage_problem():
     res = experiment_critical_eta(0.2, LADDER4, space="qubit")
     lo, hi = ASSEMBLAGE_BRACKET_R20
     assert lo <= res.eta_star <= res.eta_upper <= hi
-    assert not res.problem.outside
+    assert res.problem.basis.shape == (2, 4)
     assert verify_hidden_states(res.model, res.problem, res.eta_star) <= 1e-8
     # summed per strategy, the hidden states rebuild the assemblage of the
     # state itself: sigma_{+|x} = sum_k D_k(+|x) X_k and sigma_R = sum_k X_k
@@ -408,21 +427,23 @@ def test_experiment_program_on_the_qubit_subspace_is_the_assemblage_problem():
         _, model = res.verdict_at(eta)
         sigma = compute_assemblage(make_state(eta), 0.2, LADDER4)
         np.testing.assert_allclose(
-            np.einsum('kx,kab->xab', strat, model.blocks),
-            sigma[0], atol=1e-8)
-        np.testing.assert_allclose(model.blocks.sum(axis=0),
+            np.einsum('kx,kab->xab', strat, model), sigma[0], atol=1e-8)
+        np.testing.assert_allclose(model.sum(axis=0),
                                    sigma.sum(axis=0)[0], atol=1e-8)
 
 
 def test_trusted_basis_reproduces_coherent_state_overlaps():
-    basis, outside = trusted_basis(0.217)
-    assert outside and basis.shape == (4, 4)
-    cols = coherent_amplitudes(0.217, np.array(LADDER4), 30).T
-    np.testing.assert_allclose(basis.conj().T @ basis, cols.conj().T @ cols,
-                               atol=1e-14)
-    qubit, outside = trusted_basis(0.217, space="qubit")
-    assert not outside
-    np.testing.assert_allclose(qubit, cols[:2], atol=1e-15)
+    # from r_B = 1 on the norms come from the closed form through an FFT
+    for r_b in (0.217, 1.0, 1.7, 2.5):
+        basis = trusted_basis(r_b)
+        assert basis.shape == (5, 4)
+        assert not basis[4].any()
+        cols = coherent_amplitudes(r_b, np.array(LADDER4), 80).T
+        np.testing.assert_allclose(basis.conj().T @ basis,
+                                   cols.conj().T @ cols, rtol=0.0, atol=1e-14)
+        qubit = trusted_basis(r_b, space="qubit")
+        assert qubit.shape == (2, 4)
+        np.testing.assert_allclose(qubit, cols[:2], rtol=0.0, atol=1e-15)
     with pytest.raises(ValidationError):
         trusted_basis(0.217, space="truncated")
     with pytest.raises(ValidationError):
@@ -436,13 +457,12 @@ def test_experiment_certificates_hold_in_photon_number_space(experiment_r20):
     assert verify_hidden_states(res.model, problem, res.eta_star) <= 1e-8
     n_max = 30
     cols = coherent_amplitudes(0.217, np.array(LADDER4), n_max).T
-    # orthonormal frame of the span, and one state orthogonal to it
-    frame = cols @ np.linalg.inv(problem.basis)
+    # orthonormal frame of the span, and last a state orthogonal to it, for
+    # the basis's zero row
     outside = np.linalg.svd(cols.conj().T)[2][-1].conj()
-    states = (np.einsum('ia,kab,jb->kij', frame, res.model.blocks,
-                        frame.conj())
-              + res.model.weights[:, None, None]
-              * np.outer(outside, outside.conj()))
+    frame = np.column_stack([cols @ np.linalg.inv(problem.basis[:4]),
+                             outside])
+    states = np.einsum('ia,kab,jb->kij', frame, res.model, frame.conj())
     assert np.linalg.eigvalsh(states).min() >= -1e-12
     strat = deterministic_strategies(4).astype(float)
     q = np.einsum('iy,kij,jy->ky', cols.conj(), states, cols).real
@@ -470,19 +490,19 @@ def test_verify_hidden_states_flags_an_indefinite_block(experiment_r20):
     res = experiment_r20
     basis = res.problem.basis
     # a Hermitian direction invisible to every detector and to the trace
+    dim = basis.shape[0]
     probes = np.concatenate([np.einsum('ay,by->yab', basis, basis.conj()),
-                             np.eye(4)[None]])
+                             np.eye(dim)[None]])
     rng = np.random.Generator(np.random.Philox(5))
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     z = z + z.conj().T
     gram = np.einsum('jab,kab->jk', probes.conj(), probes).real
     weights = np.linalg.solve(gram, np.einsum('jab,ab->j', probes.conj(),
                                               z).real)
     hidden = z - np.einsum('j,jab->ab', weights, probes)
     assert np.abs(np.einsum('jba,ab->j', probes, hidden)).max() < 1e-12
-    blocks = res.model.blocks.copy()
-    blocks[3] += 0.1 * hidden / np.abs(hidden).max()
-    bad = HiddenStateModel(blocks=blocks, weights=res.model.weights)
+    bad = res.model.copy()
+    bad[3] += 0.1 * hidden / np.abs(hidden).max()
     assert verify_hidden_states(bad, res.problem, res.eta_star) > 1e-3
     assert verify_hidden_states(res.model, res.problem,
                                 res.eta_star + 1e-3) > 1e-5
@@ -495,8 +515,28 @@ def test_lhs_bound_counts_weight_outside_the_detector_span():
     qubit = TableProblem.from_model(0.2, LADDER4, space="qubit")
     coefficients = np.zeros((5, 5))
     coefficients[4, :4] = -1.0
-    assert lhs_bound(coefficients, fock.basis, fock.outside) == 0.0
+    assert lhs_bound(coefficients, fock.basis) == 0.0
     projs = np.einsum('ay,by->ab', qubit.basis, qubit.basis.conj())
-    assert lhs_bound(coefficients, qubit.basis,
-                     qubit.outside) == pytest.approx(
+    assert lhs_bound(coefficients, qubit.basis) == pytest.approx(
         -np.linalg.eigvalsh(projs)[0], abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 5), r_b=st.floats(1e-3, 0.999),
+       scale=st.floats(1e-2, 1e3), data=st.data())
+def test_the_zero_row_bounds_each_strategy_below_by_its_identity_weight(
+        m, r_b, scale, data):
+    # on the span of the |alpha_y> a strategy's operator may be negative
+    # definite; the zero row stands for a hidden state outside the span,
+    # which scores g_0 alone, so each strategy scores max(top, 0) + g_0
+    coefficients = scale * np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=5 * (m + 1), max_size=5 * (m + 1)))
+    ).reshape(m + 1, 5)
+    basis = trusted_basis(r_b)
+    span = basis[:4]
+    g = np.hstack([deterministic_strategies(m),
+                   np.ones((2 ** m, 1))]) @ coefficients
+    tops = [np.linalg.eigvalsh(np.einsum('ay,y,by->ab', span, row[:4],
+                                         span.conj()))[-1] for row in g]
+    expected = max(max(top, 0.0) + row[4] for top, row in zip(tops, g))
+    assert lhs_bound(coefficients, basis) == expected
