@@ -388,9 +388,12 @@ class _BoundInterpolant:
     kinks of their maximum too, and is interpolated barycentrically (Berrut
     & Trefethen, SIAM Review 46, 2004) on the first nested Chebyshev-Lobatto
     set of 9, 17, ..., 129 nodes whose error at 32 probes halfway between
-    nodes (all one stacked build), |interpolated - exact| / max(1, |exact
-    row|), is at most 1e-12: error. Draws on a node or off the window, and
-    all draws when it holds no distinct nodes, are evaluated exactly.
+    nodes, |interpolated - exact| / max(1, |exact row|), is at most 1e-12:
+    error. The probes and the 9 nodes are built first, in one stacked build;
+    each finer level builds only its new nodes, halfway between the old,
+    and only while the error is above 1e-12. Draws on a node or off the
+    window, and all draws when it holds no distinct nodes, are evaluated
+    exactly.
     """
 
     def __init__(self, family: InequalityFamily, r_b_sigma):
@@ -401,15 +404,19 @@ class _BoundInterpolant:
         nodes, probes = r[::2], r[1::8]
         if not np.all(np.diff(nodes) > 0.0):
             return
-        rows = _coefficient_row(family, np.concatenate([nodes, probes]))
-        scale = np.maximum(1.0, np.abs(rows[129:]).max(axis=1))
-        values = rows[:129].T * (nodes * (1.0 - nodes * nodes))
+        rows = _coefficient_row(family, np.concatenate([nodes[::16], probes]))
+        rows, exact = rows[:9], rows[9:]
+        scale = np.maximum(1.0, np.abs(exact).max(axis=1))
         for step in (16, 8, 4, 2, 1):
-            self.nodes, self.scaled = nodes[::step], values[:, ::step]
+            if step < 16:       # the new nodes fall halfway between the old
+                new = _coefficient_row(family, nodes[step::2 * step])
+                rows = np.insert(rows, range(1, len(rows)), new, axis=0)
+            self.nodes = nodes[::step]
+            self.scaled = rows.T * (self.nodes * (1.0 - self.nodes ** 2))
             # the Chebyshev-Lobatto weights: (-1)^j, halved at both ends
             self.weights = np.resize([1.0, -1.0], self.nodes.size)
             self.weights[[0, -1]] *= 0.5
-            self.error = float((np.abs(self.lookup(probes) - rows[129:]).max(
+            self.error = float((np.abs(self.lookup(probes) - exact).max(
                 axis=1) / scale).max())
             if self.error <= 1e-12:
                 break
@@ -417,12 +424,13 @@ class _BoundInterpolant:
     def lookup(self, r_b):
         """Coefficient rows (n, 23) at the r_B values of a 1-D array."""
         # draws run along the last axis, so every reduction is over rows
-        rows = np.empty((23, r_b.size))
-        inside = np.zeros(r_b.size, dtype=bool)
-        if self.nodes is not None:
-            diff = self.nodes[:, None] - r_b
-            inside = (diff[0] < 0) & (diff[-1] > 0) & (diff != 0).all(axis=0)
-            c = self.weights[:, None] / np.where(inside, diff, 1.0)
+        if self.nodes is None:
+            rows, inside = np.empty((23, r_b.size)), np.zeros(r_b.size, bool)
+        else:
+            # one (nodes, draws) buffer: the differences, then the terms
+            c = self.nodes[:, None] - r_b
+            inside = (c[0] < 0) & (c[-1] > 0) & c.all(axis=0)
+            np.divide(self.weights[:, None], c, out=c, where=inside)
             c /= np.where(inside, c.sum(axis=0) * r_b * (1.0 - r_b * r_b), 1.0)
             rows = self.scaled @ c
         if not inside.all():

@@ -31,6 +31,7 @@ shutdown GC pass.
 import argparse
 import math
 import os
+import re
 import sys
 
 from .errors import ParseError, SteeringLabError, ValidationError
@@ -49,10 +50,13 @@ class _CliParser(argparse.ArgumentParser):
     """argparse variant keeping the single-line error contract. Options
     match by their full names only, so a prefix such as --m is an error
     where no option of that name exists, not the option it abbreviates;
-    subparsers are built by this class too."""
+    subparsers are built by this class too. No option looks like a
+    number, so every token of '-' and a digit or '.' is a value: argparse
+    alone would take -0.1,1.5 or -1e-3 for an option."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
     def error(self, message):
         raise ValidationError(message)

@@ -474,6 +474,79 @@ def test_bound_grid_evaluates_exactly_off_its_ends():
     assert analysis._BoundInterpolant(InequalityFamily(), 1e-300).nodes is None
 
 
+def _reference_lookup(family, nodes, weights, scaled, r_b):
+    """Barycentric rows (n, 23) at r_b as three (nodes, draws) arrays give
+    them, draws on a node or off the window evaluated exactly."""
+    diff = nodes[:, None] - r_b
+    inside = (diff[0] < 0) & (diff[-1] > 0) & (diff != 0).all(axis=0)
+    c = weights[:, None] / np.where(inside, diff, 1.0)
+    c /= np.where(inside, c.sum(axis=0) * r_b * (1.0 - r_b * r_b), 1.0)
+    rows = scaled @ c
+    if not inside.all():
+        values, which = np.unique(r_b[~inside], return_inverse=True)
+        rows[:, ~inside] = analysis._coefficient_row(family, values)[which].T
+    return rows.T
+
+
+def _eager_interpolant(family, r_b_sigma):
+    """(nodes, weights, scaled, error) from one stacked build of all 129
+    nodes and 32 probes, then the search for the first level within 1e-12;
+    None when the window holds no distinct nodes."""
+    lo = max(1e-4, family.bob_amplitude - 8.0 * r_b_sigma)
+    hi = min(0.999, family.bob_amplitude + 8.0 * r_b_sigma)
+    r = (lo + hi) / 2 + (lo - hi) / 2 * np.cos(np.linspace(0, np.pi, 257))
+    nodes, probes = r[::2], r[1::8]
+    if not np.all(np.diff(nodes) > 0.0):
+        return None
+    rows = analysis._coefficient_row(family, np.concatenate([nodes, probes]))
+    scale = np.maximum(1.0, np.abs(rows[129:]).max(axis=1))
+    values = rows[:129].T * (nodes * (1.0 - nodes * nodes))
+    for step in (16, 8, 4, 2, 1):
+        level, scaled = nodes[::step], values[:, ::step]
+        weights = np.resize([1.0, -1.0], level.size)
+        weights[[0, -1]] *= 0.5
+        got = _reference_lookup(family, level, weights, scaled, probes)
+        error = float((np.abs(got - rows[129:]).max(axis=1) / scale).max())
+        if error <= 1e-12:
+            break
+    return level, weights, scaled, error
+
+
+@pytest.mark.parametrize("mean", [0.002, 0.217, 0.6, 0.9995])
+@pytest.mark.parametrize("sigma", [0.001, 0.005, 0.02, 0.1, 0.3, 1e-300])
+def test_lazy_bound_levels_equal_the_eager_build(monkeypatch, mean, sigma):
+    # each level builds only its new nodes; the result must be the one
+    # stacked build of every node bit for bit (the windows at 0.002 and
+    # 0.9995 are clipped, and 1e-300 leaves no distinct nodes)
+    family = InequalityFamily(bob_amplitude=mean)
+    want = _eager_interpolant(family, sigma)
+    built = []
+    row = analysis._coefficient_row
+    monkeypatch.setattr(analysis, "_coefficient_row", lambda family, r_b:
+                        built.append(np.size(r_b)) or row(family, r_b))
+    grid = analysis._BoundInterpolant(family, sigma)
+    if want is None:
+        assert grid.nodes is None and grid.error == 0.0 and not built
+        return
+    nodes, weights, scaled, error = want
+    np.testing.assert_array_equal(grid.nodes, nodes)
+    np.testing.assert_array_equal(grid.weights, weights)
+    np.testing.assert_array_equal(grid.scaled, scaled)
+    assert grid.error == error
+    # the probes and the nodes kept, each built once: at the workload's
+    # spread the 9-node level serves, 41 rows where one build of every
+    # node and probe takes 161
+    assert sum(built) == 32 + nodes.size
+    if (mean, sigma) == (0.217, 0.005):
+        assert sum(built) == 41
+    monkeypatch.undo()
+    # draws inside, on nodes and off the window read the same rows
+    draws = np.concatenate([np.linspace(1e-5, 0.9999, 200), nodes[::3]])
+    np.testing.assert_array_equal(
+        grid.lookup(draws),
+        _reference_lookup(family, nodes, weights, scaled, draws))
+
+
 @pytest.mark.parametrize("mean", [0.002, 0.217, 0.6])
 def test_stacked_grid_rows_equal_one_point_builds(mean):
     # the nodes are one stacked build; each node's values, unscaled, must be

@@ -475,6 +475,8 @@ def test_config_values_are_read_typed(tmp_path, capsys, command, entry):
     ["bound", "--s", "inf"],
     ["bound", "--t", "inf"],
     ["bound", "--phases", "0,1,2,inf"],
+    # '-' and a letter stays an option, whose value is then missing
+    ["sweep", "--start", "-inf"],
     # seeds outside [0, 2**64) are out of range in the same way
     ["sweep", "--sample", "10", "--seed", "-1"],
     ["optimize", "--restarts", "1", "--seed", "-1"],
@@ -485,6 +487,24 @@ def test_non_finite_input_is_rejected(capsys, argv):
     assert not out
     assert len(err) == 1
     assert err[0].startswith("ValidationError:")
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["certify"], "--phases", "-0.1,1.5,3.1,4.6"),
+    (["analyze", "sweep.txt"], "--x-phases",
+     "-1.5707963267948966,0,1.5707963267948966,3.141592653589793"),
+    (["sweep"], "--start", "-1e-3"),
+])
+def test_negative_values_argparse_would_take_for_options(
+        tmp_path, capsys, monkeypatch, argv, option, value):
+    # argparse alone reads a comma list or an exponent after '-' as an
+    # option, and the spaced form ends in "expected one argument"
+    _write_model_sweep(tmp_path / "sweep.txt")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, f"{option}={value}"]) == 0
+    joined = _lines(capsys)
+    assert main([*argv, option, value]) == 0
+    assert _lines(capsys) == joined and joined[0]
 
 
 _SCORING = [["analyze"], ["analyze", "--mode", "nearest_point"],
@@ -1037,15 +1057,17 @@ def test_bench_tracer_names_resolve_on_their_modules():
     (["--config", "bytes.txt", "bound"],
      "ValidationError: cannot read config file bytes.txt"),
 ])
-def test_file_errors_keep_the_one_line_contract(tmp_path, argv, error):
+def test_file_errors_keep_the_one_line_contract(tmp_path, capsys, monkeypatch,
+                                                argv, error):
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
     (tmp_path / "subdir").mkdir()
     (tmp_path / "bytes.txt").write_bytes(_NOT_UTF8)
-    proc = _fresh_python(tmp_path, "-m", "steering_lab.cli", *argv)
-    err = proc.stderr.splitlines()
-    assert proc.returncode == 2, err
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = _lines(capsys)
+    assert code == 2, err
     assert len(err) == 1 and err[0].startswith(error + ": "), err
-    assert proc.stdout == ""
+    assert out == []
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
