@@ -35,8 +35,7 @@ _EXPORTS = {
     "errors": (
         "CutoffError", "ExtractionError", "FitError",
         "IndeterminateFeasibilityError", "NormalizationError", "ParseError",
-        "SingularDecompositionError", "SingularResolutionError",
-        "SteeringLabError", "ValidationError"),
+        "SingularDecompositionError", "SteeringLabError", "ValidationError"),
     "fock_ops": (
         "RESOLUTION_PHASES", "coherent_amplitudes", "coherent_tail",
         "hermitize", "pauli_resolution", "projector_full", "projector_qubit",

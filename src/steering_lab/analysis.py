@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import (ExtractionError, FitError, ParseError, ValidationError,
                      check_seed)
-from .fock_ops import RESOLUTION_PHASES, TWO_PI, trusted_basis
-from .inequality import (InequalityFamily, _stacked_build, _strategy_values,
-                         build_probability_inequality)
+from .fock_ops import RESOLUTION_PHASES, TWO_PI
+from .inequality import (InequalityFamily, build_probability_inequality,
+                         stacked_inequality)
 
 OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 NEAREST_POINT_TOL = 0.05      # rad; max distance of a sweep sample to a setting
@@ -241,22 +241,6 @@ def _validate_x_phases(x_phases):
     return x_phases
 
 
-def _circular_distance(a, b):
-    return np.abs((a - b + np.pi) % TWO_PI - np.pi)
-
-
-def _nearest_rows(phases, x_phases):
-    """Index of the sweep row closest to each setting phase (circular
-    distance); ExtractionError if one lies beyond NEAREST_POINT_TOL."""
-    dist = _circular_distance(phases[None, :], x_phases[:, None])
-    for target, gap in zip(x_phases, dist.min(axis=1)):
-        if gap > NEAREST_POINT_TOL:
-            raise ExtractionError(
-                f"no sweep sample within {NEAREST_POINT_TOL} rad of phase "
-                f"{target:.6f} (closest is {gap:.4f} rad away)")
-    return dist.argmin(axis=1)
-
-
 def _setting_distributions(source, x_phases, mode):
     """The four relative-phase distributions (4, 4), row j at x_phases[j]:
     mode 'from_fit' evaluates a CosineFit there, 'nearest_point' takes the
@@ -342,13 +326,21 @@ def setting_counts_from_record(record: CountsRecord,
     length: the rows nearest the pi/2-spaced x_phases, within 0.05 rad each
     (as 'nearest_point' extraction picks them), else ExtractionError."""
     x_phases = _validate_x_phases(x_phases)
-    return record.counts[_nearest_rows(record.phases, x_phases)]
+    # circular distance of every sweep phase to every setting phase
+    dist = np.abs((record.phases[None, :] - x_phases[:, None] + np.pi)
+                  % TWO_PI - np.pi)
+    for target, gap in zip(x_phases, dist.min(axis=1)):
+        if gap > NEAREST_POINT_TOL:
+            raise ExtractionError(
+                f"no sweep sample within {NEAREST_POINT_TOL} rad of phase "
+                f"{target:.6f} (closest is {gap:.4f} rad away)")
+    return record.counts[dist.argmin(axis=1)]
 
 
 def _coefficient_row(family: InequalityFamily, r_b=None):
     """The 23 numbers of _margin at r_B read off the inequality's F: G_j =
     sum of F[x, y] over (x - y) mod 4 = j, A = sum_x F[x, 4], B = sum_y
-    F[4, y], c = F[4, 4] and the 16 branches of S_max (_strategy_values);
+    F[4, y], c = F[4, 4] and the 16 branches of S_max (strategy_values);
     the family's own build at its r_B when r_b is None, else one row per
     r_B from one stacked build. The relative-phase construction holds on
     the m = 4 ladder alone."""
@@ -356,17 +348,14 @@ def _coefficient_row(family: InequalityFamily, r_b=None):
                             zip(family.alice_phases, RESOLUTION_PHASES)):
         raise ValidationError(f"the relative-phase construction needs the "
                               f"m = 4 ladder, got {family.alice_phases}")
-    if r_b is None:
-        ineq = build_probability_inequality(family)
-        branches = _strategy_values(ineq.coefficients,
-                                    trusted_basis(ineq.r_b))
-    else:
-        ineq, branches = _stacked_build(family, r_b)
+    ineq = (build_probability_inequality(family) if r_b is None
+            else stacked_inequality(family, r_b))
     f = ineq.coefficients
     return np.stack([*(f[..., :4, :4][..., _RELATIVE == j].sum(axis=-1)
                        for j in range(4)),
                      f[..., :4, 4].sum(axis=-1), f[..., 4, :4].sum(axis=-1),
-                     f[..., 4, 4], *np.moveaxis(branches, -1, 0)], axis=-1)
+                     f[..., 4, 4], *np.moveaxis(ineq.strategy_values, -1, 0)],
+                    axis=-1)
 
 
 def _margin(rows, dists):

@@ -15,16 +15,14 @@ class ValidationError(SteeringLabError):
     """A parameter is outside its documented range or an invariant failed."""
 
 
-class SingularResolutionError(SteeringLabError):
-    """The Pauli resolution over displacement projectors does not exist.
-
-    Raised for r = 0 (division by the amplitude) and for r >= 1 (the
-    Z-component denominator 1 - r^2 vanishes at r = 1 and flips sign above).
-    """
-
-
 class SingularDecompositionError(SteeringLabError):
-    """The coefficient decomposition is singular at the requested amplitude."""
+    """The coefficient decomposition is singular at the requested amplitude.
+
+    Raised for r = 0, where the Pauli resolution over displacement
+    projectors divides by the amplitude, for r >= 1, where its Z-component
+    denominator 1 - r^2 vanishes and then flips sign, and when the rebuilt
+    family matrices miss the identity.
+    """
 
 
 class CutoffError(SteeringLabError):

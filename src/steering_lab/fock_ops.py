@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularResolutionError, ValidationError
+from .errors import SingularDecompositionError, ValidationError
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,9 +119,10 @@ def pauli_resolution(r):
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
-        raise SingularResolutionError("resolution needs r > 0 (X, Y scale as 1/r)")
+        raise SingularDecompositionError(
+            "resolution needs r > 0 (X, Y scale as 1/r)")
     if np.any(r >= 1.0):
-        raise SingularResolutionError(
+        raise SingularDecompositionError(
             "resolution needs r < 1 (Z denominator 1 - r^2 vanishes), "
             f"got r={r.max()}")
     k = _exp(r * r) / (2.0 * r)

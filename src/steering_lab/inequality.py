@@ -232,10 +232,7 @@ def decompose_g(family: InequalityFamily, r_b=None):
     if np.any(r_b >= 1.0):
         raise SingularDecompositionError(
             f"decomposition needs r_B < 1, got {r_b.max()}")
-    try:
-        on_proj, on_id = pauli_resolution(r_b)
-    except Exception as exc:
-        raise SingularDecompositionError(str(exc)) from exc
+    on_proj, on_id = pauli_resolution(r_b)
 
     g_r, g_x = family_matrices(family)
     g = np.stack([*g_x, g_r])
@@ -310,11 +307,13 @@ class ProbabilityInequality(SteeringFunctional):
     over the 4 trusted ones, and c_mm is zero (double clicks never enter).
     A stack built by stacked_inequality holds one inequality per trusted
     amplitude, and every field and view then carries the stack's shape in
-    front.
+    front. strategy_values holds the 2^m values that bound is the maximum
+    of, one per deterministic strategy (lhs_bound per strategy).
     """
 
     s_max_qubit: float
     r_b: float
+    strategy_values: np.ndarray = field(repr=False)
 
     @property
     def n_max_used(self):
@@ -386,12 +385,6 @@ def stacked_inequality(family: InequalityFamily, r_b):
     identity and S_max >= S'_max. No truncated column is built unless
     n_max_used is read.
     """
-    return _stacked_build(family, r_b)[0]
-
-
-def _stacked_build(family: InequalityFamily, r_b):
-    """stacked_inequality and the 2^m strategy values (_strategy_values)
-    that its S_max is the maximum of, from the one eigensolve."""
     r_b = _amplitudes(family, r_b)
     coefficients = decompose_g(family, r_b)
     s_max_qubit = qubit_bound(family)
@@ -406,8 +399,8 @@ def _stacked_build(family: InequalityFamily, r_b):
             f"full-space bound {np.ravel(s_max)[np.ravel(low)][0]} "
             f"below qubit bound {s_max_qubit}")
     return ProbabilityInequality(coefficients=coefficients, bound=s_max,
-                                 s_max_qubit=s_max_qubit,
-                                 r_b=_unstack(r_b)), branches
+                                 s_max_qubit=s_max_qubit, r_b=_unstack(r_b),
+                                 strategy_values=branches)
 
 
 def evaluate_steering(ineq: ProbabilityInequality, probs):

@@ -28,6 +28,7 @@ from .inequality import (DEFAULT_R_B, InequalityFamily,
 
 DEFAULT_ETA = 0.52
 DEFAULT_R_A = 0.233
+ORACLE_N_MAX = 10     # photon-number cutoff of oracle_probabilities
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,8 @@ def phase_sweep(config: ModelConfig, phases):
     """Sweep the untrusted side's phase against the trusted side's first,
     RESOLUTION_PHASES[0]; phases are checked and reduced mod 2 pi as a
     ModelConfig's are. Returns the (n, 4) rows (p_pp, p_pm, p_mp, p_mm),
-    one per swept phase."""
+    one per swept phase, checked and clipped as joint_probabilities'
+    table is."""
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0 or not np.all(np.isfinite(phases)):
         raise ValidationError("phases must be finite and non-empty")
@@ -165,11 +167,8 @@ def phase_sweep(config: ModelConfig, phases):
     probs = _click_table(
         rho4, projector_qubit(config.r_a, phases % TWO_PI),
         projector_qubit(config.r_b, np.array(RESOLUTION_PHASES[:1])))
-    rows = probs[..., 0].reshape(4, -1).T
-    if rows.min() < -1e-12:
-        raise ValidationError("sweep produced negative probability")
-    np.clip(rows, 0.0, 1.0, out=rows)
-    return rows
+    _check_table(probs)
+    return probs[..., 0].reshape(4, -1).T
 
 
 def theoretical_delta_S(config: ModelConfig, family: InequalityFamily):
@@ -230,17 +229,17 @@ def _loss_kraus(eta, n_max):
     return ks
 
 
-def oracle_probabilities(config: ModelConfig, n_max=10):
+def oracle_probabilities(config: ModelConfig):
     """Brute-force table from simulating the physical chain in Fock space.
 
     Single photon split 50/50 over two modes (coherences damped by the
     visibility), loss on each mode as a beamsplitter before the displacement,
     then the displaced vacuum projector per side. Returns p[a, b, x, y]
     with shape (2, 2, m, 4), as joint_probabilities does, which it exists
-    to cross-check through entirely different operator constructions.
+    to cross-check through entirely different operator constructions, at
+    the cutoff ORACLE_N_MAX (a Poisson tail past it above 1e-8 raises).
     """
-    if n_max < 6:
-        raise ValidationError(f"oracle needs n_max >= 6, got {n_max}")
+    n_max = ORACLE_N_MAX
     for r in (config.r_a, config.r_b):
         tail = coherent_tail(r, n_max)
         if tail > 1e-8:

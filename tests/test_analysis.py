@@ -594,17 +594,42 @@ def test_monte_carlo_samples_are_margins_of_their_resampled_tables(sigma):
 
 def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):
     calls = []
-    build = analysis._stacked_build
+    build = analysis.stacked_inequality
 
     def counted(family, r_b):
         calls.append(r_b)
         return build(family, r_b)
 
-    monkeypatch.setattr(analysis, "_stacked_build", counted)
+    monkeypatch.setattr(analysis, "stacked_inequality", counted)
     res = monte_carlo(_model_setting_counts(), InequalityFamily(),
                       runs=5000, r_b_sigma=0.0, seed=4)
     assert calls == [0.217]
     assert res.grid_error == 0.0 and res.redraws == 0
+
+
+def test_coefficient_row_reads_the_strategy_values_of_its_build(
+        monkeypatch):
+    # S_max and its 16 branches come from the build's one eigensolve
+    family = InequalityFamily()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    row = analysis._coefficient_row(family)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    one = build_probability_inequality(family)
+    stack = analysis.stacked_inequality(family, [0.1, family.bob_amplitude])
+    assert one.strategy_values.shape == (16,)
+    np.testing.assert_array_equal(one.strategy_values,
+                                  stack.strategy_values[1])
+    np.testing.assert_array_equal(row[7:], one.strategy_values)
+    assert one.bound == one.strategy_values.max(-1)
+    np.testing.assert_array_equal(stack.bound, stack.strategy_values.max(-1))
 
 
 def test_result_formatting_round_trips_key_values():

@@ -856,6 +856,14 @@ def test_real_stderr_keeps_the_one_line_contract(tmp_path, argv, code):
         assert err[0].split(":")[0].isidentifier()
 
 
+def test_an_overflowing_trusted_amplitude_is_a_floating_point_error(capsys):
+    # 1 / (2 r_B) overflows inside the Pauli resolution
+    code = main(["bound", "--r-b", "1e-320"])
+    out, err = _lines(capsys)
+    assert code == 3 and out == []
+    assert err == ["FloatingPointError: overflow encountered in divide"]
+
+
 # Runs main on argv in a fresh interpreter whose address space is capped
 # at 4 GiB, so that an allocation past it fails whatever the host's
 # overcommit policy.
@@ -1017,6 +1025,19 @@ def test_package_source_calls_nothing_newer_than_numpy_1_24():
     for line in ("np.vecdot(a, b)", "numpy.matvec(m, v)", "np.vecmat(v, m)",
                  "a.mT @ b"):
         assert newer.search(line), line
+
+
+def test_package_modules_share_only_the_functional_format_privately():
+    # a private name one module takes from another is a second copy of its
+    # work; lhs_certification reads the functional's summary format
+    source = Path(__file__).resolve().parents[1] / "src" / "steering_lab"
+    found = sorted(
+        f"{node.module}.{alias.name}"
+        for path in source.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names if alias.name.startswith("_"))
+    assert found == ["inequality._marginals", "inequality._strategy_rows"]
 
 
 def test_bench_tracer_names_resolve_on_their_modules():

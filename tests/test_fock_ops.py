@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from steering_lab.errors import SingularResolutionError, ValidationError
+from steering_lab.errors import SingularDecompositionError, ValidationError
 from steering_lab.fock_ops import (RESOLUTION_PHASES, coherent_amplitudes,
                                    coherent_tail, hermitize, pauli_resolution,
                                    projector_full, projector_qubit)
@@ -81,5 +81,5 @@ def test_pauli_resolution_against_direct_projector_sums():
 
 def test_pauli_resolution_singular_amplitudes():
     for r in (0.0, 1.0, 1.3):
-        with pytest.raises(SingularResolutionError):
+        with pytest.raises(SingularDecompositionError):
             pauli_resolution(r)

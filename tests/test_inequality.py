@@ -169,6 +169,16 @@ def test_decomposition_failures_name_their_cause(monkeypatch):
         decompose_g(InequalityFamily())
 
 
+def test_decomposition_passes_other_errors_through(monkeypatch):
+    # only a singular resolution is a decomposition error
+    def exhausted(r):
+        raise MemoryError("resolution arrays")
+
+    monkeypatch.setattr(inequality, "pauli_resolution", exhausted)
+    with pytest.raises(MemoryError, match="resolution arrays"):
+        decompose_g(InequalityFamily())
+
+
 def _brute_force_full_bound(family, n_max):
     coeffs = decompose_g(family)
     g_r, g_x = fullspace_g(coeffs, family, n_max)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from steering_lab import quantum_model
 from steering_lab.analysis import extract_setting_table, fit_cosine
 from steering_lab.errors import CutoffError, ValidationError
 from steering_lab.fock_ops import RESOLUTION_PHASES, TWO_PI
@@ -206,6 +207,20 @@ def test_phase_sweep_is_column_zero_of_the_joint_table():
                                   phase_sweep(cfg, wide % TWO_PI))
 
 
+def test_phase_sweep_checks_its_table_as_the_joint_table_is(monkeypatch):
+    click_table = quantum_model._click_table
+
+    def heavy(*args):
+        probs = click_table(*args)
+        probs[0, 0] += 1e-6     # every cell now sums to 1 + 1e-6
+        return probs
+
+    monkeypatch.setattr(quantum_model, "_click_table", heavy)
+    with pytest.raises(ValidationError,
+                       match="outcome probabilities do not sum to 1"):
+        phase_sweep(ModelConfig(), [0.0, 1.0])
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_phase_sweep_rejects_a_non_finite_phase(bad):
     with pytest.raises(ValidationError, match="finite"):
@@ -276,10 +291,9 @@ def test_displacement_matches_the_matrix_exponential(r, theta, n_max):
 
 
 def test_oracle_cutoff_guards():
-    with pytest.raises(ValidationError):
-        oracle_probabilities(ModelConfig(), n_max=4)
-    with pytest.raises(CutoffError):
-        oracle_probabilities(ModelConfig(r_a=0.9), n_max=6)
+    # the Poisson tail past the fixed cutoff of 10 is about 4e-7 at 1.2
+    with pytest.raises(CutoffError, match="cutoff 10 too small"):
+        oracle_probabilities(ModelConfig(r_a=1.2))
 
 
 def test_text_formats():
