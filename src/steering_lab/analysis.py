@@ -498,9 +498,11 @@ def monte_carlo(counts, family: InequalityFamily, runs=200000,
             np.random.Philox(np.random.SeedSequence((seed, chunk))))
         resampled, r_b, rd, zr = _resample_chunk(
             rng, stop - start, base_counts, family.bob_amplitude, r_b_sigma)
+        dists = resampled / resampled.sum(axis=2, keepdims=True)
+        del resampled           # freed before the lookup allocates its own
         rows = grid.lookup(r_b) if grid is not None else point
-        samples[start:stop] = _margin(
-            rows, resampled / resampled.sum(axis=2, keepdims=True))
+        samples[start:stop] = _margin(rows, dists)
+        del rows, dists         # and before the next chunk's draws
         redraws += rd
         zero_redraws += zr
 
@@ -552,27 +554,39 @@ def _quartiles(samples):
 def curve_fit(x, y):
     """Gaussian (amp, mean, std) through the points (x, y > 0) in closed form
     (H. Guo, IEEE Signal Process. Mag. 28(5), 2011): a parabola through log y
-    by weighted linear least squares, weighted first by y^2 so that sparse
-    tail points cannot pull it off the peak, then 20 times by its fitted
-    values (a near-Gaussian histogram settles within 5; a heavy-tailed one
-    needs the rest). None with fewer than 3 positive points, or when the
-    parabola has no maximum inside their x range. The name stays because
-    bench/tracer.py times the histogram fit by looking analysis.curve_fit up
-    (its FOREIGN table); renaming it breaks the benchmark's traced replay.
+    by weighted least squares, its 3x3 normal equations solved by Cramer's
+    rule, weighted first by y^2 so that sparse tail points cannot pull it off
+    the peak, then 20 times by its fitted values (a near-Gaussian histogram
+    settles within 5; a heavy-tailed one needs the rest). None with fewer
+    than 3 positive points, a singular system, or no maximum inside their x
+    range. The name stays because bench/tracer.py times the histogram fit
+    by looking analysis.curve_fit up (its FOREIGN table).
     """
     if np.count_nonzero(y > 0) < 3:
         return None
     x, log_y = x[y > 0], np.log(y[y > 0])
-    center, scale = x.mean(), np.ptp(x)
-    t = (x - center) / scale           # conditions the quadratic design
-    design = np.column_stack([np.ones_like(t), t, t * t])
     log_w = 2.0 * log_y
+    # weights relative to the largest, floored so none underflows
+    w = np.exp(np.maximum(log_w - log_w.max(), -100.0))
+    # centred on the y^2-weighted mean, where the weight lies, the normal
+    # equations stay well conditioned for a heavy-tailed histogram too
+    center, scale = (w @ x) / w.sum(), np.ptp(x)
+    t = (x - center) / scale
+    design = np.stack([np.ones_like(t), t, t * t])
+    # the rows whose w^2-weighted sums are the normal equations' entries
+    powers = np.concatenate([design, design[1:] * (t * t), design * log_y])
     for _ in range(21):
-        # weights relative to the largest, floored so none underflows
+        # in Python floats: no numpy errstate, and no LAPACK code to map
+        s0, s1, s2, s3, s4, b0, b1, b2 = (powers @ (w * w)).tolist()
+        a00, a01, a02 = s2 * s4 - s3 * s3, s2 * s3 - s1 * s4, s1 * s3 - s2 * s2
+        a11, a12, a22 = s0 * s4 - s2 * s2, s1 * s2 - s0 * s3, s0 * s2 - s1 * s1
+        det = s0 * a00 + s1 * a01 + s2 * a02
+        if not det > 0.0:
+            return None
+        c0, c1, c2 = [(p * b0 + q * b1 + r * b2) / det for p, q, r in
+                      ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))]
+        log_w = c0 + c1 * t + c2 * design[2]
         w = np.exp(np.maximum(log_w - log_w.max(), -100.0))
-        coef = np.linalg.lstsq(design * w[:, None], log_y * w, rcond=None)[0]
-        log_w = design @ coef
-    c0, c1, c2 = coef.tolist()        # Python floats: no numpy errstate
     if not c2 < 0.0:
         return None
     peak = -c1 / (2.0 * c2)

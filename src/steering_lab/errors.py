@@ -20,8 +20,9 @@ class SingularDecompositionError(SteeringLabError):
 
     Raised for r = 0, where the Pauli resolution over displacement
     projectors divides by the amplitude, for r >= 1, where its Z-component
-    denominator 1 - r^2 vanishes and then flips sign, and when the rebuilt
-    family matrices miss the identity.
+    denominator 1 - r^2 vanishes and then flips sign, when the rebuilt
+    family matrices miss the identity, and when a one-point build's S_max
+    is rounded on a scale above NORM_TOL (r below about 1e-8).
     """
 
 

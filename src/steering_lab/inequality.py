@@ -368,8 +368,20 @@ class ProbabilityInequality(SteeringFunctional):
 
 
 def build_probability_inequality(family: InequalityFamily):
-    """Construct the family's inequality with both unsteerable bounds."""
-    return stacked_inequality(family, family.bob_amplitude)
+    """Construct the family's inequality with both unsteerable bounds.
+
+    S_max is rounded on the scale eps max|F|, and F grows as t/(2 r_B): where
+    that unit exceeds NORM_TOL no printed bound would hold, so the build
+    raises SingularDecompositionError (r_B below about 7e-9 at the default
+    t). stacked_inequality keeps every point, for Monte Carlo draws.
+    """
+    ineq = stacked_inequality(family, family.bob_amplitude)
+    unit = np.finfo(float).eps * np.abs(ineq.coefficients).max()
+    if unit > NORM_TOL:
+        raise SingularDecompositionError(
+            f"r_B={family.bob_amplitude}: rounding unit {unit:.3g} in S_max "
+            f"exceeds NORM_TOL {NORM_TOL:g}")
+    return ineq
 
 
 def stacked_inequality(family: InequalityFamily, r_b):

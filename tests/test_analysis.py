@@ -1,6 +1,7 @@
 """Tests for the counts pipeline, cosine fits, extraction, and Monte Carlo."""
 
 import math
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -731,3 +732,118 @@ def test_histogram_gaussian_is_none_or_finite_and_never_raises():
     for fit in fits:
         assert fit is None or (np.all(np.isfinite(fit)) and fit[0] > 0.0
                                and fit[2] > 0.0)
+
+
+def _lstsq_gaussian(x, y):
+    """The histogram Gaussian as LAPACK least squares (dgelsd) solved it:
+    the reference for the closed-form normal equations of curve_fit."""
+    if np.count_nonzero(y > 0) < 3:
+        return None
+    x, log_y = x[y > 0], np.log(y[y > 0])
+    center, scale = x.mean(), np.ptp(x)
+    t = (x - center) / scale
+    design = np.column_stack([np.ones_like(t), t, t * t])
+    log_w = 2.0 * log_y
+    for _ in range(21):
+        w = np.exp(np.maximum(log_w - log_w.max(), -100.0))
+        coef = np.linalg.lstsq(design * w[:, None], log_y * w, rcond=None)[0]
+        log_w = design @ coef
+    c0, c1, c2 = coef.tolist()
+    if not c2 < 0.0:
+        return None
+    peak = -c1 / (2.0 * c2)
+    log_amp = c0 - c2 * peak * peak
+    if not (t.min() <= peak <= t.max() and abs(log_amp) < 700.0):
+        return None
+    return (math.exp(log_amp), float(center + scale * peak),
+            float(scale / math.sqrt(-2.0 * c2)))
+
+
+def _fit_cases():
+    """Histograms (x, y): Monte Carlo ones over runs, spread, s and seed,
+    Poisson-noised Gaussians on even and uneven x, and sparse ones."""
+    counts = _model_setting_counts()
+    for runs in (3, 50, 2000, 20000):
+        for sigma in (0.0, 0.005, 0.05):
+            for s in (0.1, 0.5, 0.983):
+                for seed in (1, 2, 3):
+                    res = monte_carlo(counts, InequalityFamily(s=s), runs=runs,
+                                      r_b_sigma=sigma, seed=seed)
+                    yield _mids(res), res.bin_counts
+    rng = np.random.default_rng(5)
+    for k in range(200):
+        n = int(rng.integers(3, 200))
+        x = (np.sort(rng.uniform(-5.0, 5.0, n)) if k % 2
+             else np.linspace(-3.0, 3.0, n))
+        mu, sd = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 5.0)
+        yield x, rng.poisson(rng.uniform(1.0, 1e4)
+                             * np.exp(-0.5 * ((x - mu) / sd) ** 2))
+    for _ in range(200):
+        n = int(rng.integers(3, 60))
+        y = np.zeros(n)
+        hit = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)),
+                         replace=False)
+        y[hit] = rng.integers(1, 100, hit.size)
+        yield np.linspace(-1.0, 1.0, n), y
+
+
+def test_histogram_gaussian_equals_the_lstsq_fit():
+    fitted = 0
+    cases = list(_fit_cases())
+    with np.errstate(all="raise"):
+        for x, y in cases:
+            want, got = _lstsq_gaussian(x, y), analysis.curve_fit(x, y)
+            assert (got is None) == (want is None), (x, y)
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+                fitted += 1
+    assert fitted > 300
+
+
+def test_monte_carlo_runs_without_lapack_least_squares(monkeypatch):
+    # the histogram fit solves its normal equations in closed form, so the
+    # command never pages in the LAPACK code behind np.linalg.lstsq
+    want = monte_carlo(_model_setting_counts(), InequalityFamily(),
+                       runs=2000, seed=3)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", unavailable)
+    got = monte_carlo(_model_setting_counts(), InequalityFamily(),
+                      runs=2000, seed=3)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert (got.mean, got.std) == (want.mean, want.std)
+    assert got.gaussian_fit == want.gaussian_fit is not None
+
+
+def test_monte_carlo_holds_one_chunk_of_arrays_at_a_time():
+    # beyond the samples themselves the peak stays within four times one
+    # chunk's int64 counts (0.25 MiB); holding the counts through the r_B
+    # lookup and the rows into the next draws took 4.55 times
+    counts = _model_setting_counts()
+    monte_carlo(counts, InequalityFamily(), runs=2000, seed=1)   # warm
+    tracemalloc.start()
+    try:
+        res = monte_carlo(counts, InequalityFamily(), runs=20000,
+                          r_b_sigma=0.005, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - res.samples.nbytes <= 4 * analysis.MC_CHUNK * 16 * 8
+
+
+@pytest.mark.parametrize("s", [0.5, 0.01])
+def test_grid_error_bounds_the_lookups_where_a_branch_has_a_kink(s):
+    # away from the default s a strategy's top eigenvalue crosses another
+    # inside the window, so no node set meets 1e-12; grid_error must then
+    # say by how much the 129-node set misses, in its relative form
+    family = InequalityFamily(s=s)
+    grid = analysis._BoundInterpolant(family, 0.005)
+    assert grid.nodes.size == 129 and grid.error > 1e-12
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
+    r_b = rng.normal(family.bob_amplitude, 0.005, analysis.MC_CHUNK)
+    exact = analysis._coefficient_row(family, r_b)
+    miss = (np.abs(grid.lookup(r_b) - exact).max(axis=1)
+            / np.maximum(1.0, np.abs(exact).max(axis=1)))
+    assert miss.max() <= grid.error

@@ -864,6 +864,17 @@ def test_an_overflowing_trusted_amplitude_is_a_floating_point_error(capsys):
     assert err == ["FloatingPointError: overflow encountered in divide"]
 
 
+@pytest.mark.parametrize("r_b", ["1e-10", "1e-20"])
+def test_a_bound_that_rounding_swamps_is_one_error_line(tmp_path, capsys,
+                                                          r_b):
+    # F grows as t / (2 r_B); at 1e-20 S_max printed 110.57 with exit 0
+    code = main(["bound", "--r-b", r_b, "--output", str(tmp_path / "b.txt")])
+    out, err = _lines(capsys)
+    assert code == 3 and out == [] and len(err) == 1
+    assert re.fullmatch(rf"SingularDecompositionError: r_B={r_b}: rounding "
+                        r"unit \S+ in S_max exceeds NORM_TOL 1e-09", err[0])
+
+
 # Runs main on argv in a fresh interpreter whose address space is capped
 # at 4 GiB, so that an allocation past it fails whatever the host's
 # overcommit policy.

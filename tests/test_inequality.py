@@ -146,11 +146,21 @@ def test_small_trusted_amplitudes_decompose(t):
     stack = inequality.stacked_inequality(family, r_b)
     assert stack.coefficients.shape == (600, 5, 5)
     assert (stack.n_max_used == 3).all()
+    # a one-point build also refuses an S_max whose rounding unit eps max|F|
+    # exceeds NORM_TOL; where it passes, it equals its stacked row
+    unit = np.finfo(float).eps * np.abs(stack.coefficients).max(axis=(1, 2))
     for i in range(0, 600, 60):
-        one = build_probability_inequality(
-            InequalityFamily(t=t, bob_amplitude=float(r_b[i])))
+        family = InequalityFamily(t=t, bob_amplitude=float(r_b[i]))
+        if unit[i] > inequality.NORM_TOL:
+            with pytest.raises(SingularDecompositionError,
+                               match=r"rounding unit \S+ in S_max exceeds"):
+                build_probability_inequality(family)
+            continue
+        one = build_probability_inequality(family)
         assert one.s_max == stack.s_max[i]
         np.testing.assert_array_equal(one.coefficients, stack.coefficients[i])
+    assert (unit[::60] > inequality.NORM_TOL).any()
+    assert (unit[::60] <= inequality.NORM_TOL).any()
 
 
 def test_decomposition_failures_name_their_cause(monkeypatch):
