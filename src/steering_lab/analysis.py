@@ -341,9 +341,9 @@ def _coefficient_row(family: InequalityFamily, r_b=None):
     """The 23 numbers of _margin at r_B read off the inequality's F: G_j =
     sum of F[x, y] over (x - y) mod 4 = j, A = sum_x F[x, 4], B = sum_y
     F[4, y], c = F[4, 4] and the 16 branches of S_max (strategy_values);
-    the family's own build at its r_B when r_b is None, else one row per
-    r_B from one stacked build. The relative-phase construction holds on
-    the m = 4 ladder alone."""
+    the family's checked build at its r_B when r_b is None, else one row
+    per r_B from one stacked build. The relative-phase construction holds
+    on the m = 4 ladder alone."""
     if family.m != 4 or any(abs(a - b) > 1e-9 for a, b in
                             zip(family.alice_phases, RESOLUTION_PHASES)):
         raise ValidationError(f"the relative-phase construction needs the "
@@ -462,9 +462,10 @@ def monte_carlo(counts, family: InequalityFamily, runs=200000,
     outside (0, 1) redrawn and counted), re-evaluates the inequality
     coefficients and the full-space bound at the drawn r_B through
     _BoundInterpolant (exactly, once, when r_b_sigma = 0), and records
-    S - S_max. Runs are drawn in fixed MC_CHUNK chunks, each from its own
-    stream keyed on (seed, chunk index), so results depend on the arguments
-    alone. Returns a MonteCarloResult whose samples have shape (runs,).
+    S - S_max; the point estimate takes the checked build, which refuses an
+    r_B that rounding swamps. Runs come in fixed MC_CHUNK chunks, each drawn
+    from its own stream keyed on (seed, chunk index), so results depend on the
+    arguments alone. Returns a MonteCarloResult of samples of shape (runs,).
     """
     if not isinstance(runs, int) or runs < 1:
         raise ValidationError(f"runs must be a positive integer, got "
@@ -484,7 +485,7 @@ def monte_carlo(counts, family: InequalityFamily, runs=200000,
         raise ValidationError("every row needs a total of at least 1")
     base_counts = base_counts.astype(float)
 
-    point = _coefficient_row(family, family.bob_amplitude)
+    point = _coefficient_row(family)
     point_estimate = float(_margin(
         point, base_counts / base_counts.sum(axis=1, keepdims=True)))
     grid = _BoundInterpolant(family, r_b_sigma) if r_b_sigma else None

@@ -259,8 +259,7 @@ def cmd_certify(args):
             certificate, result.problem, eta)
     elif verdict == "infeasible":
         print("infeasible (steerable)")
-        detail = "functional_margin=%.3e" % (certificate.value(
-            result.problem.table_at(eta)) - certificate.bound)
+        detail = "functional_margin=%.3e" % result.margin_at(eta)
     else:
         print("indeterminate")
         detail = "certified_gap=%.3e" % (result.eta_upper - result.eta_star)

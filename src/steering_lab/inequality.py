@@ -150,11 +150,11 @@ def _marginals(probs):
     """The (m+1) x (n+1) summary of a table p[a, b, x, y] that LHS models fix.
 
     p(++|xy) fills the leading block, p_A(+|x) the last column, p_B(+|y)
-    the last row and 1 the corner.
+    the last row and 1 the corner; a table of Fractions gives an exact one.
     """
-    p = np.asarray(probs, dtype=float)
+    p = np.asarray(probs)
     m, n = p.shape[2:]
-    out = np.ones((m + 1, n + 1))
+    out = np.ones((m + 1, n + 1), dtype=np.result_type(p, 1.0))
     out[:m, :n] = p[0, 0]
     out[:m, n] = p[0].sum(axis=0).mean(axis=1)
     out[m, :n] = p[:, 0].sum(axis=0).mean(axis=0)

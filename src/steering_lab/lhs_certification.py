@@ -38,6 +38,7 @@ always the critical efficiency of the actual candidate phases.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 import math
 import random
 
@@ -152,8 +153,9 @@ class ExperimentEfficiency:
 
     model holds hidden states, the (2^m, d, d) blocks of verify_hidden_states,
     that reproduce problem.table_at(eta_star) to MODEL_TOL; functional is
-    violated, by FUNCTIONAL_MARGIN, from eta_upper on (eta_upper - eta_star
-    is the certified gap). A value above 1 means no physical efficiency steers.
+    violated by FUNCTIONAL_MARGIN, exactly, on the mix eta T1 + (1 - eta) T0
+    of the float tables from eta_upper on (eta_upper - eta_star is the
+    certified gap). A value above 1 means no physical efficiency steers.
     """
 
     eta_star: float
@@ -165,17 +167,17 @@ class ExperimentEfficiency:
     tangent: np.ndarray = field(repr=False)
 
     def verdict_at(self, eta):
-        """Verdict on problem.table_at(eta), with its certificate.
+        """Verdict at efficiency eta, with its certificate.
 
-        'feasible' carries hidden states of the table at eta. Up to
-        eta_star it is the eta_star model mixed with the product model of
-        the eta = 0 table, PSD by construction. Inside the certified gap it
-        is the eta_star model moved along tangent, kept if
-        verify_hidden_states passes it to MODEL_TOL (a table on the cone's
-        boundary, such as eta = 1 with one effective setting, is decided
-        this way). From eta_upper on, where the functional beats its bound
-        by FUNCTIONAL_MARGIN and a rounding unit, 'infeasible' carries it
-        if it wins. Otherwise the verdict is 'indeterminate', with none.
+        'feasible' carries hidden states of the float table table_at(eta):
+        up to eta_star the eta_star model mixed with the product model of
+        the eta = 0 table, PSD by construction; inside the certified gap
+        the eta_star model moved along tangent, if verify_hidden_states
+        passes it to MODEL_TOL (a table on the cone's boundary, such as
+        eta = 1 with one effective setting, is decided this way). From
+        eta_upper on, 'infeasible' carries the functional, which beats its
+        bound by FUNCTIONAL_MARGIN on the exact mix there (margin_at), so
+        it is not scored again. Otherwise 'indeterminate', with none.
         """
         if not 0.0 <= eta <= 1.0:
             raise ValidationError(f"eta must be in [0, 1], got {eta}")
@@ -184,35 +186,25 @@ class ExperimentEfficiency:
             return "feasible", (share * self.model + (1.0 - share)
                                 * _product_model(self.problem))
         if eta >= self.eta_upper:
-            if _beats_bound(self.functional, self.problem.table_at(eta)):
-                return "infeasible", self.functional
-            return "indeterminate", None
+            return "infeasible", self.functional
         model = self.model + (eta - self.eta_star) * self.tangent
         if verify_hidden_states(model, self.problem, eta) <= MODEL_TOL:
             return "feasible", model
         return "indeterminate", None
 
-
-def _beats_bound(func: SteeringFunctional, table, spare=0):
-    """Whether table violates func by the relative FUNCTIONAL_MARGIN, and
-    by spare rounding units of func.value (eps sum |F M| each) besides."""
-    terms = func.coefficients * _marginals(table)
-    value = float(terms.sum())
-    return value > (func.bound + spare * np.finfo(float).eps
-                    * float(np.abs(terms).sum()) + FUNCTIONAL_MARGIN
-                    * max(1.0, abs(value), abs(func.bound)))
+    def margin_at(self, eta):
+        """The functional's value less its bound at eta (_exact_line)."""
+        a, b = _exact_line(self.functional, self.problem)
+        return float(a + Fraction(eta) * b)
 
 
-def _first_violation(func: SteeringFunctional, problem, eta, slope):
-    """First eta from which func beats its bound by FUNCTIONAL_MARGIN and a
-    rounding unit of func.value (its rounding stays under half a unit, so no
-    larger eta reads otherwise): from its crossing, in doubling steps."""
-    upper = eta + (func.bound - func.value(problem.table_at(eta)) + (
-        FUNCTIONAL_MARGIN * max(1.0, abs(func.bound)))) / slope
-    step = math.ulp(upper)
-    while not _beats_bound(func, problem.table_at(upper), spare=1):
-        upper, step = upper + step, 2.0 * step
-    return upper
+def _exact_line(func: SteeringFunctional, problem):
+    """a, b in Fractions: func's value less its bound is a + eta b on the
+    exact mix eta T1 + (1 - eta) T0 of the float tables."""
+    exact = np.frompyfunc(Fraction, 1, 1)
+    v0, v1 = ((exact(func.coefficients) * _marginals(exact(table))).sum()
+              for table in (problem.table_vacuum, problem.table_steered))
+    return v0 - Fraction(func.bound), v1 - v0
 
 
 def _max_eta(problems, label=""):
@@ -234,14 +226,14 @@ def _max_eta(problems, label=""):
     table) and y, bounded by lhs_bound, is violated from an eta_upper with
     0 < eta_upper - eta_star <= GAP_TOL. The solve raises after ITERATION_CAP,
     or below a gap of GAP_TOL once y's rounding unit in eta (eps sum |F M| /
-    slope) exceeds GAP_TOL, as float64 then holds no such interval; label
-    leads either message, and a raise ends the whole stack. The tangent
-    F_k D_k F_k^dag (a QR in the final factor F) follows the table per unit
-    eta with the least relative change. The problems share one basis and
-    m, and form one stack: each keeps its own step, centering and iteration
-    count, and is masked out once taken. Stacked products are matmuls of
-    [..., None] views, so each problem meets the BLAS calls of a
-    one-problem solve.
+    slope) exceeds GAP_TOL, a floor set when eta_upper paid that unit (r_A 3e-4
+    and 2e-4 now decide without it); label leads either message, and a raise
+    ends the whole stack. The tangent F_k D_k F_k^dag (a QR in the final factor
+    F) follows the table per unit eta with the least relative change. The
+    problems share one basis and m, and form one stack: each keeps its own
+    step, centering and iteration count, and is masked out once taken. Stacked
+    products are matmuls of [..., None] views, so each problem meets the BLAS
+    calls of a one-problem solve.
     """
     basis = problems[0].basis
     dim, n = basis.shape
@@ -324,9 +316,16 @@ def _max_eta(problems, label=""):
                 f"{GAP_TOL:g}")
         if gap[p] > 0.1 * GAP_TOL:
             return None
-        func = SteeringFunctional(coefficients, lhs_bound(coefficients,
-                                                          basis))
-        eta_upper = _first_violation(func, problem, eta_star, slope)
+        func = SteeringFunctional(coefficients, lhs_bound(coefficients, basis))
+        # eta_upper: the first float past the margin on the exact, rising line
+        a, b = _exact_line(func, problem)
+        if b <= 0:
+            return None
+        crossing = (Fraction(FUNCTIONAL_MARGIN) * max(1, abs(Fraction(
+            func.bound))) - a) / b
+        eta_upper = float(crossing)
+        if eta_upper <= crossing:
+            eta_upper = math.nextafter(eta_upper, math.inf)
         lx = factors[p, 0]
         model = lx @ dagger(lx)
         if not (eta_star < eta_upper <= eta_star + GAP_TOL and

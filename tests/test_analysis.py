@@ -60,6 +60,8 @@ def test_counts_round_trip(tmp_path):
     ("0.5 %d 1 0 0" % 2 ** 62, 3),    # total past 2**62
     ("0.5 %d 0 0 0" % 2 ** 63, 3),    # count past int64
     ("0.05 1 2 3 4", 3),         # phase does not ascend
+    ("nan 1 2 3 4", 3),          # non-finite phase
+    ("inf 1 2 3 4", 3),
 ])
 def test_load_counts_reports_the_offending_line(tmp_path, line, offending):
     path = tmp_path / "bad.txt"
@@ -89,6 +91,11 @@ def test_record_validation():
     with pytest.raises(ValidationError):
         CountsRecord(phases=good["phases"],
                      counts=np.zeros((4, 4), dtype=int))
+    with pytest.raises(ValidationError, match="shape"):
+        CountsRecord(phases=good["phases"], counts=np.ones((4, 3), int))
+    with pytest.raises(ValidationError, match="non-negative"):
+        CountsRecord(phases=good["phases"],
+                     counts=np.array([[1, 1, 1, 1]] * 3 + [[1, -1, 1, 1]]))
 
 
 def test_probabilities_are_row_frequencies():
@@ -116,6 +123,8 @@ def test_synthesize_counts_statistics_and_determinism():
     assert rec3.counts.sum(axis=1).min() >= 1
     with pytest.raises(ValidationError):
         synthesize_counts(phases, probs, 0)
+    with pytest.raises(ValidationError, match="shape"):
+        synthesize_counts(phases, probs[:, :3], n)
 
 
 def test_synthesize_counts_bounds_the_events_per_point():
@@ -162,6 +171,8 @@ def test_fit_rejects_rank_deficient_phase_designs():
         fit_cosine(phases, probs)
     with pytest.raises(ValidationError):
         fit_cosine(np.array([0.0, 1.0, 2.0, 2.0]), probs)
+    with pytest.raises(ValidationError, match="shape"):
+        fit_cosine(np.arange(5.0), probs)
 
 
 @pytest.mark.parametrize("phases", [
@@ -265,6 +276,11 @@ def test_extraction_argument_validation():
         extract_setting_table(fit, LADDER4, mode="nearest_point")
     with pytest.raises(ValidationError):
         extract_setting_table(fit, LADDER4, mode="junk")
+    with pytest.raises(ValidationError, match="needs a CosineFit"):
+        extract_setting_table(synthesize_counts(phases, probs, 100), LADDER4,
+                              mode="from_fit")
+    with pytest.raises(ValidationError, match="4 values"):
+        extract_setting_table(fit, LADDER4[:3])
 
 
 def test_full_pipeline_recovers_the_theoretical_margin():
@@ -410,6 +426,8 @@ def test_monte_carlo_input_validation():
         monte_carlo(np.ones((3, 4)), family, **mc)
     with pytest.raises(ValidationError):
         monte_carlo(np.zeros((4, 4)), family, **mc)
+    with pytest.raises(ValidationError, match="non-negative"):
+        monte_carlo(np.ones((4, 4)) - np.eye(4) * 2, family, **mc)
     for bad in (InequalityFamily(m=5),
                 *(InequalityFamily(alice_phases=p) for p in OFF_LADDER4)):
         with pytest.raises(ValidationError, match="m = 4 ladder"):
@@ -594,14 +612,17 @@ def test_monte_carlo_samples_are_margins_of_their_resampled_tables(sigma):
 
 
 def test_fixed_amplitude_evaluates_the_bound_once(monkeypatch):
+    # one build of either kind: the checked one-point build or a stack
     calls = []
-    build = analysis.stacked_inequality
 
-    def counted(family, r_b):
-        calls.append(r_b)
-        return build(family, r_b)
+    def counting(build):
+        def counted(family, *r_b):
+            calls.append(r_b[0] if r_b else family.bob_amplitude)
+            return build(family, *r_b)
+        return counted
 
-    monkeypatch.setattr(analysis, "stacked_inequality", counted)
+    for name in ("stacked_inequality", "build_probability_inequality"):
+        monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
     res = monte_carlo(_model_setting_counts(), InequalityFamily(),
                       runs=5000, r_b_sigma=0.0, seed=4)
     assert calls == [0.217]

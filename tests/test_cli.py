@@ -864,15 +864,26 @@ def test_an_overflowing_trusted_amplitude_is_a_floating_point_error(capsys):
     assert err == ["FloatingPointError: overflow encountered in divide"]
 
 
-@pytest.mark.parametrize("r_b", ["1e-10", "1e-20"])
-def test_a_bound_that_rounding_swamps_is_one_error_line(tmp_path, capsys,
-                                                          r_b):
+@pytest.mark.parametrize("r_b, command", [
+    pytest.param("1e-10", ["bound"], id="1e-10"),
+    pytest.param("1e-20", ["bound"], id="1e-20"),
+    # the fixed-amplitude row of montecarlo is the checked build of bound
+    # and analyze; at sigma 0 it printed mean=30422507.17 with exit 0
+    *(pytest.param("1e-10", ["montecarlo", "sweep.txt", "--runs", "2000",
+                             "--r-b-sigma", sigma], id=f"montecarlo-{sigma}")
+      for sigma in ("0", "0.005")),
+])
+def test_a_bound_that_rounding_swamps_is_one_error_line(
+        tmp_path, capsys, monkeypatch, r_b, command):
     # F grows as t / (2 r_B); at 1e-20 S_max printed 110.57 with exit 0
-    code = main(["bound", "--r-b", r_b, "--output", str(tmp_path / "b.txt")])
+    _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--r-b", r_b, "--output", "out.txt"])
     out, err = _lines(capsys)
     assert code == 3 and out == [] and len(err) == 1
     assert re.fullmatch(rf"SingularDecompositionError: r_B={r_b}: rounding "
                         r"unit \S+ in S_max exceeds NORM_TOL 1e-09", err[0])
+    assert not (tmp_path / "out.txt").exists()
 
 
 # Runs main on argv in a fresh interpreter whose address space is capped
@@ -947,6 +958,12 @@ def test_short_commands_leave_scipy_unloaded(tmp_path):
     # optimize draws its starting phases from the stdlib random module
     (["optimize", "--restarts", "1", "--seed", "7"], 0, "numpy.random"),
     (["certify", "--r-a", "0.2"], 0, "numpy.random"),
+    # exact arithmetic serves the certify and optimize verdicts alone
+    *((argv, 0, "fractions") for argv in (
+        ["--help"], ["bound"], ["simulate"], ["sweep"],
+        ["analyze", "sweep.txt"],
+        ["montecarlo", "sweep.txt", "--runs", "3000",
+         "--r-b-sigma", "0.005"])),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, absent):
     _write_model_sweep(tmp_path / "sweep.txt", scale=1e5)

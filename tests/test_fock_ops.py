@@ -24,6 +24,8 @@ def test_coherent_amplitudes_match_poisson_weights():
     # phases wind linearly with the number index
     np.testing.assert_allclose(np.angle(amps[1:4] / amps[0:3]),
                                [1.1, 1.1, 1.1], atol=1e-12)
+    with pytest.raises(ValidationError, match="n_max"):
+        coherent_amplitudes(0.37, 1.1, 0)
 
 
 def test_tail_complements_truncated_norm():

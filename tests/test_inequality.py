@@ -210,6 +210,8 @@ def test_fullspace_bound_frozen_values_and_cutoff():
         bound = build_probability_inequality(fam)
         assert abs(bound.s_max - frozen) < 1e-12
         assert bound.n_max_used == 3
+    with pytest.raises(ValidationError, match="n_max"):
+        fullspace_g(decompose_g(InequalityFamily()), InequalityFamily(), 1)
 
 
 def test_truncated_columns_are_built_only_when_the_cutoff_is_read(

@@ -1,6 +1,7 @@
 """Tests for LHS certification, critical efficiency, and phase optimization."""
 
 from dataclasses import replace
+from fractions import Fraction
 import random
 import re
 import time
@@ -15,7 +16,7 @@ from steering_lab.errors import (IndeterminateFeasibilityError,
 from steering_lab.fock_ops import coherent_amplitudes
 from steering_lab.inequality import (InequalityFamily,
                                      build_probability_inequality,
-                                     deterministic_strategies,
+                                     _marginals, deterministic_strategies,
                                      evaluate_steering)
 from steering_lab.lhs_certification import (TableProblem, _max_eta,
                                             canonical_phases,
@@ -287,24 +288,42 @@ def test_ladder_solves_stay_within_fifty_iterations(space, sizes):
                     eta_upper, res.eta_upper), (m, r_a)
 
 
-def _verdict_case(phases, space="qubit"):
+def _verdict_case(phases, space="qubit", r_a=0.2):
     name = "m%d_%.3f" % (len(phases), sum(phases))
-    return pytest.param(phases, space,
-                        id=name if space == "qubit" else f"{name}_{space}")
+    name += "" if space == "qubit" else f"_{space}"
+    return pytest.param(phases, space, r_a,
+                        id=name if r_a == 0.2 else f"{name}_r{r_a:g}")
 
 
-@pytest.mark.parametrize("phases, space", [
+def _exact_excess(func, problem, eta):
+    """Value of func on the exact mix eta T1 + (1 - eta) T0 of the float
+    tables, less its bound, in Fractions."""
+    eta = Fraction(eta)
+    mix = np.array([eta * Fraction(t1) + (1 - eta) * Fraction(t0)
+                    for t1, t0 in zip(problem.table_steered.ravel().tolist(),
+                                      problem.table_vacuum.ravel().tolist())],
+                   dtype=object).reshape(problem.table_vacuum.shape)
+    value = sum(Fraction(f) * v for f, v in zip(
+        func.coefficients.ravel().tolist(), _marginals(mix).ravel()))
+    return value - Fraction(func.bound)
+
+
+@pytest.mark.parametrize("phases, space, r_a", [
     *(_verdict_case(p) for p in (*_RANDOM4, *(_ladder(m) for m in
                                              (1, 2, 3, 5, 6)), (0.4,) * 3)),
     # hidden states with weight outside the span of the |alpha_y>, on the
     # zero row of the photon-number basis
     _verdict_case(_ladder(4), "fock"),
     _verdict_case(_RANDOM4[0], "fock"),
+    # near the rounding floor, where a rounding unit of the float value is
+    # a sizeable share of the certified gap
+    _verdict_case(LADDER4, r_a=1e-3),
+    _verdict_case(LADDER4, r_a=4e-4),
 ])
-def test_every_verdict_carries_a_certificate_that_checks(phases, space):
-    res = experiment_critical_eta(0.2, phases, space=space)
-    # eta_upper and the floats just above it: rounding of the functional's
-    # value must not turn any of them back to "indeterminate"
+def test_every_verdict_carries_a_certificate_that_checks(phases, space, r_a):
+    res = experiment_critical_eta(r_a, phases, space=space)
+    margin = Fraction(1e-10) * max(1, abs(Fraction(res.functional.bound)))
+    # eta_upper and the floats just above it: each must read infeasible
     above = [res.eta_upper]
     for _ in range(8):
         above.append(np.nextafter(above[-1], 2.0))
@@ -317,17 +336,23 @@ def test_every_verdict_carries_a_certificate_that_checks(phases, space):
         seen.add(verdict)
         if eta >= res.eta_upper:
             # eta_upper is the first infeasible efficiency, and every
-            # efficiency above it reads infeasible too
+            # efficiency above it reads infeasible too: the functional
+            # beats its bound by the margin on the exact table, and the
+            # value less the bound that certify prints is that excess,
+            # rounded once, so it reads above 0
             assert verdict == "infeasible", eta - res.eta_upper
-            value = certificate.value(res.problem.table_at(eta))
-            assert value > certificate.bound + 1e-10 * max(
-                1.0, abs(value), abs(certificate.bound))
+            excess = _exact_excess(certificate, res.problem, eta)
+            assert excess > margin
+            assert res.margin_at(eta) == float(excess) > 0
         elif verdict == "feasible":
             assert verify_hidden_states(certificate, res.problem, eta) <= 1e-9
         else:
             # the certified gap
             assert verdict == "indeterminate"
             assert res.eta_star < eta and certificate is None
+    # eta_upper is tight: one float below it the margin is not met
+    assert _exact_excess(res.functional, res.problem, np.nextafter(
+        res.eta_upper, 0.0)) <= margin
     assert "feasible" in seen
     assert ("infeasible" in seen) == (res.eta_upper <= 1.0)
     with pytest.raises(ValidationError):
